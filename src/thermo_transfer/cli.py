@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,18 +28,13 @@ import numpy as np
 from . import selftest as _selftest
 from .errors import (AssemblyError, ConvergenceError, DomainError,
                      ResourceLimitError)
-from .models import (CylinderParams, DnlsParams, ParticleChainParams,
-                     cylinder_free_energy, dnls_free_energy,
-                     particle_chain_free_energy,
-                     reference_cylinder_ax0, reference_particle_chain_gamma0)
-from .thermo import SweepSpec, free_energy_sweep
+from .thermo import MODELS, SweepSpec, free_energy_sweep, map_rows
 
 __all__ = ["RunConfig", "UsageError", "build_config", "config_text", "main",
            "run_free_energy", "run_convergence", "run_observables",
            "run_selftest"]
 
 SUBCOMMANDS = ("free-energy", "convergence", "observables", "selftest")
-MODELS = ("chain", "dnls", "cylinder")
 REFERENCES = ("auto", "factorized", "largest-m")
 
 
@@ -73,9 +67,6 @@ class RunConfig:
     threads: int = None
     m_list: tuple = None
     reference: str = "auto"
-    h_beta: float = None
-    h_gamma: float = None
-    h_mu: float = None
 
 
 def _parse_m_list(text):
@@ -104,12 +95,13 @@ _CONVERTERS = {
     "beta_start": float, "beta_stop": float,
     "eta": float, "mu3": float, "lam": float, "gamma": float,
     "g": float, "mu": float, "ax": float, "ay": float,
-    "h_beta": float, "h_gamma": float, "h_mu": float,
     "beta_count": int, "m": int, "m0": int, "ly": int, "threads": int,
     "log_beta": _parse_bool,
     "m_list": _parse_m_list,
 }
 _ALIASES = {"lambda": "lam"}
+# params field -> RunConfig field, where the two names differ
+_PARAM_KEYS = {"mu_c": "mu"}
 
 
 def parse_config_text(text):
@@ -171,7 +163,7 @@ def _build_parser():
                        help="flat `key = value` config file; flags override it")
         if name == "selftest":
             continue
-        p.add_argument("--model", choices=MODELS, default=None)
+        p.add_argument("--model", choices=tuple(MODELS), default=None)
         p.add_argument("--beta-start", type=float, default=None)
         p.add_argument("--beta-stop", type=float, default=None)
         p.add_argument("--beta-count", type=int, default=None)
@@ -202,10 +194,6 @@ def _build_parser():
             p.add_argument("--m-list", dest="m_list", default=None,
                            help="comma-separated quadrature sizes")
             p.add_argument("--reference", choices=REFERENCES, default=None)
-        if name == "observables":
-            p.add_argument("--h-beta", dest="h_beta", type=float, default=None)
-            p.add_argument("--h-gamma", dest="h_gamma", type=float, default=None)
-            p.add_argument("--h-mu", dest="h_mu", type=float, default=None)
     return parser
 
 
@@ -253,29 +241,19 @@ def _beta_grid(cfg):
     return np.linspace(cfg.beta_start, cfg.beta_stop, cfg.beta_count)
 
 
-def _params_only(cfg):
-    if cfg.model == "chain":
-        return ParticleChainParams(eta=cfg.eta, mu3=cfg.mu3, lam=cfg.lam,
-                                   gamma=cfg.gamma)
-    if cfg.model == "dnls":
-        return DnlsParams(g=cfg.g, mu_c=cfg.mu)
-    if cfg.model == "cylinder":
-        return CylinderParams(eta=cfg.eta, ax=cfg.ax, ay=cfg.ay, ly=cfg.ly)
+def _model(cfg):
     if cfg.model is None:
         raise UsageError("--model is required")
-    raise UsageError(f"unknown model {cfg.model!r}")
+    if cfg.model not in MODELS:
+        raise UsageError(f"unknown model {cfg.model!r}")
+    return MODELS[cfg.model]
 
 
-def _model_params(cfg):
-    """(params object, quadrature size) for the configured model."""
-    params = _params_only(cfg)
-    if cfg.model == "cylinder":
-        size, flag = cfg.m0, "--m0"
-    else:
-        size, flag = cfg.m, "--m"
-    if size is None:
-        raise UsageError(f"{flag} is required for model {cfg.model!r}")
-    return params, size
+def _params(cfg, model):
+    """The model's params object, each field read from the config."""
+    return model.params(**{
+        f.name: getattr(cfg, _PARAM_KEYS.get(f.name, f.name))
+        for f in dataclasses.fields(model.params)})
 
 
 def _require_out(cfg):
@@ -297,12 +275,13 @@ def _write_csv(path, names, cols):
         fh.write("\n".join(lines) + "\n")
 
 
-def _run_sweep(cfg, observables):
+def _run_sweep(cfg, model, observables):
     _require_out(cfg)
-    params, size = _model_params(cfg)
-    spec = SweepSpec(params=params, beta_grid=_beta_grid(cfg), m=size,
-                     observables=observables, h_beta=cfg.h_beta,
-                     h_gamma=cfg.h_gamma, h_mu=cfg.h_mu)
+    size = getattr(cfg, model.size)
+    if size is None:
+        raise UsageError(f"--{model.size} is required for model {model.name!r}")
+    spec = SweepSpec(params=_params(cfg, model), beta_grid=_beta_grid(cfg),
+                     m=size, observables=observables)
     threads = cfg.threads if cfg.threads is not None else os.cpu_count()
     result = free_energy_sweep(spec, threads=threads)
     names, cols = result.columns()
@@ -312,40 +291,34 @@ def _run_sweep(cfg, observables):
 
 def run_free_energy(cfg):
     """beta sweep -> CSV `beta,free_energy`."""
-    return _run_sweep(cfg, observables=())
+    return _run_sweep(cfg, _model(cfg), observables=())
 
 
 def run_observables(cfg):
     """beta sweep with observable columns appended."""
-    if cfg.model == "chain":
-        obs = ("stretch_sq", "energy")
-    elif cfg.model == "dnls":
-        obs = ("energy", "density")
-    elif cfg.model == "cylinder":
-        raise UsageError("observables are not defined for the cylinder model")
-    else:
-        raise UsageError("--model is required")
-    return _run_sweep(cfg, observables=obs)
+    model = _model(cfg)
+    if not model.observables:
+        raise UsageError(
+            f"observables are not defined for the {model.name} model")
+    return _run_sweep(cfg, model, model.observables)
 
 
-def _convergence_reference(cfg, params, beta, ms, evaluate):
+def _convergence_reference(cfg, model, params, beta, ms, evaluate):
     """Reference free energy per the configured strategy.
 
     Returns (F_ref, m_to_skip); m_to_skip is the largest m when it
     doubles as the reference (its own error row would be exactly 0).
     """
     strategy = cfg.reference or "auto"
-    factorized = None
-    if isinstance(params, ParticleChainParams) and params.gamma == 0.0:
-        factorized = lambda: reference_particle_chain_gamma0(params, beta)
-    elif isinstance(params, CylinderParams) and params.ax == 0.0:
-        factorized = lambda: reference_cylinder_ax0(params, beta)
-    if strategy == "factorized" and factorized is None:
-        raise UsageError(
-            "no factorized reference for these parameters "
-            "(chain needs gamma=0, cylinder needs ax=0)")
-    if strategy in ("auto", "factorized") and factorized is not None:
-        return factorized(), None
+    if strategy in ("auto", "factorized"):
+        f_ref = model.factorized_at(params, beta)
+        if f_ref is not None:
+            return f_ref, None
+        if strategy == "factorized":
+            needs = ", ".join(f"{m.name} needs {m.reference_zero}=0"
+                              for m in MODELS.values() if m.reference)
+            raise UsageError(
+                f"no factorized reference for these parameters ({needs})")
     if len(ms) < 2:
         raise UsageError(
             "largest-m reference needs at least two entries in --m-list")
@@ -363,24 +336,16 @@ def run_convergence(cfg):
     if not cfg.m_list:
         raise UsageError("--m-list is required for the convergence subcommand")
     beta = cfg.beta_start
+    model = _model(cfg)
     # quadrature sizes come from --m-list here, so --m/--m0 is not needed
-    params = _params_only(cfg)
-
-    if isinstance(params, ParticleChainParams):
-        evaluate = lambda m: particle_chain_free_energy(params, beta, m)
-    elif isinstance(params, DnlsParams):
-        evaluate = lambda m: dnls_free_energy(params, beta, m)
-    else:
-        evaluate = lambda m: cylinder_free_energy(params, beta, m)
+    params = _params(cfg, model)
+    evaluate = lambda m: model.free_energy_at(params, beta, m)
 
     ms = list(cfg.m_list)
     threads = cfg.threads if cfg.threads is not None else os.cpu_count()
-    if threads and threads > 1 and len(ms) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            values = list(pool.map(evaluate, ms))
-    else:
-        values = [evaluate(m) for m in ms]
-    f_ref, m_skip = _convergence_reference(cfg, params, beta, ms, evaluate)
+    values = map_rows(evaluate, ms, threads)
+    f_ref, m_skip = _convergence_reference(cfg, model, params, beta, ms,
+                                           evaluate)
     rows = [(m, abs(f - f_ref) / abs(f_ref))
             for m, f in zip(ms, values) if m != m_skip]
     _write_csv(cfg.out, ["m", "rel_error"],

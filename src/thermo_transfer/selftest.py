@@ -80,12 +80,6 @@ def suite_specfun():
     if not (math.isfinite(v) and _close(v, 700.0 - 0.5 * math.log(2 * math.pi * 700.0)
                                         + math.log(1.0 + 1.0 / 5600.0), 1e-6)):
         fails.append("log I0(700) overflowed or far from asymptotics")
-    # both branches evaluated at the switch point itself must agree
-    xc = np.array([specfun._I0_CROSSOVER])
-    lo = float(specfun._i0_scaled_series(xc)[0])
-    hi = float(specfun._i0_scaled_asymptotic(xc)[0])
-    if abs(lo - hi) > 1e-13 * lo:
-        fails.append("series/asymptotic branches disagree at the crossover")
     grid = specfun.i0_scaled(np.linspace(0.1, 60.0, 200))
     if np.any(np.diff(grid) >= 0.0):
         fails.append("e^-x I0(x) not strictly decreasing")

@@ -1,105 +1,32 @@
 """Error function and scaled modified Bessel function I0.
 
 Two special functions are needed by the kernels and weight
-normalizations: erf for the truncated-Gaussian mass on [0, inf), and
-I0 for the angular integral of the polar-coordinate kernel.  Both are
-implemented from scratch so the numerical behaviour (especially the
-overflow-safe scaled Bessel form) is fully under our control.
-
-erf uses the Maclaurin series
-
-    erf(x) = 2/sqrt(pi) * sum_{n>=0} (-1)^n x^(2n+1) / (n! (2n+1))
-
-for |x| <= 2 and the complementary-function continued fraction
-
-    erfc(x) = e^{-x^2}/sqrt(pi) * 1/(x+ (1/2)/(x+ (2/2)/(x+ (3/2)/(x+ ...
-
-(evaluated by the modified Lentz algorithm) beyond.
+normalizations: erf/erfc for the truncated-Gaussian mass on [0, inf),
+and I0 for the angular integral of the polar-coordinate kernel.  Both
+come from `scipy.special`; these wrappers add the package's domain
+checks (a non-finite or out-of-domain argument raises DomainError) and
+its scalar-in, float-out contract.
 
 I0 is only ever used through its exponentially scaled form
-e^{-x} I0(x), which lives in (0, 1] and decays like 1/sqrt(2 pi x),
-so the kernel entry log(2 pi) + log I0(beta sqrt(rho rho')) -
-beta(rho+rho')/2 never overflows even at beta of order 15 where the
-raw I0 argument reaches several hundred.  The power series
-
-    e^{-x} I0(x) = e^{-x} sum_k (x^2/4)^k / (k!)^2
-
-(all terms positive, no cancellation) covers x <= 15; beyond that the
-large-argument asymptotic
-
-    e^{-x} I0(x) ~ 1/sqrt(2 pi x) * sum_k ((2k-1)!!)^2 / (k! (8x)^k)
-
-is summed to its smallest term (optimal truncation).  With optimal
-truncation the asymptotic branch is already good to ~5e-15 at the
-crossover x = 15, where the series branch is exact to roundoff.
+e^{-x} I0(x) (`scipy.special.i0e`), which lives in (0, 1] and decays
+like 1/sqrt(2 pi x), so the kernel entry log(2 pi) + log I0(beta
+sqrt(rho rho')) - beta(rho+rho')/2 never overflows even at beta of
+order 15 where the raw I0 argument reaches several hundred.
 """
 
 import math
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
-_SQRT_PI = math.sqrt(math.pi)
-_TWO_PI = 2.0 * math.pi
-
-# branch switch for the scaled Bessel function
-_I0_CROSSOVER = 15.0
-
-# branch switch for erfc: below this the 1 - erf subtraction still has
-# ~1e-15 relative accuracy, above it the continued fraction does
-_ERFC_CROSSOVER = 1.5
-
-
-def _erf_maclaurin(x):
-    # |x| <= 2: alternating Maclaurin series; the largest term at x = 2
-    # is ~2.4 against a result of ~1, so cancellation is harmless.
-    x2 = x * x
-    u = x            # (-1)^n x^(2n+1) / n!
-    s = x            # running sum of u / (2n+1)
-    n = 0
-    while True:
-        n += 1
-        u *= -x2 / n
-        term = u / (2 * n + 1)
-        s += term
-        if abs(term) < 1e-18:
-            return 2.0 / _SQRT_PI * s
-
-
-def _erfc_lentz(x):
-    # x > 2: continued fraction for erfc, coefficients a_n = n/2,
-    # modified Lentz iteration.
-    b = x
-    c = 1e300
-    d = 1.0 / b
-    h = d
-    for n in range(1, 200):
-        a = 0.5 * n
-        d = 1.0 / (a * d + x)
-        c = x + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / _SQRT_PI * h
-
 
 def erf(x):
-    """Error function, |error| <= 1e-15 on all finite reals.
-
-    Odd in x, range (-1, 1).  Series branch for |x| <= 2, continued
-    fraction for the complement beyond (erfc underflows to 0 around
-    x = 27, after which erf(x) returns exactly 1.0).
-    """
+    """Error function of a finite scalar; odd in x, range [-1, 1]."""
     if not math.isfinite(x):
         raise DomainError(f"erf expects a finite argument, got {x!r}")
-    ax = abs(x)
-    if ax <= 2.0:
-        v = _erf_maclaurin(ax)
-    else:
-        v = 1.0 - _erfc_lentz(ax)
-    return -v if x < 0.0 else v
+    return float(special.erf(x))
 
 
 def erfc(x):
@@ -108,74 +35,27 @@ def erfc(x):
     Computing 1 - erf(x) loses all relative precision once erf(x) is
     close to 1, which matters when erfc sits in a denominator (e.g. the
     mass of a truncated Gaussian whose mode lies far outside the
-    domain).  The continued-fraction branch keeps the relative error
-    around 2e-15 for x > 1.5; erfc underflows to exactly 0 near x = 27.
+    domain).  erfc underflows to exactly 0 near x = 27.
     """
     if not math.isfinite(x):
         raise DomainError(f"erfc expects a finite argument, got {x!r}")
-    if x < 0.0:
-        # erfc(x) >= 1 here, so the subtraction cannot cancel
-        return 2.0 - erfc(-x)
-    if x <= _ERFC_CROSSOVER:
-        return 1.0 - _erf_maclaurin(x)
-    return _erfc_lentz(x)
-
-
-def _i0_scaled_series(x):
-    # e^{-x} sum (x^2/4)^k / (k!)^2, elementwise on an array, all terms
-    # positive.  At x = 15 roughly 40 terms are needed.
-    s = np.ones_like(x)
-    t = np.ones_like(x)
-    q = 0.25 * x * x
-    k = 0
-    while True:
-        k += 1
-        t = t * q / (k * k)
-        s += t
-        if np.all(t <= s * 1e-18) or k > 120:
-            break
-    return np.exp(-x) * s
-
-
-def _i0_scaled_asymptotic(x):
-    # 1/sqrt(2 pi x) * sum ((2k-1)!!)^2 / (k! (8x)^k), truncated at the
-    # smallest term per element.  Terms decrease until k ~ 2x, so for
-    # x > 15 the attainable error is below 5e-15.
-    s = np.ones_like(x)
-    t = np.ones_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    k = 0
-    while np.any(active) and k < 80:
-        k += 1
-        t_next = t * (2 * k - 1) ** 2 / (8.0 * k * x)
-        # freeze elements whose next term no longer decreases
-        active &= t_next < t
-        t = np.where(active, t_next, 0.0)
-        s += t
-        active &= t > s * 1e-18
-    return s / np.sqrt(_TWO_PI * x)
+    return float(special.erfc(x))
 
 
 def i0_scaled(x):
     """Exponentially scaled modified Bessel function e^{-x} I0(x).
 
-    Accepts a scalar or array, x >= 0 elementwise.  Relative error
-    <= 1e-14 everywhere; the value lies in (0, 1] and never overflows.
+    Accepts a scalar or array, x >= 0 elementwise.  The value lies in
+    (0, 1] and never overflows.
     """
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("i0_scaled expects finite arguments")
     if np.any(arr < 0.0):
         raise DomainError("i0_scaled is defined for x >= 0")
-    out = np.empty_like(arr)
-    small = arr <= _I0_CROSSOVER
-    if np.any(small):
-        out[small] = _i0_scaled_series(arr[small])
-    if not np.all(small):
-        out[~small] = _i0_scaled_asymptotic(arr[~small])
-    if scalar:
-        return float(out[0])
+    out = special.i0e(arr)
+    if np.ndim(x) == 0:
+        return float(out)
     return out
 
 
@@ -187,8 +67,7 @@ def log_i0_scaled(x):
 def log_i0(x):
     """log I0(x), computed as x + log(e^{-x} I0(x)).
 
-    Safe where I0 itself would overflow (I0(700) ~ 1e302 e^x-ish); the
-    returned value is exact to ~1e-14 relative in I0.
+    Safe where I0 itself overflows a double (x above about 710).
     """
     arr = np.asarray(x, dtype=float)
     res = arr + np.log(i0_scaled(arr))

@@ -23,27 +23,20 @@ import numpy as np
 
 from .errors import (AssemblyError, ConvergenceError, DomainError,
                      ResourceLimitError)
+# the free-energy, observable and reference routes are called through
+# this module's globals by the names in MODELS
 from .models import (CylinderParams, DnlsParams, ParticleChainParams,
                      _chain_free_energy_raw, _dnls_free_energy_raw,
                      cylinder_free_energy, dnls_free_energy,
-                     particle_chain_free_energy)
+                     particle_chain_free_energy, reference_cylinder_ax0,
+                     reference_particle_chain_gamma0)
 
-__all__ = ["SweepSpec", "SweepResult", "fd_derivative",
-           "particle_chain_observables", "dnls_observables",
-           "free_energy_sweep", "OBSERVABLE_COLUMNS"]
-
-# order-6 first-derivative stencil on offsets -3h..3h,
-# coefficients (-1, 9, -45, 0, 45, -9, 1)/60
-_STENCIL_O6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+__all__ = ["Model", "MODELS", "SweepSpec", "SweepResult",
+           "fd_derivative", "particle_chain_observables", "dnls_observables",
+           "map_rows", "free_energy_sweep", "OBSERVABLE_COLUMNS"]
 
 # canonical CSV column order; each model supports a subset
 OBSERVABLE_COLUMNS = ("stretch_sq", "energy", "density")
-
-_SUPPORTED_OBSERVABLES = {
-    ParticleChainParams: ("stretch_sq", "energy"),
-    DnlsParams: ("energy", "density"),
-    CylinderParams: (),
-}
 
 
 def default_step(x):
@@ -126,21 +119,79 @@ def dnls_observables(p, beta, m, h_mu=None, h_beta=None):
 
 
 @dataclass(frozen=True)
+class Model:
+    """One model's entry points: name, params class, size flag, routes.
+
+    Routes are names of functions in this module, looked up when
+    called, so a wrapper installed on the module attribute (a
+    profiler's, a test's) is the function that runs.  `observe` returns
+    the `observables` columns in that order; `reference` is the
+    factorized-limit free energy, defined when the params field named
+    by `reference_zero` is 0.
+    """
+
+    name: str
+    params: type
+    size: str
+    free_energy: str
+    observables: tuple = ()
+    observe: str = None
+    reference: str = None
+    reference_zero: str = None
+
+    def _route(self, attr):
+        return globals()[getattr(self, attr)]
+
+    def free_energy_at(self, params, beta, m):
+        return self._route("free_energy")(params, beta, m)
+
+    def observe_at(self, params, beta, m):
+        """{column: value} for every observable of the model."""
+        values = self._route("observe")(params, beta, m)
+        return dict(zip(self.observables, values))
+
+    def factorized_at(self, params, beta):
+        """Factorized-limit free energy, or None away from that limit."""
+        if self.reference is None or getattr(params, self.reference_zero) != 0.0:
+            return None
+        return self._route("reference")(params, beta)
+
+
+MODELS = {model.name: model for model in (
+    Model("chain", ParticleChainParams, size="m",
+          free_energy="particle_chain_free_energy",
+          observables=("stretch_sq", "energy"),
+          observe="particle_chain_observables",
+          reference="reference_particle_chain_gamma0", reference_zero="gamma"),
+    Model("dnls", DnlsParams, size="m", free_energy="dnls_free_energy",
+          observables=("density", "energy"), observe="dnls_observables"),
+    Model("cylinder", CylinderParams, size="m0",
+          free_energy="cylinder_free_energy",
+          reference="reference_cylinder_ax0", reference_zero="ax"),
+)}
+
+
+def _model_of(params):
+    """The MODELS entry for a params object."""
+    for model in MODELS.values():
+        if isinstance(params, model.params):
+            return model
+    raise DomainError(f"unknown model parameter type {type(params).__name__}")
+
+
+@dataclass(frozen=True)
 class SweepSpec:
     """A free-energy sweep: model parameters, beta grid, quadrature size.
 
-    `observables` is a subset of OBSERVABLE_COLUMNS appropriate for the
-    model (chain: stretch_sq/energy, DNLS: energy/density, cylinder:
-    none).  Step sizes default to 1e-3 max(1, |x|) when left None.
+    `observables` is a subset of the model's observable columns (chain:
+    stretch_sq/energy, DNLS: energy/density, cylinder: none), kept in
+    OBSERVABLE_COLUMNS order.
     """
 
     params: object
     beta_grid: np.ndarray
     m: int
     observables: tuple = ()
-    h_beta: float = None
-    h_gamma: float = None
-    h_mu: float = None
 
     def __post_init__(self):
         grid = np.atleast_1d(np.asarray(self.beta_grid, dtype=float))
@@ -153,13 +204,7 @@ class SweepSpec:
             raise DomainError("beta grid must be strictly increasing")
         if not isinstance(self.m, (int, np.integer)) or self.m < 1:
             raise DomainError(f"m must be a positive integer, got {self.m!r}")
-        supported = None
-        for cls, cols in _SUPPORTED_OBSERVABLES.items():
-            if isinstance(self.params, cls):
-                supported = cols
-        if supported is None:
-            raise DomainError(
-                f"unknown model parameter type {type(self.params).__name__}")
+        supported = _model_of(self.params).observables
         obs = tuple(self.observables)
         for name in obs:
             if name not in supported:
@@ -191,29 +236,13 @@ class SweepResult:
         return names, cols
 
 
-def _free_energy_point(params, beta, m):
-    if isinstance(params, ParticleChainParams):
-        return particle_chain_free_energy(params, beta, m)
-    if isinstance(params, DnlsParams):
-        return dnls_free_energy(params, beta, m)
-    if isinstance(params, CylinderParams):
-        return cylinder_free_energy(params, beta, m)
-    raise DomainError(f"unknown model parameter type {type(params).__name__}")
-
-
 def _sweep_row(spec, beta):
+    model = _model_of(spec.params)
     try:
-        f = _free_energy_point(spec.params, beta, spec.m)
+        f = model.free_energy_at(spec.params, beta, spec.m)
         obs = {}
         if spec.observables:
-            if isinstance(spec.params, ParticleChainParams):
-                stretch, energy = particle_chain_observables(
-                    spec.params, beta, spec.m, spec.h_gamma, spec.h_beta)
-                available = {"stretch_sq": stretch, "energy": energy}
-            else:
-                density, energy = dnls_observables(
-                    spec.params, beta, spec.m, spec.h_mu, spec.h_beta)
-                available = {"density": density, "energy": energy}
+            available = model.observe_at(spec.params, beta, spec.m)
             obs = {k: available[k] for k in spec.observables}
     except (AssemblyError, ConvergenceError, ResourceLimitError) as exc:
         # keep the exception type, name the grid point that failed
@@ -221,19 +250,22 @@ def _sweep_row(spec, beta):
     return f, obs
 
 
-def free_energy_sweep(spec, threads=None):
-    """Evaluate the sweep, optionally on a thread pool over grid points.
+def map_rows(fn, items, threads=None):
+    """[fn(x) for x in items], on a thread pool when threads > 1.
 
-    Rows come back in grid order regardless of completion order; the
-    per-point solves are independent (numpy linear algebra releases the
+    Results come back in input order regardless of completion order;
+    the calls must be independent (numpy linear algebra releases the
     GIL, so threads give real parallelism for the matrix work).
     """
-    betas = spec.beta_grid
-    if threads is not None and threads > 1 and betas.size > 1:
+    if threads is not None and threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            rows = list(pool.map(lambda b: _sweep_row(spec, b), betas))
-    else:
-        rows = [_sweep_row(spec, b) for b in betas]
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def free_energy_sweep(spec, threads=None):
+    """Evaluate the sweep, optionally on a thread pool over grid points."""
+    rows = map_rows(lambda b: _sweep_row(spec, b), spec.beta_grid, threads)
     free = np.array([r[0] for r in rows])
     obs = {k: np.array([r[1][k] for r in rows]) for k in spec.observables}
     return SweepResult(spec=spec, free_energy=free, observables=obs)

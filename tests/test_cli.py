@@ -20,10 +20,13 @@ from thermo_transfer.cli import (
     parse_config_text,
 )
 from thermo_transfer.models import (
+    CylinderParams,
     DnlsParams,
     ParticleChainParams,
+    cylinder_free_energy,
     dnls_free_energy,
     particle_chain_free_energy,
+    reference_cylinder_ax0,
     reference_particle_chain_gamma0,
 )
 
@@ -166,15 +169,23 @@ def test_threads_flag_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_observables_columns_chain(tmp_path):
+@pytest.mark.parametrize("model, flags, header, positive", [
+    pytest.param("chain", ["--gamma", "0.5"],
+                 ["beta", "free_energy", "stretch_sq", "energy"], "stretch_sq",
+                 id="chain"),
+    pytest.param("dnls", ["--mu", "1"],
+                 ["beta", "free_energy", "energy", "density"], "density",
+                 id="dnls"),
+])
+def test_observables_columns(tmp_path, model, flags, header, positive):
     out = tmp_path / "obs.csv"
-    rc = cli.main(["observables", "--model", "chain", "--beta-start", "1",
-                   "--beta-count", "1", "--m", "10", "--gamma", "0.5",
+    rc = cli.main(["observables", "--model", model, "--beta-start", "1",
+                   "--beta-count", "1", "--m", "10", *flags,
                    "--out", str(out)])
     assert rc == 0
-    header, rows = read_csv(out)
-    assert header == ["beta", "free_energy", "stretch_sq", "energy"]
-    assert float(rows[0][2]) > 0.0
+    got, rows = read_csv(out)
+    assert got == header
+    assert float(rows[0][header.index(positive)]) > 0.0
 
 
 def test_observables_cylinder_rejected(tmp_path, capsys):
@@ -218,6 +229,22 @@ def test_convergence_auto_picks_factorized(tmp_path):
     ref = reference_particle_chain_gamma0(p, 5.0)
     expect = abs(particle_chain_free_energy(p, 5.0, 30) - ref) / abs(ref)
     assert float(rows[2][1]) == pytest.approx(expect, rel=1e-9, abs=1e-18)
+
+
+def test_convergence_cylinder_factorized_reference(tmp_path):
+    out = tmp_path / "conv_cyl.csv"
+    rc = cli.main(["convergence", "--model", "cylinder", "--beta-start", "2",
+                   "--beta-count", "1", "--ax", "0", "--ay", "0.2", "--ly", "2",
+                   "--m-list", "4,6", "--reference", "factorized",
+                   "--out", str(out)])
+    assert rc == 0
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["4", "6"]
+    p = CylinderParams(eta=1.0, ax=0.0, ay=0.2, ly=2)
+    ref = reference_cylinder_ax0(p, 2.0)
+    for row in rows:
+        expect = abs(cylinder_free_energy(p, 2.0, int(row[0])) - ref) / abs(ref)
+        assert float(row[1]) == pytest.approx(expect, rel=1e-12)
 
 
 def test_convergence_factorized_unavailable(tmp_path, capsys):

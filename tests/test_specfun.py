@@ -172,13 +172,6 @@ def test_i0_large_argument_no_overflow():
         float(mpmath.besseli(0, 700) * mpmath.exp(-700)), rel=1e-14)
 
 
-def test_i0_branch_crossover_consistency():
-    xc = np.array([specfun._I0_CROSSOVER])
-    lo = float(specfun._i0_scaled_series(xc)[0])
-    hi = float(specfun._i0_scaled_asymptotic(xc)[0])
-    assert abs(lo - hi) <= 1e-13 * lo
-
-
 def test_i0_scaled_strictly_decreasing():
     grid = specfun.i0_scaled(np.linspace(1e-3, 100.0, 400))
     assert np.all(np.diff(grid) < 0.0)
