@@ -8,8 +8,8 @@ Two runs, both on the three-ring cylinder:
    curves and their gap.
 2. ax0: with the rings decoupled along the axis the free energy has a
    closed determinant form.  The per-mode Gauss weights absorb the
-   whole ring potential, so the m0^3-point tensor rule matches it to
-   round-off at every m0.  Printed per m0.
+   whole ring potential, so each ring mode's m0-point chain matches it
+   to round-off at every m0.  Printed per m0.
 
     python scripts/cylinder_anisotropy.py [--out-dir results]
 """

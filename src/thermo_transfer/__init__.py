@@ -8,11 +8,12 @@ governed by the dominant eigenvalue alone,
     F(beta) = -log(lambda_1(T_beta)) / beta   (+ model prefactors).
 
 This package discretizes the operator with Gauss quadrature tailored to
-each model's weight function (Nystrom method), extracts lambda_1 by
-power iteration, and differentiates the free-energy surface for
-observables.  Implemented models: an anharmonic particle chain, the
-defocusing DNLS chain in polar coordinates, and a cylindrical lattice
-of coupled rings.
+each model's weight function (Nystrom method), extracts lambda_1 with
+one dense symmetric eigensolve, and differentiates the free-energy
+surface for observables.  Implemented models: an anharmonic particle
+chain, the defocusing DNLS chain in polar coordinates, and a
+cylindrical lattice of coupled rings, solved as one harmonic chain per
+ring Fourier mode.
 """
 
 from .errors import (AssemblyError, ConvergenceError, DomainError,

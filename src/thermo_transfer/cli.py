@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 numeric failure, 2 usage or config error.
 
 import argparse
 import dataclasses
-import os
 import sys
 from dataclasses import dataclass
 
@@ -89,9 +88,16 @@ def _parse_bool(text):
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
+def _parse_reference(text):
+    if text not in REFERENCES:
+        raise UsageError(
+            f"reference must be one of {', '.join(REFERENCES)}, got {text!r}")
+    return text
+
+
 # key -> converter, for config files; keys mirror the long flag names
 _CONVERTERS = {
-    "model": str, "out": str, "reference": str,
+    "model": str, "out": str, "reference": _parse_reference,
     "beta_start": float, "beta_stop": float,
     "eta": float, "mu3": float, "lam": float, "gamma": float,
     "g": float, "mu": float, "ax": float, "ay": float,
@@ -189,7 +195,9 @@ def _build_parser():
         p.add_argument("--ax", type=float, default=None)
         p.add_argument("--ay", type=float, default=None)
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker threads over beta rows or m values "
+                            "(default 1)")
         if name == "convergence":
             p.add_argument("--m-list", dest="m_list", default=None,
                            help="comma-separated quadrature sizes")
@@ -282,8 +290,7 @@ def _run_sweep(cfg, model, observables):
         raise UsageError(f"--{model.size} is required for model {model.name!r}")
     spec = SweepSpec(params=_params(cfg, model), beta_grid=_beta_grid(cfg),
                      m=size, observables=observables)
-    threads = cfg.threads if cfg.threads is not None else os.cpu_count()
-    result = free_energy_sweep(spec, threads=threads)
+    result = free_energy_sweep(spec, threads=cfg.threads)
     names, cols = result.columns()
     _write_csv(cfg.out, names, cols)
     return result
@@ -342,8 +349,7 @@ def run_convergence(cfg):
     evaluate = lambda m: model.free_energy_at(params, beta, m)
 
     ms = list(cfg.m_list)
-    threads = cfg.threads if cfg.threads is not None else os.cpu_count()
-    values = map_rows(evaluate, ms, threads)
+    values = map_rows(evaluate, ms, cfg.threads)
     f_ref, m_skip = _convergence_reference(cfg, model, params, beta, ms,
                                            evaluate)
     rows = [(m, abs(f - f_ref) / abs(f_ref))

@@ -29,10 +29,14 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
     diagonal in the ring's real Fourier modes y = U^T q.  U is
     orthogonal, so |q - q'|^2 = |y - y'|^2 and in mode coordinates
     weight: product over k of Gaussians with precision
-            a_k = beta (eta + a_y Lambda_k)
+            a_k = beta eta_k,  eta_k = eta + a_y Lambda_k
     log k(y, y') = -beta a_x |y - y'|^2 / 2   (axial bonds only)
-    -beta F = log(2 pi / beta) - (1/(2 L_y)) sum_k log(eta + a_y Lambda_k)
-              + (1/L_y) log lambda_1
+    Weight and kernel both factor over k, so the m0^L_y-point matrix
+    is the Kronecker product of the harmonic chains' m0-point matrices
+    T_k (on-site eta_k, coupling a_x) and lambda_1 = prod_k lambda_1(T_k):
+    -beta F = (1/L_y) sum_k [log(2 pi / beta) - log(eta_k)/2
+                             + log lambda_1(T_k)],
+    the mean of L_y harmonic-chain free energies.
 
 The gamma=0 chain and the a_x=0 cylinder factorize into independent
 single-site (single-ring) problems with closed-form or 1D-integral
@@ -49,8 +53,10 @@ from .errors import ConvergenceError, DomainError
 from .nystrom import LogKernel, assemble, dominant_eigenvalue
 from .specfun import log_i0
 from .quadrature import (gauss_hermite_rescaled, golub_welsch,
-                         stieltjes_recurrence, tensor_product,
+                         stieltjes_recurrence,
                          truncated_gaussian_normalization)
+# unused here; kept because the benchmark tracer wraps models.tensor_product
+from .quadrature import tensor_product  # noqa: F401
 
 __all__ = [
     "ParticleChainParams", "DnlsParams", "CylinderParams",
@@ -283,35 +289,20 @@ def _ring_spectrum(p):
     return p.eta + p.ay * (2.0 - 2.0 * np.cos(2.0 * math.pi * wave / p.ly))
 
 
-def _cylinder_axial_logk(ax, beta):
-    c = 0.5 * beta * ax
+def cylinder_free_energy(p, beta, m0):
+    """Per-site free energy of the cylinder, one harmonic chain per ring mode.
 
-    def logk(y, yp):
-        d = y - yp
-        return -c * np.sum(d * d, axis=-1)
-
-    return LogKernel(logk)
-
-
-def cylinder_free_energy(p, beta, m0, max_points=8192):
-    """Per-site free energy of the cylinder from the m0^ly tensor rule.
-
-    The rule is a product of one Gauss-Hermite rule per ring Fourier
-    mode, each absorbing that mode's share of the harmonic ring
-    potential, so only the axial bonds are left in the kernel (see the
-    module docstring).  At ax = 0 the kernel is constant and every m0
-    gives the ring determinant to round-off.
+    The mean over ring Fourier modes k of the m0-point harmonic-chain
+    free energy with on-site eta + a_y Lambda_k and coupling a_x (see
+    the module docstring); no matrix is larger than m0 x m0.  At ax = 0
+    the kernel is constant and every m0 gives the ring determinant to
+    round-off; at ly = 1 this is the harmonic chain itself.
     """
     _check_beta(beta)
     _check_m(m0, "m0")
-    spec = _ring_spectrum(p)
-    bases = [gauss_hermite_rescaled(int(m0), beta * s) for s in spec]
-    rule = tensor_product(bases, p.ly, max_points=max_points)
-    T = assemble(_cylinder_axial_logk(p.ax, beta), rule)
-    lam1 = dominant_eigenvalue(T).lambda1
-    mbf = _LOG_2PI - math.log(beta) - 0.5 * float(np.mean(np.log(spec))) \
-        + math.log(lam1) / p.ly
-    return -mbf / beta
+    return float(np.mean([_chain_free_energy_raw(eta_k, 0.0, 0.0, p.ax, beta,
+                                                 int(m0))
+                          for eta_k in _ring_spectrum(p)]))
 
 
 def reference_cylinder_ax0(p, beta):

@@ -6,11 +6,12 @@ discretized on a quadrature rule (z_i, w_i) as the symmetric matrix
     T[i, j] = k_beta(z_i, z_j) sqrt(w_i w_j),
 
 assembled in log space (the kernels carry exponents of order
-beta * q^4 which underflow as raw products).  The dominant eigenvalue
-is found by power iteration; the Perron-Frobenius theorem for
+beta * q^4 which underflow as raw products).  Each model's matrix has
+m rows (m0 for the cylinder, solved as one chain per ring Fourier
+mode), a few dozen in practice, so the dominant eigenvalue comes from
+one dense symmetric eigendecomposition.  The Perron-Frobenius theorem for
 elementwise positive matrices guarantees a simple positive lambda_1
-with a strictly positive eigenvector, so an all-ones start vector
-converges without sign ambiguity.
+with a strictly positive eigenvector.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import AssemblyError, ConvergenceError, DomainError
-from .quadrature import QuadratureRule, TensorRule
 
 __all__ = ["LogKernel", "NystromMatrix", "DominantEig",
            "assemble", "dominant_eigenvalue", "fredholm_det"]
@@ -58,6 +58,9 @@ class NystromMatrix:
 
 @dataclass(frozen=True)
 class DominantEig:
+    """lambda_1, its unit Perron vector, the relative residual and the
+    number of solves (always 1: one dense eigendecomposition)."""
+
     lambda1: float
     vector: np.ndarray
     residual: float
@@ -100,58 +103,28 @@ def assemble(kernel, rule):
     return NystromMatrix(T, rule, kernel)
 
 
-def _power_iteration(T, tol, max_iter):
-    n = T.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    res = np.inf
-    window = []
-    for it in range(1, max_iter + 1):
-        Tv = T @ v
-        lam = float(np.dot(v, Tv))
-        res = float(np.linalg.norm(Tv - lam * v) / abs(lam))
-        if res <= tol:
-            return lam, v, res, it, True
-        window.append(res)
-        if len(window) > 50:
-            # plateau: less than a factor 2 gained over 50 iterations
-            # signals a near-degenerate lambda_2/lambda_1
-            if window[-1] > 0.5 * window[-51]:
-                return lam, v, res, it, False
-            window.pop(0)
-        v = Tv / np.linalg.norm(Tv)
-    return lam, v, res, max_iter, False
-
-
-def dominant_eigenvalue(T, tol=1e-14, max_iter=10000):
+def dominant_eigenvalue(T, tol=1e-14):
     """Dominant eigenvalue and Perron eigenvector of an assembled matrix.
 
-    Power iteration with Rayleigh-quotient estimates; the residual is
-    ||T v - lambda v|| / lambda.  If the residual plateaus (nearly
-    degenerate subdominant eigenvalue) the dense symmetric
-    eigendecomposition takes over.  Raises ConvergenceError with the
-    last residual if even that fails to meet tol.
+    One dense symmetric eigendecomposition: lambda_1 is the top
+    eigenvalue and the vector is T|u| normalized, u the top
+    eigenvector, which for T >= 0 has no negative entry whatever signs
+    round-off left on u.  The residual is ||T v - lambda_1 v|| /
+    lambda_1; ConvergenceError carries it when it is above tol.
     """
     if not (tol > 0.0):
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     A = T.entries if isinstance(T, NystromMatrix) else np.asarray(T, dtype=float)
-    lam, v, res, it, ok = _power_iteration(A, tol, int(max_iter))
-    if not ok:
-        # dense fallback
-        vals, vecs = np.linalg.eigh(A)
-        lam = float(vals[-1])
-        v = vecs[:, -1]
-        if v.sum() < 0.0:
-            v = -v
-        res = float(np.linalg.norm(A @ v - lam * v) / abs(lam))
-        if res > tol:
-            raise ConvergenceError(
-                f"eigenvalue residual {res:.3e} above tolerance {tol:.1e} "
-                f"after {it} power iterations and dense fallback",
-                residual=res)
-    # Perron vector of a positive matrix has a definite sign; make it +
-    v = np.abs(v) if np.all(v <= 0.0) or np.all(v >= 0.0) else v
-    return DominantEig(lambda1=lam, vector=v, residual=res, iterations=it)
+    vals, vecs = np.linalg.eigh(A)
+    lam = float(vals[-1])
+    v = A @ np.abs(vecs[:, -1])
+    v /= np.linalg.norm(v)
+    res = float(np.linalg.norm(A @ v - lam * v) / abs(lam))
+    if not (res <= tol):
+        raise ConvergenceError(
+            f"eigenvalue residual {res:.3e} above tolerance {tol:.1e} "
+            f"after the dense eigendecomposition", residual=res)
+    return DominantEig(lambda1=lam, vector=v, residual=res, iterations=1)
 
 
 def fredholm_det(T, mu):

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from thermo_transfer import cli, selftest, specfun
+from thermo_transfer import cli, selftest, specfun, thermo
 from thermo_transfer.cli import (
     RunConfig,
     UsageError,
@@ -19,6 +19,7 @@ from thermo_transfer.cli import (
     config_text,
     parse_config_text,
 )
+from thermo_transfer.errors import ConvergenceError
 from thermo_transfer.models import (
     CylinderParams,
     DnlsParams,
@@ -42,6 +43,7 @@ def test_parse_config_basic():
     lambda = 0.2
     log_beta = true
     m_list = 4, 6, 8
+    reference = largest-m
     """
     vals = parse_config_text(text)
     assert vals["model"] == "chain"
@@ -50,6 +52,7 @@ def test_parse_config_basic():
     assert vals["lam"] == 0.2
     assert vals["log_beta"] is True
     assert vals["m_list"] == (4, 6, 8)
+    assert vals["reference"] == "largest-m"
 
 
 def test_parse_config_rejects_unknown_key():
@@ -65,6 +68,19 @@ def test_parse_config_rejects_bad_value():
         parse_config_text("log_beta = maybe\n")
     with pytest.raises(UsageError):
         parse_config_text("m_list = 4,x\n")
+    with pytest.raises(UsageError):
+        parse_config_text("reference = factorised\n")
+
+
+def test_config_file_unknown_reference_exits_2(tmp_path):
+    # a misspelt reference must not fall through to largest-m, which
+    # would drop that m's row and still exit 0
+    cfg = tmp_path / "conv.cfg"
+    out = tmp_path / "conv.csv"
+    cfg.write_text("model = dnls\nmu = 1\nbeta_start = 2\nm_list = 4,6,8\n"
+                   f"reference = factorised\nout = {out}\n")
+    assert cli.main(["convergence", "--config", str(cfg)]) == 2
+    assert not out.exists()
 
 
 def test_parse_config_rejects_missing_equals():
@@ -299,13 +315,19 @@ def test_negative_beta_is_domain_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_tensor_budget_maps_to_numeric_failure(tmp_path, capsys):
+def test_tensor_budget_maps_to_numeric_failure(tmp_path, capsys, monkeypatch):
+    # any numeric failure below the sweep exits 1 and names the grid
+    # point; it is injected into the cylinder route, looked up by name
+    def failing(p, beta, m0):
+        raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10)
+
+    monkeypatch.setattr(thermo, "cylinder_free_energy", failing)
     rc = cli.main(["free-energy", "--model", "cylinder", "--beta-start", "1",
                    "--beta-count", "1", "--m0", "30", "--ly", "3",
                    "--ax", "0.1", "--ay", "0.1", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "numeric failure:" in err and "27000" in err
+    assert "numeric failure:" in err and "at beta=1.0, m=30" in err
 
 
 def test_bad_config_file_path(tmp_path):

@@ -15,7 +15,9 @@ Dual-route checks in here, none of which share code with the library:
   scipy.linalg.eigh,
 * cylinder at ax=0: closed-form ring determinant; at ax > 0: the
   closed form of the harmonic cylinder, one harmonic chain per ring
-  Fourier mode.
+  Fourier mode, and the full m0^Ly-point Nystrom matrix the per-mode
+  solve factors (built from the library's rules and assembly, but not
+  its cylinder route or eigensolver).
 """
 
 import math
@@ -41,9 +43,12 @@ from thermo_transfer.models import (
     reference_cylinder_ax0,
     reference_particle_chain_gamma0,
 )
+from thermo_transfer.nystrom import LogKernel, assemble
 from thermo_transfer.quadrature import (
+    gauss_hermite_rescaled,
     golub_welsch,
     stieltjes_recurrence,
+    tensor_product,
     truncated_gaussian_normalization,
 )
 
@@ -317,14 +322,34 @@ def test_cylinder_ax0_against_ring_determinant():
         assert err <= 1e-13, f"m0={m0}: rel error {err:.3e}"
 
 
-def test_coupled_cylinder_against_closed_form():
+@pytest.mark.parametrize("m0", [4, 6])
+def test_cylinder_matches_kronecker_nystrom_solve(m0):
+    # the factored cylinder against the full m0^Ly-point Nystrom matrix
+    # on the product of per-mode Gauss-Hermite rules, axial kernel
+    # -beta ax |y - y'|^2 / 2 written here; lambda_1 of the Kronecker
+    # product is the product of the per-mode lambda_1; measured 7e-16
+    # (m0 = 4) and 4e-16 (m0 = 6)
+    eta, ax, ay, ly, beta = 1.0, 0.5, 0.7, 3, 1.3
+    eta_k = eta + ay * (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(ly) / ly))
+    rule = tensor_product([gauss_hermite_rescaled(m0, beta * e) for e in eta_k], ly)
+    axial = LogKernel(lambda y, yp: -0.5 * beta * ax * np.sum((y - yp) ** 2, axis=-1))
+    lam1 = np.linalg.eigvalsh(assemble(axial, rule).entries)[-1]
+    mbf = (math.log(2.0 * math.pi / beta) - 0.5 * np.mean(np.log(eta_k))
+           + math.log(lam1) / ly)
+    got = cylinder_free_energy(CylinderParams(eta=eta, ax=ax, ay=ay, ly=ly), beta, m0)
+    assert got == pytest.approx(-mbf / beta, rel=1e-13)
+
+
+@pytest.mark.parametrize("ly", [3, 8])
+def test_coupled_cylinder_against_closed_form(ly):
     # harmonic cylinder with ax > 0: per ring Fourier mode k the axial
     # transfer problem is a harmonic chain, giving
     #   -beta F = log(2 pi/beta)
     #             - (1/(2 Ly)) sum_k log[(A_k + sqrt(A_k^2 - 4 ax^2))/2],
     #   A_k = eta + 2 ax + ay (2 - 2 cos(2 pi k/Ly));
-    # the m0 = 8 truncation error was measured at 9.1e-6 relative
-    eta, ax, ay, ly, beta = 1.0, 0.5, 0.2, 3, 1.0
+    # the m0 = 8 truncation error was measured at 9.1e-6 (Ly = 3) and
+    # 7.9e-6 (Ly = 8) relative
+    eta, ax, ay, beta = 1.0, 0.5, 0.2, 1.0
     mbf = math.log(2.0 * math.pi / beta)
     for k in range(ly):
         big_a = eta + 2.0 * ax + ay * (2.0 - 2.0 * math.cos(2.0 * math.pi * k / ly))

@@ -1,8 +1,10 @@
 """Discretization-matrix and eigenvalue tests.
 
 Oracles: entrywise recomputation of the assembly formula in plain
-(non-log) arithmetic on small rules, np.linalg.eigh as an independent
-dense eigensolver, and hand-diagonalizable 2x2 / rank-1 matrices.
+(non-log) arithmetic on small rules, np.linalg.eigh / eigvalsh as a
+second dense eigensolver (the library calls eigh too, so these pin the
+Perron-vector post-processing and the residual), Rayleigh quotients,
+and hand-diagonalizable 2x2 / rank-1 matrices.
 """
 
 import math
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermo_transfer.errors import AssemblyError, ConvergenceError, DomainError
+from thermo_transfer.models import ParticleChainParams, particle_chain_log_kernel
 from thermo_transfer.nystrom import (
     DominantEig,
     LogKernel,
@@ -147,9 +150,31 @@ def test_eigenvalue_on_assembled_operator_positive_vector():
     assert eig.iterations < 200
 
 
+@pytest.mark.parametrize("m", [10, 30, 60])
+@pytest.mark.parametrize("eta, mu3, lam, beta", [
+    (0.1, 1.0, 1.0, 1.0),    # double well
+    (0.01, 1.0, 1.0, 1.0),   # double well, nearly flat at the origin
+    (1.0, 0.2, 0.2, 50.0),   # deep quench
+    (0.1, 1.0, 1.0, 50.0),   # double well, deep quench
+])
+def test_eigenvalue_perron_vector_at_domain_edges(eta, mu3, lam, beta, m):
+    # these matrices hold exact zeros or Perron-vector tails far below
+    # round-off, and the raw top eigenvector of eigh comes back with
+    # mixed signs in most of these cases; the returned vector must
+    # still have no negative entry
+    p = ParticleChainParams(eta=eta, mu3=mu3, lam=lam, gamma=1.0)
+    mat = assemble(particle_chain_log_kernel(p, beta),
+                   gauss_hermite_rescaled(m, beta * eta))
+    eig = dominant_eigenvalue(mat)
+    assert np.all(eig.vector >= 0.0)
+    expect = np.linalg.eigvalsh(mat.entries)[-1]
+    assert eig.lambda1 == pytest.approx(expect, rel=1e-13)
+    assert eig.residual <= 1e-14
+
+
 def test_eigenvalue_dense_fallback_on_degenerate_gap():
-    # lambda_1 = lambda_2 defeats power iteration; the dense path must
-    # still deliver the top eigenvalue
+    # lambda_1 = lambda_2 (a degenerate gap, where an iterative
+    # eigensolver stalls); the dense solve delivers the top eigenvalue
     T = np.diag([2.0, 2.0, 1.0])
     eig = dominant_eigenvalue(T)
     assert eig.lambda1 == pytest.approx(2.0, rel=1e-14)
@@ -157,6 +182,7 @@ def test_eigenvalue_dense_fallback_on_degenerate_gap():
 
 
 def test_eigenvalue_near_degenerate_gap_falls_back():
+    # a gap of 1e-13, as good as degenerate for an iterative solver
     T = np.diag([1.0, 1.0 - 1e-13, 0.5])
     eig = dominant_eigenvalue(T)
     assert eig.lambda1 == pytest.approx(1.0, rel=1e-13)

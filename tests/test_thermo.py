@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermo_transfer.errors import DomainError, ResourceLimitError
+from thermo_transfer import thermo
+from thermo_transfer.errors import ConvergenceError, DomainError
 from thermo_transfer.models import (
     CylinderParams,
     DnlsParams,
@@ -307,14 +308,20 @@ def test_sweep_rerun_bit_identical():
     assert np.array_equal(a.free_energy, b.free_energy)
 
 
-def test_sweep_error_names_grid_point():
+def test_sweep_error_names_grid_point(monkeypatch):
+    # a numeric failure in the model route (looked up by name in
+    # MODELS) keeps its type and gains the grid point
+    def failing(p, beta, m0):
+        raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10)
+
+    monkeypatch.setattr(thermo, "cylinder_free_energy", failing)
     cyl = CylinderParams(eta=1.0, ax=0.1, ay=0.1, ly=3)
-    spec = SweepSpec(params=cyl, beta_grid=[1.0, 2.0], m=30)  # 30^3 > 8192
-    with pytest.raises(ResourceLimitError) as exc:
+    spec = SweepSpec(params=cyl, beta_grid=[1.0, 2.0], m=30)
+    with pytest.raises(ConvergenceError) as exc:
         free_energy_sweep(spec)
     msg = str(exc.value)
     assert "at beta=1.0, m=30" in msg
-    assert "27000" in msg
+    assert "residual 3.000e-10" in msg
 
 
 def test_sweep_columns_layout():
