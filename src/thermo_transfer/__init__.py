@@ -8,12 +8,12 @@ governed by the dominant eigenvalue alone,
     F(beta) = -log(lambda_1(T_beta)) / beta   (+ model prefactors).
 
 This package discretizes the operator with Gauss quadrature tailored to
-each model's weight function (Nystrom method), extracts lambda_1 with
-one dense symmetric eigensolve, and differentiates the free-energy
-surface for observables.  Implemented models: an anharmonic particle
-chain, the defocusing DNLS chain in polar coordinates, and a
-cylindrical lattice of coupled rings, solved as one harmonic chain per
-ring Fourier mode.
+each model's weight function (Nystrom method), extracts lambda_1 and
+its Perron vector with one dense symmetric eigensolve, and reads the
+observables off that vector's stationary marginals (Hellmann-Feynman).
+Implemented models: an anharmonic particle chain, the defocusing DNLS
+chain in polar coordinates, and a cylindrical lattice of coupled rings,
+solved as one harmonic chain per ring Fourier mode.
 """
 
 from .errors import (AssemblyError, ConvergenceError, DomainError,
@@ -28,7 +28,7 @@ from .nystrom import (DominantEig, LogKernel, NystromMatrix, assemble,
 from .quadrature import (QuadratureRule, RecurrenceCoefficients, TensorRule,
                          gauss_hermite_rescaled, golub_welsch,
                          stieltjes_recurrence, tensor_product)
-from .specfun import erf, erfc, i0_scaled, log_i0, log_i0_scaled
+from .specfun import erf, erfc, i0_scaled, i1_scaled, log_i0, log_i0_scaled
 from .thermo import (SweepResult, SweepSpec, dnls_observables, fd_derivative,
                      free_energy_sweep, particle_chain_observables)
 
@@ -46,7 +46,7 @@ __all__ = [
     "QuadratureRule", "RecurrenceCoefficients", "TensorRule",
     "gauss_hermite_rescaled", "golub_welsch", "stieltjes_recurrence",
     "tensor_product",
-    "erf", "erfc", "i0_scaled", "log_i0", "log_i0_scaled",
+    "erf", "erfc", "i0_scaled", "i1_scaled", "log_i0", "log_i0_scaled",
     "SweepResult", "SweepSpec", "dnls_observables", "fd_derivative",
     "free_energy_sweep", "particle_chain_observables",
     "__version__",

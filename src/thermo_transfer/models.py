@@ -171,16 +171,18 @@ def particle_chain_log_kernel(p, beta):
     return _chain_logk(p.mu3, p.lam, p.gamma, beta)
 
 
-def _chain_free_energy_raw(eta, mu3, lam, gamma, beta, m):
-    # Raw-parameter path, no dataclass validation: the finite-difference
-    # stencil for the stretch observable evaluates at slightly negative
-    # gamma around gamma=0, which is fine for the m-point matrix even
-    # though it is outside the params domain.
+def _chain_solve(eta, mu3, lam, gamma, beta, m):
+    """(F, T, its DominantEig) of the m-point chain; T.rule has the nodes."""
     rule = gauss_hermite_rescaled(m, beta * eta)
     T = assemble(_chain_logk(mu3, lam, gamma, beta), rule)
-    lam1 = dominant_eigenvalue(T).lambda1
+    eig = dominant_eigenvalue(T)
+    lam1 = eig.lambda1
     mlogz = _LOG_2PI - math.log(beta) - 0.5 * math.log(eta) + math.log(lam1)
-    return -mlogz / beta
+    return -mlogz / beta, T, eig
+
+
+def _chain_free_energy_raw(eta, mu3, lam, gamma, beta, m):
+    return _chain_solve(eta, mu3, lam, gamma, beta, m)[0]
 
 
 def particle_chain_free_energy(p, beta, m):
@@ -232,15 +234,19 @@ def dnls_log_kernel(beta):
     return LogKernel(logk)
 
 
-def _dnls_free_energy_raw(g, mu_c, beta, m):
-    a = beta * g
-    b = mu_c / g
+def _dnls_solve(g, mu_c, beta, m):
+    """(F, T, its DominantEig) of the m-point DNLS chain."""
+    a, b = beta * g, mu_c / g
     c = truncated_gaussian_normalization(a, b)
     rule = golub_welsch(stieltjes_recurrence(a, b, m))
     T = assemble(dnls_log_kernel(beta), rule)
-    lam1 = dominant_eigenvalue(T).lambda1
-    mbf = 0.5 * beta * mu_c ** 2 / g + math.log(lam1) - math.log(c)
-    return -mbf / beta
+    eig = dominant_eigenvalue(T)
+    mbf = 0.5 * beta * mu_c ** 2 / g + math.log(eig.lambda1) - math.log(c)
+    return -mbf / beta, T, eig
+
+
+def _dnls_free_energy_raw(g, mu_c, beta, m):
+    return _dnls_solve(g, mu_c, beta, m)[0]
 
 
 def dnls_free_energy(p, beta, m):
@@ -294,15 +300,17 @@ def cylinder_free_energy(p, beta, m0):
 
     The mean over ring Fourier modes k of the m0-point harmonic-chain
     free energy with on-site eta + a_y Lambda_k and coupling a_x (see
-    the module docstring); no matrix is larger than m0 x m0.  At ax = 0
-    the kernel is constant and every m0 gives the ring determinant to
-    round-off; at ly = 1 this is the harmonic chain itself.
+    the module docstring); no matrix is larger than m0 x m0, and modes
+    k and ly - k share one solve.  At ax = 0 the kernel is constant and
+    every m0 gives the ring determinant to round-off; at ly = 1 this is
+    the harmonic chain itself.
     """
     _check_beta(beta)
     _check_m(m0, "m0")
-    return float(np.mean([_chain_free_energy_raw(eta_k, 0.0, 0.0, p.ax, beta,
-                                                 int(m0))
-                          for eta_k in _ring_spectrum(p)]))
+    etas, counts = np.unique(_ring_spectrum(p), return_counts=True)
+    fs = [_chain_free_energy_raw(eta_k, 0.0, 0.0, p.ax, beta, int(m0))
+          for eta_k in etas]
+    return float(np.dot(counts, fs)) / p.ly
 
 
 def reference_cylinder_ax0(p, beta):

@@ -1,15 +1,14 @@
-"""Error function and scaled modified Bessel function I0.
+"""Error function and scaled modified Bessel functions I0 and I1.
 
-Two special functions are needed by the kernels and weight
-normalizations: erf/erfc for the truncated-Gaussian mass on [0, inf),
-and I0 for the angular integral of the polar-coordinate kernel.  Both
-come from `scipy.special`; these wrappers add the package's domain
-checks (a non-finite or out-of-domain argument raises DomainError) and
-its scalar-in, float-out contract.
+erf/erfc give the truncated-Gaussian mass on [0, inf), I0 the angular
+integral of the polar-coordinate kernel and I1 = I0' the DNLS hopping
+energy.  All come from `scipy.special`; these wrappers add the
+package's domain checks (a non-finite or out-of-domain argument raises
+DomainError) and its scalar-in, float-out contract.
 
-I0 is only ever used through its exponentially scaled form
-e^{-x} I0(x) (`scipy.special.i0e`), which lives in (0, 1] and decays
-like 1/sqrt(2 pi x), so the kernel entry log(2 pi) + log I0(beta
+I0 and I1 are only used in their exponentially scaled forms e^{-x} I(x)
+(`scipy.special.i0e`, `i1e`), which live in [0, 1] and decay like
+1/sqrt(2 pi x), so the kernel entry log(2 pi) + log I0(beta
 sqrt(rho rho')) - beta(rho+rho')/2 never overflows even at beta of
 order 15 where the raw I0 argument reaches several hundred.
 """
@@ -42,21 +41,28 @@ def erfc(x):
     return float(special.erfc(x))
 
 
+def _scaled_bessel(fn, name, x):
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} expects finite arguments")
+    if np.any(arr < 0.0):
+        raise DomainError(f"{name} is defined for x >= 0")
+    out = fn(arr)
+    return float(out) if np.ndim(x) == 0 else out
+
+
 def i0_scaled(x):
     """Exponentially scaled modified Bessel function e^{-x} I0(x).
 
     Accepts a scalar or array, x >= 0 elementwise.  The value lies in
     (0, 1] and never overflows.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("i0_scaled expects finite arguments")
-    if np.any(arr < 0.0):
-        raise DomainError("i0_scaled is defined for x >= 0")
-    out = special.i0e(arr)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _scaled_bessel(special.i0e, "i0_scaled", x)
+
+
+def i1_scaled(x):
+    """e^{-x} I1(x) with the contract of i0_scaled; in [0, 0.22)."""
+    return _scaled_bessel(special.i1e, "i1_scaled", x)
 
 
 def log_i0_scaled(x):

@@ -1,4 +1,4 @@
-"""Free-energy sweeps over beta and finite-difference observables.
+"""Free-energy sweeps over beta and Hellmann-Feynman observables.
 
 Observables are first derivatives of the free energy surface:
 
@@ -7,12 +7,13 @@ Observables are first derivatives of the free energy surface:
     DNLS:            <rho_l> = -dF/dmu
                      <e_l> = d(beta F)/dbeta + mu <rho_l>
 
-They are computed with the order-6 central 7-point stencil; every
-stencil point is a full transfer-operator solve (the DNLS quadrature
-rule depends on mu and beta, so it is rebuilt per evaluation).  The
-default steps h = 1e-3 max(1, |x|) balance the O(h^6) truncation error
-against the ~eps/h roundoff amplification; the optimum sits near
-eps^(1/7) and is flat over a couple of decades.
+By Hellmann-Feynman (d log lambda_1 = v.(dT)v / lambda_1, v the unit
+Perron vector) each is an expectation over the marginals of the solve
+that gives F, exact for the chain's m-point F: its Hermite rule does
+not depend on gamma, and its nodes x_i / sqrt(beta eta) leave d log
+T_ij/dbeta = mu3 (q_i^3 + q_j^3)/24 + lam (q_i^4 + q_j^4)/48.  The DNLS
+rule moves with mu and beta, so there they are exact up to quadrature
+error.  `fd_derivative` is an independent route, for tests and selftest.
 """
 
 import math
@@ -23,13 +24,15 @@ import numpy as np
 
 from .errors import (AssemblyError, ConvergenceError, DomainError,
                      ResourceLimitError)
-# the free-energy, observable and reference routes are called through
-# this module's globals by the names in MODELS
+# the free-energy and reference routes are called through this module's
+# globals by the names in MODELS; the benchmark tracer wraps the _raw ones
 from .models import (CylinderParams, DnlsParams, ParticleChainParams,
-                     _chain_free_energy_raw, _dnls_free_energy_raw,
+                     _chain_free_energy_raw, _chain_solve, _check_beta,
+                     _check_m, _dnls_free_energy_raw, _dnls_solve,
                      cylinder_free_energy, dnls_free_energy,
                      particle_chain_free_energy, reference_cylinder_ax0,
                      reference_particle_chain_gamma0)
+from .specfun import i0_scaled, i1_scaled
 
 __all__ = ["Model", "MODELS", "SweepSpec", "SweepResult",
            "fd_derivative", "particle_chain_observables", "dnls_observables",
@@ -37,11 +40,6 @@ __all__ = ["Model", "MODELS", "SweepSpec", "SweepResult",
 
 # canonical CSV column order; each model supports a subset
 OBSERVABLE_COLUMNS = ("stretch_sq", "energy", "density")
-
-
-def default_step(x):
-    """Default stencil step 1e-3 max(1, |x|)."""
-    return 1e-3 * max(1.0, abs(x))
 
 
 def fd_derivative(f, x, order=1, accuracy=6, *, h):
@@ -68,54 +66,46 @@ def fd_derivative(f, x, order=1, accuracy=6, *, h):
     return float(d) / h
 
 
-def _check_beta_stencil(beta, h_beta):
-    if beta - 3.0 * h_beta <= 0.0:
-        raise DomainError(
-            f"beta stencil leaves the domain: beta={beta!r}, h={h_beta!r}")
+def _marginals(T, eig):
+    """Nodes z_i, site marginal v_i^2, bond marginal v_i T_ij v_j / lambda_1."""
+    v = eig.vector
+    return T.rule.nodes, v * v, v[:, None] * T.entries * v[None, :] / eig.lambda1
 
 
-def particle_chain_observables(p, beta, m, h_gamma=None, h_beta=None):
-    """(<stretch^2/...>, <e>) = (dF/dgamma, d(beta F)/dbeta) at one point.
-
-    The gamma stencil straddles gamma=0 for the default parameters;
-    the raw kernel path accepts that (the matrix stays positive).
-    """
-    if h_gamma is None:
-        h_gamma = default_step(p.gamma)
-    if h_beta is None:
-        h_beta = default_step(beta)
-    _check_beta_stencil(beta, h_beta)
-    m = int(m)
-
-    def f_of_gamma(g):
-        return _chain_free_energy_raw(p.eta, p.mu3, p.lam, g, beta, m)
-
-    def betaf_of_beta(b):
-        return b * _chain_free_energy_raw(p.eta, p.mu3, p.lam, p.gamma, b, m)
-
-    stretch_sq = fd_derivative(f_of_gamma, p.gamma, h=h_gamma)
-    energy = fd_derivative(betaf_of_beta, beta, h=h_beta)
-    return stretch_sq, energy
+def _chain_row(p, beta, m):
+    """F and (stretch_sq, energy) of the particle chain from one solve."""
+    _check_beta(beta)
+    _check_m(m)
+    f, T, eig = _chain_solve(p.eta, p.mu3, p.lam, p.gamma, beta, int(m))
+    q, site, bond = _marginals(T, eig)
+    stretch_sq = float(np.sum(bond * (q[:, None] - q[None, :]) ** 2)) / 2.0
+    energy = 1.0 / beta - float(site @ (p.mu3 * q ** 3 / 12.0
+                                        + p.lam * q ** 4 / 24.0))
+    return f, (stretch_sq, energy)
 
 
-def dnls_observables(p, beta, m, h_mu=None, h_beta=None):
-    """(<rho>, <e>) = (-dF/dmu, d(beta F)/dbeta + mu <rho>) at one point."""
-    if h_mu is None:
-        h_mu = default_step(p.mu_c)
-    if h_beta is None:
-        h_beta = default_step(beta)
-    _check_beta_stencil(beta, h_beta)
-    m = int(m)
+def particle_chain_observables(p, beta, m):
+    """(dF/dgamma, d(beta F)/dbeta) at one point = (<(q - q')^2/2>_bond,
+    1/beta - <mu3 q^3/12 + lam q^4/24>_site)."""
+    return _chain_row(p, beta, m)[1]
 
-    def f_of_mu(u):
-        return _dnls_free_energy_raw(p.g, u, beta, m)
 
-    def betaf_of_beta(b):
-        return b * _dnls_free_energy_raw(p.g, p.mu_c, b, m)
+def _dnls_row(p, beta, m):
+    """F and (density, energy) of the DNLS chain from one solve."""
+    _check_beta(beta)
+    _check_m(m)
+    f, T, eig = _dnls_solve(p.g, p.mu_c, beta, int(m))
+    r, site, bond = _marginals(T, eig)
+    s = np.sqrt(np.outer(r, r))
+    hop = s * i1_scaled(beta * s) / i0_scaled(beta * s)
+    energy = float(site @ (r + 0.5 * p.g * r ** 2)) - float(np.sum(bond * hop))
+    return f, (float(site @ r), energy)
 
-    density = -fd_derivative(f_of_mu, p.mu_c, h=h_mu)
-    energy = fd_derivative(betaf_of_beta, beta, h=h_beta) + p.mu_c * density
-    return density, energy
+
+def dnls_observables(p, beta, m):
+    """(-dF/dmu, d(beta F)/dbeta + mu <rho>) at one point = (<rho>_site,
+    <rho + g rho^2/2>_site - <sqrt(rho rho') I1/I0(beta sqrt(rho rho'))>_bond)."""
+    return _dnls_row(p, beta, m)[1]
 
 
 @dataclass(frozen=True)
@@ -124,10 +114,10 @@ class Model:
 
     Routes are names of functions in this module, looked up when
     called, so a wrapper installed on the module attribute (a
-    profiler's, a test's) is the function that runs.  `observe` returns
-    the `observables` columns in that order; `reference` is the
-    factorized-limit free energy, defined when the params field named
-    by `reference_zero` is 0.
+    profiler's, a test's) is the function that runs.  `measure` returns
+    F and the `observables` columns in that order, from one solve;
+    `reference` is the factorized-limit free energy, defined when the
+    params field named by `reference_zero` is 0.
     """
 
     name: str
@@ -135,7 +125,7 @@ class Model:
     size: str
     free_energy: str
     observables: tuple = ()
-    observe: str = None
+    measure: str = None
     reference: str = None
     reference_zero: str = None
 
@@ -145,10 +135,10 @@ class Model:
     def free_energy_at(self, params, beta, m):
         return self._route("free_energy")(params, beta, m)
 
-    def observe_at(self, params, beta, m):
-        """{column: value} for every observable of the model."""
-        values = self._route("observe")(params, beta, m)
-        return dict(zip(self.observables, values))
+    def measure_at(self, params, beta, m):
+        """(F, {column: value} for every observable of the model)."""
+        f, values = self._route("measure")(params, beta, m)
+        return f, dict(zip(self.observables, values))
 
     def factorized_at(self, params, beta):
         """Factorized-limit free energy, or None away from that limit."""
@@ -161,10 +151,10 @@ MODELS = {model.name: model for model in (
     Model("chain", ParticleChainParams, size="m",
           free_energy="particle_chain_free_energy",
           observables=("stretch_sq", "energy"),
-          observe="particle_chain_observables",
+          measure="_chain_row",
           reference="reference_particle_chain_gamma0", reference_zero="gamma"),
     Model("dnls", DnlsParams, size="m", free_energy="dnls_free_energy",
-          observables=("density", "energy"), observe="dnls_observables"),
+          observables=("density", "energy"), measure="_dnls_row"),
     Model("cylinder", CylinderParams, size="m0",
           free_energy="cylinder_free_energy",
           reference="reference_cylinder_ax0", reference_zero="ax"),
@@ -202,8 +192,7 @@ class SweepSpec:
             raise DomainError("beta grid must be positive and finite")
         if np.any(np.diff(grid) <= 0.0):
             raise DomainError("beta grid must be strictly increasing")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise DomainError(f"m must be a positive integer, got {self.m!r}")
+        _check_m(self.m)
         supported = _model_of(self.params).observables
         obs = tuple(self.observables)
         for name in obs:
@@ -239,11 +228,11 @@ class SweepResult:
 def _sweep_row(spec, beta):
     model = _model_of(spec.params)
     try:
-        f = model.free_energy_at(spec.params, beta, spec.m)
-        obs = {}
         if spec.observables:
-            available = model.observe_at(spec.params, beta, spec.m)
+            f, available = model.measure_at(spec.params, beta, spec.m)
             obs = {k: available[k] for k in spec.observables}
+        else:
+            f, obs = model.free_energy_at(spec.params, beta, spec.m), {}
     except (AssemblyError, ConvergenceError, ResourceLimitError) as exc:
         # keep the exception type, name the grid point that failed
         raise type(exc)(f"at beta={float(beta)!r}, m={spec.m}: {exc}") from exc
@@ -251,12 +240,8 @@ def _sweep_row(spec, beta):
 
 
 def map_rows(fn, items, threads=None):
-    """[fn(x) for x in items], on a thread pool when threads > 1.
-
-    Results come back in input order regardless of completion order;
-    the calls must be independent (numpy linear algebra releases the
-    GIL, so threads give real parallelism for the matrix work).
-    """
+    """[fn(x) for x in items], in input order; on a thread pool of
+    independent calls when threads > 1."""
     if threads is not None and threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             return list(pool.map(fn, items))

@@ -1,9 +1,9 @@
 """Special-function tests against independent oracles.
 
 Oracles used here, all independent of the implementation under test:
-stdlib math.erf, mpmath's arbitrary-precision erf/besseli, a direct
-Maclaurin summation with 1e-17 cutoff, and the two-term large-x
-asymptotic of the scaled Bessel function.
+stdlib math.erf, mpmath's arbitrary-precision erf and besseli (I0 and
+I1), a direct Maclaurin summation with 1e-17 cutoff, and the two-term
+large-x asymptotic of the scaled Bessel function.
 """
 
 import math
@@ -195,6 +195,36 @@ def test_i0_rejects_negative():
         specfun.i0_scaled(-0.5)
     with pytest.raises(DomainError):
         specfun.log_i0(np.array([1.0, -2.0]))
+
+
+# --- scaled I1 --------------------------------------------------------------
+
+def test_i1_against_mpmath_on_0_to_700():
+    assert specfun.i1_scaled(0.0) == 0.0
+    for x in np.concatenate([[1e-8, 1e-3, 0.1, 1.0, 7.0, 15.0],
+                             np.linspace(20.0, 700.0, 35)]):
+        expect = float(mpmath.besseli(1, x) * mpmath.exp(-x))
+        assert specfun.i1_scaled(float(x)) == pytest.approx(expect, rel=1e-14)
+
+
+def test_i1_vectorized_matches_scalar():
+    xs = np.array([0.0, 0.5, 14.0, 15.0, 17.0, 250.0])
+    vec = specfun.i1_scaled(xs)
+    assert isinstance(vec, np.ndarray)
+    assert isinstance(specfun.i1_scaled(1.0), float)
+    for x, v in zip(xs, vec):
+        assert v == specfun.i1_scaled(float(x))
+
+
+def test_i1_rejects_negative_and_nonfinite():
+    with pytest.raises(DomainError):
+        specfun.i1_scaled(-0.5)
+    with pytest.raises(DomainError):
+        specfun.i1_scaled(np.array([1.0, -2.0]))
+    with pytest.raises(DomainError):
+        specfun.i1_scaled(float("nan"))
+    with pytest.raises(DomainError):
+        specfun.i1_scaled(np.array([1.0, np.inf]))
 
 
 @settings(max_examples=60)

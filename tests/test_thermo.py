@@ -1,12 +1,13 @@
-"""Stencil and sweep tests.
+"""Stencil, observable and sweep tests.
 
-The observable tests use a route the implementation never takes: the
-dominant eigenvector of the discretized operator gives the stationary
-single-site marginal (v_i^2 on the nodes) and bond marginal
-(v_i T_ij v_j / lambda_1), so site and bond averages can be computed
-spectrally and compared against the finite-difference derivatives of
-the free energy.  Agreement measured at 1e-11..1e-12; asserted with an
-order of margin.
+Production computes the observables from the Perron vector of the one
+solve that gives F (site marginal v_i^2, bond marginal
+v_i T_ij v_j / lambda_1).  They are checked here against two other
+routes: the order-6 finite-difference stencil applied to the raw
+free-energy routes (`fd_chain_observables`, `fd_dnls_observables`
+below), and the "physical" spectral form of the chain energy,
+1/(2 beta) + <V_loc> + gamma stretch_sq.  Agreement with the stencil
+measured at 1e-11..1e-12; asserted with an order of margin.
 """
 
 import math
@@ -22,6 +23,8 @@ from thermo_transfer.models import (
     CylinderParams,
     DnlsParams,
     ParticleChainParams,
+    _chain_free_energy_raw,
+    _dnls_free_energy_raw,
     dnls_log_kernel,
     particle_chain_free_energy,
     particle_chain_log_kernel,
@@ -36,12 +39,67 @@ from thermo_transfer.thermo import (
     OBSERVABLE_COLUMNS,
     SweepResult,
     SweepSpec,
-    default_step,
     dnls_observables,
     fd_derivative,
     free_energy_sweep,
     particle_chain_observables,
 )
+
+
+# --- finite-difference oracle ----------------------------------------------------
+# The observables as order-6 stencil derivatives of the raw free-energy
+# routes: 7 solves per derivative, independent of the Perron vector.
+
+def default_step(x):
+    """Default stencil step 1e-3 max(1, |x|)."""
+    return 1e-3 * max(1.0, abs(x))
+
+
+def _check_beta_stencil(beta, h_beta):
+    if beta - 3.0 * h_beta <= 0.0:
+        raise DomainError(
+            f"beta stencil leaves the domain: beta={beta!r}, h={h_beta!r}")
+
+
+def fd_chain_observables(p, beta, m, h_gamma=None, h_beta=None):
+    """(dF/dgamma, d(beta F)/dbeta) by the stencil.
+
+    The gamma stencil straddles gamma=0 for the default parameters; the
+    raw route takes gamma < 0 (the m-point matrix stays positive).
+    """
+    if h_gamma is None:
+        h_gamma = default_step(p.gamma)
+    if h_beta is None:
+        h_beta = default_step(beta)
+    _check_beta_stencil(beta, h_beta)
+
+    def f_of_gamma(g):
+        return _chain_free_energy_raw(p.eta, p.mu3, p.lam, g, beta, m)
+
+    def betaf_of_beta(b):
+        return b * _chain_free_energy_raw(p.eta, p.mu3, p.lam, p.gamma, b, m)
+
+    return (fd_derivative(f_of_gamma, p.gamma, h=h_gamma),
+            fd_derivative(betaf_of_beta, beta, h=h_beta))
+
+
+def fd_dnls_observables(p, beta, m, h_mu=None, h_beta=None):
+    """(-dF/dmu, d(beta F)/dbeta + mu <rho>) by the stencil."""
+    if h_mu is None:
+        h_mu = default_step(p.mu_c)
+    if h_beta is None:
+        h_beta = default_step(beta)
+    _check_beta_stencil(beta, h_beta)
+
+    def f_of_mu(u):
+        return _dnls_free_energy_raw(p.g, u, beta, m)
+
+    def betaf_of_beta(b):
+        return b * _dnls_free_energy_raw(p.g, p.mu_c, b, m)
+
+    density = -fd_derivative(f_of_mu, p.mu_c, h=h_mu)
+    energy = fd_derivative(betaf_of_beta, beta, h=h_beta) + p.mu_c * density
+    return density, energy
 
 
 # --- the stencil ----------------------------------------------------------------
@@ -176,10 +234,31 @@ def test_harmonic_stretch_closed_form():
         assert s_fd == pytest.approx(expect, rel=1e-9)
 
 
+@pytest.mark.parametrize("beta", [0.5, 2.0, 10.0])
+def test_chain_observables_match_stencil(beta):
+    # the shipped chain config's parameters
+    p = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0)
+    s, e = particle_chain_observables(p, beta, 30)
+    s_fd, e_fd = fd_chain_observables(p, beta, 30)
+    assert s == pytest.approx(s_fd, rel=1e-10)
+    assert e == pytest.approx(e_fd, rel=1e-10)
+
+
+def test_harmonic_equipartition_to_roundoff():
+    # the Hermite nodes scale as 1/sqrt(beta eta), so the harmonic
+    # matrix does not depend on beta and the energy is 1/beta exactly
+    # up to the last bits
+    for eta, gamma in [(1.3, 0.9), (1.0, 0.0), (0.2, 3.0)]:
+        p = ParticleChainParams(eta=eta, gamma=gamma)
+        for beta in (0.1, 1.0, 4.0, 50.0):
+            _, e = particle_chain_observables(p, beta, 25)
+            assert e * beta == pytest.approx(1.0, rel=1e-14)
+
+
 def test_chain_observables_step_override():
     p = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=0.5)
-    s1, e1 = particle_chain_observables(p, 2.0, 20)
-    s2, e2 = particle_chain_observables(p, 2.0, 20, h_gamma=5e-4, h_beta=5e-4)
+    s1, e1 = fd_chain_observables(p, 2.0, 20)
+    s2, e2 = fd_chain_observables(p, 2.0, 20, h_gamma=5e-4, h_beta=5e-4)
     assert s1 == pytest.approx(s2, rel=1e-9)
     assert e1 == pytest.approx(e2, rel=1e-9)
 
@@ -188,9 +267,9 @@ def test_beta_stencil_domain_guard():
     p = ParticleChainParams(eta=1.0)
     # default h_beta = 1e-3; beta - 3h < 0 for beta = 2e-3
     with pytest.raises(DomainError):
-        particle_chain_observables(p, 0.002, 5)
+        fd_chain_observables(p, 0.002, 5)
     # a smaller explicit step keeps the stencil inside the domain
-    s, e = particle_chain_observables(p, 0.002, 5, h_beta=1e-4)
+    s, e = fd_chain_observables(p, 0.002, 5, h_beta=1e-4)
     assert math.isfinite(s) and math.isfinite(e)
 
 
@@ -210,10 +289,20 @@ def test_dnls_density_matches_spectral_route():
         assert rho_fd > 0.0
 
 
+@pytest.mark.parametrize("beta", [0.1, 1.0, 30.0])
+def test_dnls_observables_match_stencil(beta):
+    # the shipped DNLS config's parameters
+    p = DnlsParams(g=1.0, mu_c=1.0)
+    rho, e = dnls_observables(p, beta, 20)
+    rho_fd, e_fd = fd_dnls_observables(p, beta, 20)
+    assert rho == pytest.approx(rho_fd, rel=1e-10)
+    assert e == pytest.approx(e_fd, rel=1e-10)
+
+
 def test_dnls_observables_step_halving_consistent():
     p = DnlsParams(g=1.0, mu_c=1.0)
-    r1, e1 = dnls_observables(p, 1.0, 16, h_mu=1e-3, h_beta=1e-3)
-    r2, e2 = dnls_observables(p, 1.0, 16, h_mu=5e-4, h_beta=5e-4)
+    r1, e1 = fd_dnls_observables(p, 1.0, 16, h_mu=1e-3, h_beta=1e-3)
+    r2, e2 = fd_dnls_observables(p, 1.0, 16, h_mu=5e-4, h_beta=5e-4)
     assert r1 == pytest.approx(r2, rel=1e-7)
     assert e1 == pytest.approx(e2, rel=1e-7)
 
@@ -222,7 +311,7 @@ def test_dnls_negative_chemical_potential_stencil():
     # the mu stencil crosses into b < 0 territory (mode outside the
     # half-line); the truncated-Gaussian machinery must take that
     p = DnlsParams(g=1.0, mu_c=0.0)
-    rho, e = dnls_observables(p, 2.0, 16)
+    rho, e = fd_dnls_observables(p, 2.0, 16)
     assert rho > 0.0 and math.isfinite(e)
 
 
