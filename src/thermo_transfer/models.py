@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
 
 from .errors import ConvergenceError, DomainError
 from .nystrom import LogKernel, assemble, dominant_eigenvalue
@@ -203,6 +202,8 @@ def reference_particle_chain_gamma0(p, beta, tail_exponent=45.0):
     _check_beta(beta)
     if p.gamma != 0.0:
         raise DomainError("factorized reference requires gamma = 0")
+    from scipy.integrate import quad as _adaptive_quad
+
     R = 1.0
     while (beta * min(p.v_loc(R), p.v_loc(-R)) < tail_exponent) and R < 1e6:
         R *= 1.5

@@ -8,17 +8,22 @@
 * tensor products of 1D rules, one per coordinate, for the
   ring-of-sites measure.
 
-Nodes and weights always come out of the Golub-Welsch construction:
-the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
-matrix built from the three-term recurrence of the monic orthogonal
-polynomials, and w_i = beta_0 * (first eigenvector component)^2.
+The Hermite rule is numpy's `hermegauss` (Gauss rule for e^{-q^2/2}),
+built once per m and scaled to the precision a: nodes / sqrt(a),
+weights / sqrt(2 pi).  The Stieltjes rules come out of the Golub-Welsch
+construction: the nodes are the eigenvalues of the symmetric
+tridiagonal Jacobi matrix built from the three-term recurrence of the
+monic orthogonal polynomials, and w_i = beta_0 * (first eigenvector
+component)^2.  Only that construction needs SciPy, which it imports on
+first use, so the Hermite-only chain and cylinder run on numpy alone.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import ConvergenceError, DomainError, ResourceLimitError
 from .specfun import erfc
@@ -129,28 +134,33 @@ class TensorRule:
         return math.prod(b.total_mass for b in self.bases)
 
 
-def _hermite_recurrence(m, a):
-    # Monic orthogonal polynomials of the normalized Gaussian with
-    # variance 1/a: alpha_k = 0, beta_0 = 1 (unit mass), beta_k = k/a.
-    alpha = np.zeros(m)
-    beta = np.empty(m)
-    beta[0] = 1.0
-    if m > 1:
-        beta[1:] = np.arange(1, m) / a
-    return RecurrenceCoefficients(alpha, beta)
+@functools.lru_cache(maxsize=None)
+def _unit_hermite(m):
+    # the m-point rule of the standard normal measure (precision 1),
+    # read-only because every caller of this m shares the arrays
+    nodes, weights = hermegauss(m)
+    weights /= math.sqrt(2.0 * math.pi)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def gauss_hermite_rescaled(m, a):
     """Gauss rule for the normalized Gaussian measure with precision a.
 
     Exact for polynomials up to degree 2m-1 against
-    dnu = sqrt(a/2pi) e^{-a q^2/2} dq; total mass 1.
+    dnu = sqrt(a/2pi) e^{-a q^2/2} dq; total mass 1.  The nodes are the
+    unit rule's divided by sqrt(a) and the weights do not depend on a;
+    both arrays are read-only.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise DomainError(f"m must be a positive integer, got {m!r}")
     if not (a > 0.0) or not math.isfinite(a):
         raise DomainError(f"precision parameter a must be positive, got {a!r}")
-    return golub_welsch(_hermite_recurrence(int(m), float(a)))
+    unit_nodes, weights = _unit_hermite(int(m))
+    nodes = unit_nodes / math.sqrt(a)
+    nodes.flags.writeable = False
+    return QuadratureRule(nodes, weights)
 
 
 def golub_welsch(rc):
@@ -165,6 +175,8 @@ def golub_welsch(rc):
     if m == 1:
         return QuadratureRule(np.array([rc.alpha[0]]), np.array([rc.beta[0]]),
                               total_mass=float(rc.beta[0]))
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         # the default stemr driver flushes eigenvector components below
         # ~1e-40 to exact zero, which destroys the tail weights of rules
@@ -201,6 +213,8 @@ def _legendre_panel(n):
     # the Legendre recurrence beta_k = k^2/(4k^2 - 1), total mass 2.
     if n == 1:
         return np.array([0.0]), np.array([2.0])
+    from scipy.linalg import eigh_tridiagonal
+
     k = np.arange(1, n)
     off = k / np.sqrt(4.0 * k * k - 1.0)
     vals, vecs = eigh_tridiagonal(np.zeros(n), off)

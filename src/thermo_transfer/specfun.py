@@ -4,7 +4,9 @@ erf/erfc give the truncated-Gaussian mass on [0, inf), I0 the angular
 integral of the polar-coordinate kernel and I1 = I0' the DNLS hopping
 energy.  All come from `scipy.special`; these wrappers add the
 package's domain checks (a non-finite or out-of-domain argument raises
-DomainError) and its scalar-in, float-out contract.
+DomainError) and its scalar-in, float-out contract.  The chain and
+cylinder call none of them, so `scipy.special` is imported on a
+wrapper's first call, not with this module.
 
 I0 and I1 are only used in their exponentially scaled forms e^{-x} I(x)
 (`scipy.special.i0e`, `i1e`), which live in [0, 1] and decay like
@@ -16,7 +18,6 @@ order 15 where the raw I0 argument reaches several hundred.
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -25,7 +26,9 @@ def erf(x):
     """Error function of a finite scalar; odd in x, range [-1, 1]."""
     if not math.isfinite(x):
         raise DomainError(f"erf expects a finite argument, got {x!r}")
-    return float(special.erf(x))
+    from scipy.special import erf as _erf
+
+    return float(_erf(x))
 
 
 def erfc(x):
@@ -38,7 +41,9 @@ def erfc(x):
     """
     if not math.isfinite(x):
         raise DomainError(f"erfc expects a finite argument, got {x!r}")
-    return float(special.erfc(x))
+    from scipy.special import erfc as _erfc
+
+    return float(_erfc(x))
 
 
 def _scaled_bessel(fn, name, x):
@@ -57,12 +62,16 @@ def i0_scaled(x):
     Accepts a scalar or array, x >= 0 elementwise.  The value lies in
     (0, 1] and never overflows.
     """
-    return _scaled_bessel(special.i0e, "i0_scaled", x)
+    from scipy.special import i0e
+
+    return _scaled_bessel(i0e, "i0_scaled", x)
 
 
 def i1_scaled(x):
     """e^{-x} I1(x) with the contract of i0_scaled; in [0, 0.22)."""
-    return _scaled_bessel(special.i1e, "i1_scaled", x)
+    from scipy.special import i1e
+
+    return _scaled_bessel(i1e, "i1_scaled", x)
 
 
 def log_i0_scaled(x):

@@ -1,12 +1,16 @@
 """CLI behaviour: config handling, CSV output, exit codes, selftest wiring.
 
-Everything runs in-process through cli.main/build_config except two
-smoke tests for the installed console script.
+Everything runs in-process through cli.main/build_config except the
+tests that need a fresh interpreter: two smoke tests for the installed
+console script and the cold-start check of which modules a run loads.
 """
 
+import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,6 +373,40 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert "wrote" in proc.stdout
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+_COLD_START = """
+import json, sys
+from thermo_transfer import cli
+from thermo_transfer.models import DnlsParams, dnls_free_energy
+configs, out = sys.argv[1], sys.argv[2]
+for sub, cfg in [("observables", "chain_observables.cfg"),
+                 ("free-energy", "cylinder_free_energy.cfg")]:
+    rc = cli.main([sub, "--config", configs + "/" + cfg, "--out", out])
+    assert rc == 0, cfg
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+f = dnls_free_energy(DnlsParams(g=1.0, mu_c=1.0), 1.0, 12)
+print(json.dumps({"scipy": loaded, "dnls_f": f}))
+"""
+
+
+def test_chain_and_cylinder_configs_run_without_scipy(tmp_path):
+    # the chain and cylinder need numpy only; a DNLS call in the same
+    # process must still find SciPy when it first needs it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(_ROOT / "scripts" / "configs"),
+         str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["scipy"] == []
+    expect = dnls_free_energy(DnlsParams(g=1.0, mu_c=1.0), 1.0, 12)
+    assert report["dnls_f"] == pytest.approx(expect, rel=1e-15)
 
 
 @pytest.mark.skipif(shutil.which("thermo-transfer") is None,

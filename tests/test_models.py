@@ -10,9 +10,9 @@ Dual-route checks in here, none of which share code with the library:
   the standard log-cosine integral; this exercises the full pipeline
   at gamma > 0 where no factorization happens,
 * anharmonic gamma=0 chain: adaptive-quadrature factorized reference,
-* DNLS: a from-scratch matrix assembled with scipy.special.i0e (the
-  library deliberately does not import scipy.special) diagonalized by
-  scipy.linalg.eigh,
+* DNLS: a from-scratch matrix whose Bessel factor comes from mpmath's
+  besseli (the library wraps scipy.special.i0e, so scipy would not be
+  independent), diagonalized by scipy.linalg.eigh,
 * cylinder at ax=0: closed-form ring determinant; at ax > 0: the
   closed form of the harmonic cylinder, one harmonic chain per ring
   Fourier mode, and the full m0^Ly-point Nystrom matrix the per-mode
@@ -22,10 +22,10 @@ Dual-route checks in here, none of which share code with the library:
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,7 +140,7 @@ def test_dnls_kernel_hand_values():
 def test_dnls_kernel_bessel_factor():
     k = dnls_log_kernel(beta=2.0)
     got = k(np.array([1.0]), np.array([1.0]))[0]
-    expect = math.log(2 * math.pi) + math.log(float(scipy.special.i0(2.0))) - 2.0
+    expect = math.log(2 * math.pi) + float(mpmath.log(mpmath.besseli(0, 2))) - 2.0
     assert got == pytest.approx(expect, rel=1e-14)
 
 
@@ -269,7 +269,7 @@ def test_dnls_weight_parameters():
 
 
 def dnls_independent_route(g, mu_c, beta, m):
-    # same math, disjoint implementation: scipy.special.i0e for the
+    # same math, disjoint implementation: mpmath's besseli for the
     # Bessel factor, plain (non-log) assembly, dense scipy eigensolver
     a = beta * g
     b = mu_c / g
@@ -277,8 +277,8 @@ def dnls_independent_route(g, mu_c, beta, m):
     rule = golub_welsch(stieltjes_recurrence(a, b, m))
     r = rule.nodes
     x = beta * np.sqrt(np.outer(r, r))
-    # i0e(x) = I0(x) e^{-x}; fold the e^{+x} back in log space
-    logk = math.log(2 * math.pi) + np.log(scipy.special.i0e(x)) + x \
+    log_i0 = np.vectorize(lambda t: float(mpmath.log(mpmath.besseli(0, t))))
+    logk = math.log(2 * math.pi) + log_i0(x) \
         - 0.5 * beta * (r[:, None] + r[None, :])
     T = np.exp(logk) * np.sqrt(np.outer(rule.weights, rule.weights))
     lam1 = scipy.linalg.eigh(T, eigvals_only=True)[-1]

@@ -146,17 +146,31 @@ def test_golub_welsch_mass_in_weights():
 
 @pytest.mark.parametrize("m", [60, 100, 150])
 def test_large_m_tail_weights_survive(m):
-    # regression: the default eigh_tridiagonal driver (stemr) flushes
-    # eigenvector components below ~1e-40 to zero, zeroing the extreme
-    # weights of rules beyond m ~ 55; check against numpy's independent
-    # Hermite-weight computation
-    from numpy.polynomial.hermite_e import hermegauss
+    # the Hermite rule (numpy's hermegauss) against Golub-Welsch on the
+    # monic Hermite recurrence alpha_k = 0, beta_0 = 1, beta_k = k; also
+    # a regression for golub_welsch: the default eigh_tridiagonal driver
+    # (stemr) flushes eigenvector components below ~1e-40 to zero,
+    # zeroing the extreme weights of rules beyond m ~ 55
     r = gauss_hermite_rescaled(m, 1.0)
     assert np.all(r.weights > 0.0)
-    x, w = hermegauss(m)
-    w = w / w.sum()
-    assert np.allclose(r.nodes, x, atol=5e-13)
-    assert np.max(np.abs(r.weights - w) / w) < 1e-8
+    gw = golub_welsch(RecurrenceCoefficients(
+        np.zeros(m), np.concatenate(([1.0], np.arange(1.0, m)))))
+    assert np.all(gw.weights > 0.0)
+    assert np.allclose(r.nodes, gw.nodes, atol=5e-13)
+    assert np.max(np.abs(r.weights - gw.weights) / gw.weights) < 1e-8
+
+
+def test_hermite_rule_arrays_are_read_only():
+    # the unit rule is cached per m and shared by every caller, so a
+    # returned rule must not be able to write into it
+    r = gauss_hermite_rescaled(12, 4.0)
+    with pytest.raises(ValueError):
+        r.weights[0] = 1.0
+    with pytest.raises(ValueError):
+        r.nodes[0] = 1.0
+    unit = gauss_hermite_rescaled(12, 1.0)
+    assert np.array_equal(r.weights, unit.weights)
+    assert np.allclose(r.nodes, 0.5 * unit.nodes, rtol=1e-15, atol=0.0)
 
 
 # --- truncated Gaussian normalization ----------------------------------------
