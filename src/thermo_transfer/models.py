@@ -38,6 +38,13 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
                              + log lambda_1(T_k)],
     the mean of L_y harmonic-chain free energies.
 
+The solves are stacked over inverse temperature: `_chain_solve` and
+`_dnls_solve` take a 1-D array of beta and return F, the (B, m, m)
+matrix stack and its DominantEig for the whole block, and the `_raw`
+routes give F with the shape of their beta argument.  The public
+free-energy routes take one beta and solve it as a block of one, so a
+point gives the same bits alone as inside a sweep.
+
 The gamma=0 chain and the a_x=0 cylinder factorize into independent
 single-site (single-ring) problems with closed-form or 1D-integral
 partition functions; those serve as reference solutions.
@@ -51,8 +58,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .nystrom import LogKernel, assemble, dominant_eigenvalue
 from .specfun import log_i0
-from .quadrature import (gauss_hermite_rescaled, golub_welsch,
-                         stieltjes_recurrence,
+from .quadrature import (QuadratureRule, gauss_hermite_rescaled,
+                         golub_welsch, stieltjes_recurrence,
                          truncated_gaussian_normalization)
 # unused here; kept because the benchmark tracer wraps models.tensor_product
 from .quadrature import tensor_product  # noqa: F401
@@ -76,6 +83,12 @@ def _check_beta(beta):
 def _check_m(m, name="m"):
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise DomainError(f"{name} must be a positive integer, got {m!r}")
+
+
+def _per_beta(solve, beta):
+    # solve(1-D betas) -> F per beta; a scalar beta is a block of one
+    f = solve(np.asarray(beta, dtype=float).reshape(-1))
+    return f if np.ndim(beta) else float(f[0])
 
 
 @dataclass(frozen=True)
@@ -153,15 +166,12 @@ class CylinderParams:
 
 
 def _chain_logk(mu3, lam, gamma, beta):
+    # beta is a scalar, or shaped (B, 1, 1) against a stacked rule
     c3 = beta * mu3 / 12.0
     c4 = beta * lam / 48.0
     cg = 0.5 * beta * gamma
-
-    def logk(q, qp):
-        return -(c3 * (q ** 3 + qp ** 3) + c4 * (q ** 4 + qp ** 4)
-                 + cg * (q - qp) ** 2)
-
-    return LogKernel(logk)
+    return LogKernel(lambda q, qp: -cg * (q - qp) ** 2,
+                     site=lambda q: -(c3 * q ** 3 + c4 * q ** 4))
 
 
 def particle_chain_log_kernel(p, beta):
@@ -170,18 +180,21 @@ def particle_chain_log_kernel(p, beta):
     return _chain_logk(p.mu3, p.lam, p.gamma, beta)
 
 
-def _chain_solve(eta, mu3, lam, gamma, beta, m):
-    """(F, T, its DominantEig) of the m-point chain; T.rule has the nodes."""
-    rule = gauss_hermite_rescaled(m, beta * eta)
-    T = assemble(_chain_logk(mu3, lam, gamma, beta), rule)
+def _chain_solve(eta, mu3, lam, gamma, betas, m):
+    """(F, T, its DominantEig) of the m-point chain at each beta of a 1-D
+    array: one (B, m, m) stack and one stacked eigensolve; T.rule has
+    the (B, m) nodes."""
+    rule = gauss_hermite_rescaled(m, betas * eta)
+    T = assemble(_chain_logk(mu3, lam, gamma, betas[:, None, None]), rule)
     eig = dominant_eigenvalue(T)
-    lam1 = eig.lambda1
-    mlogz = _LOG_2PI - math.log(beta) - 0.5 * math.log(eta) + math.log(lam1)
-    return -mlogz / beta, T, eig
+    mlogz = (_LOG_2PI - np.log(betas) - 0.5 * math.log(eta)
+             + np.log(eig.lambda1))
+    return -mlogz / betas, T, eig
 
 
 def _chain_free_energy_raw(eta, mu3, lam, gamma, beta, m):
-    return _chain_solve(eta, mu3, lam, gamma, beta, m)[0]
+    return _per_beta(lambda b: _chain_solve(eta, mu3, lam, gamma, b, m)[0],
+                     beta)
 
 
 def particle_chain_free_energy(p, beta, m):
@@ -221,33 +234,50 @@ def reference_particle_chain_gamma0(p, beta, tail_exponent=45.0):
 # DNLS chain
 
 
-def dnls_log_kernel(beta):
-    """log k(rho, rho') = log 2pi + log I0(beta sqrt(rho rho')) - beta(rho+rho')/2."""
-    _check_beta(beta)
-
-    def logk(r, rp):
+def _dnls_logk(beta):
+    # beta is a scalar, or shaped (B, 1, 1) against a stacked rule
+    def bond(r, rp):
         r = np.asarray(r, dtype=float)
         rp = np.asarray(rp, dtype=float)
         if np.any(r < 0.0) or np.any(rp < 0.0):
             raise DomainError("DNLS kernel arguments are amplitudes, must be >= 0")
-        return _LOG_2PI + log_i0(beta * np.sqrt(r * rp)) - 0.5 * beta * (r + rp)
+        return _LOG_2PI + log_i0(beta * np.sqrt(r * rp))
 
-    return LogKernel(logk)
+    return LogKernel(bond, site=lambda r: -0.5 * beta * r)
 
 
-def _dnls_solve(g, mu_c, beta, m):
-    """(F, T, its DominantEig) of the m-point DNLS chain."""
-    a, b = beta * g, mu_c / g
-    c = truncated_gaussian_normalization(a, b)
-    rule = golub_welsch(stieltjes_recurrence(a, b, m))
-    T = assemble(dnls_log_kernel(beta), rule)
+def dnls_log_kernel(beta):
+    """log k(rho, rho') = log 2pi + log I0(beta sqrt(rho rho')) - beta(rho+rho')/2."""
+    _check_beta(beta)
+    return _dnls_logk(beta)
+
+
+def _dnls_solve(g, mu_c, betas, m):
+    """(F, T, its DominantEig) of the m-point DNLS chain at each beta of a
+    1-D array.  The Stieltjes rule is built per beta (its weight moves
+    with beta) and the rules are stacked for one assembly and one
+    stacked eigensolve."""
+    b = mu_c / g
+    log_c = np.empty(betas.size)
+    nodes = np.empty((betas.size, m))
+    weights = np.empty((betas.size, m))
+    for k, beta in enumerate(betas):
+        a = beta * g
+        log_c[k] = math.log(truncated_gaussian_normalization(a, b))
+        try:
+            rule = golub_welsch(stieltjes_recurrence(a, b, m))
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"rule {k} of the stack: {exc}",
+                                   residual=exc.residual, index=k) from exc
+        nodes[k], weights[k] = rule.nodes, rule.weights
+    T = assemble(_dnls_logk(betas[:, None, None]), QuadratureRule(nodes, weights))
     eig = dominant_eigenvalue(T)
-    mbf = 0.5 * beta * mu_c ** 2 / g + math.log(eig.lambda1) - math.log(c)
-    return -mbf / beta, T, eig
+    mbf = 0.5 * betas * mu_c ** 2 / g + np.log(eig.lambda1) - log_c
+    return -mbf / betas, T, eig
 
 
 def _dnls_free_energy_raw(g, mu_c, beta, m):
-    return _dnls_solve(g, mu_c, beta, m)[0]
+    return _per_beta(lambda b: _dnls_solve(g, mu_c, b, m)[0], beta)
 
 
 def dnls_free_energy(p, beta, m):
@@ -296,6 +326,16 @@ def _ring_spectrum(p):
     return p.eta + p.ay * (2.0 - 2.0 * np.cos(2.0 * math.pi * wave / p.ly))
 
 
+def _cylinder_free_energy_raw(p, betas, m0):
+    # one stacked harmonic-chain solve per distinct ring mode for the
+    # whole block of betas
+    etas, counts = np.unique(_ring_spectrum(p), return_counts=True)
+    f = 0.0
+    for eta_k, count in zip(etas, counts):
+        f = f + count * _chain_free_energy_raw(eta_k, 0.0, 0.0, p.ax, betas, m0)
+    return f / p.ly
+
+
 def cylinder_free_energy(p, beta, m0):
     """Per-site free energy of the cylinder, one harmonic chain per ring mode.
 
@@ -308,10 +348,7 @@ def cylinder_free_energy(p, beta, m0):
     """
     _check_beta(beta)
     _check_m(m0, "m0")
-    etas, counts = np.unique(_ring_spectrum(p), return_counts=True)
-    fs = [_chain_free_energy_raw(eta_k, 0.0, 0.0, p.ax, beta, int(m0))
-          for eta_k in etas]
-    return float(np.dot(counts, fs)) / p.ly
+    return _per_beta(lambda b: _cylinder_free_energy_raw(p, b, int(m0)), beta)
 
 
 def reference_cylinder_ax0(p, beta):

@@ -10,11 +10,12 @@
 
 The Hermite rule is numpy's `hermegauss` (Gauss rule for e^{-q^2/2}),
 built once per m and scaled to the precision a: nodes / sqrt(a),
-weights / sqrt(2 pi).  The Stieltjes rules come out of the Golub-Welsch
-construction: the nodes are the eigenvalues of the symmetric
-tridiagonal Jacobi matrix built from the three-term recurrence of the
-monic orthogonal polynomials, and w_i = beta_0 * (first eigenvector
-component)^2.  Only that construction needs SciPy, which it imports on
+weights / sqrt(2 pi); an array of precisions gives the (B, m) stack of
+rules a block of inverse temperatures needs.  The Stieltjes rules come
+out of the Golub-Welsch construction: the nodes are the eigenvalues of
+the symmetric tridiagonal Jacobi matrix built from the three-term
+recurrence of the monic orthogonal polynomials, and
+w_i = beta_0 * (first eigenvector component)^2.  Only that construction needs SciPy, which it imports on
 first use, so the Hermite-only chain and cylinder run on numpy alone.
 """
 
@@ -46,7 +47,12 @@ _TAIL_SIGMAS = 12.0
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes z_i and positive weights w_i with int f dnu ~ sum w_i f(z_i)."""
+    """Nodes z_i and positive weights w_i with int f dnu ~ sum w_i f(z_i).
+
+    Nodes and weights have shape (m,), or (B, m) for a stack of B
+    m-point rules (one per inverse temperature of a block); every check
+    runs along the last axis, and len() is m either way.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -57,20 +63,21 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise DomainError("nodes and weights must be 1D arrays of equal length")
+        if nodes.ndim not in (1, 2) or nodes.shape != weights.shape:
+            raise DomainError(
+                "nodes and weights must be arrays of equal shape, (m,) or (B, m)")
         if nodes.size == 0:
             raise DomainError("empty quadrature rule")
-        if np.any(weights <= 0.0):
+        if (weights <= 0.0).any():
             raise DomainError("quadrature weights must be strictly positive")
-        if np.any(np.diff(nodes) <= 0.0):
+        if (nodes[..., 1:] <= nodes[..., :-1]).any():
             raise DomainError("quadrature nodes must be strictly increasing")
 
     def __len__(self):
-        return self.nodes.size
+        return self.nodes.shape[-1]
 
     def integrate(self, f):
-        """Apply the rule to a vectorized function f."""
+        """Apply a single (m,) rule to a vectorized function f."""
         return float(np.dot(self.weights, f(self.nodes)))
 
 
@@ -151,15 +158,21 @@ def gauss_hermite_rescaled(m, a):
     Exact for polynomials up to degree 2m-1 against
     dnu = sqrt(a/2pi) e^{-a q^2/2} dq; total mass 1.  The nodes are the
     unit rule's divided by sqrt(a) and the weights do not depend on a;
-    both arrays are read-only.
+    both arrays are read-only.  For a 1-D array a the result is the
+    stack of one rule per entry: nodes and weights of shape
+    a.shape + (m,).
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise DomainError(f"m must be a positive integer, got {m!r}")
-    if not (a > 0.0) or not math.isfinite(a):
+    prec = np.asarray(a, dtype=float)
+    if prec.ndim > 1 or not ((prec > 0.0) & np.isfinite(prec)).all():
         raise DomainError(f"precision parameter a must be positive, got {a!r}")
-    unit_nodes, weights = _unit_hermite(int(m))
-    nodes = unit_nodes / math.sqrt(a)
+    unit_nodes, unit_weights = _unit_hermite(int(m))
+    nodes = unit_nodes / np.sqrt(prec)[..., None]
+    weights = np.empty_like(nodes)
+    weights[...] = unit_weights
     nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(nodes, weights)
 
 
@@ -208,17 +221,23 @@ def truncated_gaussian_normalization(a, b):
     return 2.0 * math.sqrt(a / (2.0 * math.pi)) / mass
 
 
+@functools.lru_cache(maxsize=None)
 def _legendre_panel(n):
     # Gauss-Legendre nodes/weights on [-1, 1] from the Jacobi matrix of
-    # the Legendre recurrence beta_k = k^2/(4k^2 - 1), total mass 2.
+    # the Legendre recurrence beta_k = k^2/(4k^2 - 1), total mass 2;
+    # built once per n and read-only, since every caller shares them
     if n == 1:
-        return np.array([0.0]), np.array([2.0])
-    from scipy.linalg import eigh_tridiagonal
+        vals, weights = np.array([0.0]), np.array([2.0])
+    else:
+        from scipy.linalg import eigh_tridiagonal
 
-    k = np.arange(1, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    vals, vecs = eigh_tridiagonal(np.zeros(n), off)
-    return vals, 2.0 * vecs[0, :] ** 2
+        k = np.arange(1, n)
+        off = k / np.sqrt(4.0 * k * k - 1.0)
+        vals, vecs = eigh_tridiagonal(np.zeros(n), off)
+        weights = 2.0 * vecs[0, :] ** 2
+    vals.flags.writeable = False
+    weights.flags.writeable = False
+    return vals, weights
 
 
 def _composite_legendre(lo, hi, panels, pts):
@@ -242,7 +261,8 @@ def _lanczos_recurrence(x, w, m):
     beta[0] = mass
     sw = np.sqrt(w)
     q = sw / math.sqrt(mass)
-    basis = [q]
+    basis = np.empty((m, q.size))
+    basis[0] = q
     q_prev = np.zeros_like(q)
     b = 0.0
     for k in range(m):
@@ -250,10 +270,11 @@ def _lanczos_recurrence(x, w, m):
         if k == m - 1:
             break
         r = x * q - alpha[k] * q - b * q_prev
-        # full reorthogonalization, twice, against all previous vectors
+        # full reorthogonalization against all previous vectors, as two
+        # block classical Gram-Schmidt passes
+        B = basis[:k + 1]
         for _ in range(2):
-            for p in basis:
-                r -= np.dot(p, r) * p
+            r -= B.T @ (B @ r)
         b2 = np.dot(r, r)
         if b2 <= 0.0:
             raise ConvergenceError(
@@ -263,7 +284,7 @@ def _lanczos_recurrence(x, w, m):
         beta[k + 1] = b2
         q_prev = q
         q = r / b
-        basis.append(q)
+        basis[k + 1] = q
     return alpha, beta
 
 

@@ -14,6 +14,13 @@ not depend on gamma, and its nodes x_i / sqrt(beta eta) leave d log
 T_ij/dbeta = mu3 (q_i^3 + q_j^3)/24 + lam (q_i^4 + q_j^4)/48.  The DNLS
 rule moves with mu and beta, so there they are exact up to quadrature
 error.  `fd_derivative` is an independent route, for tests and selftest.
+
+A sweep cuts its beta grid into blocks of rows and solves each block
+as one stack: one rule stack, one (B, m, m) assembly and one stacked
+eigensolve, with F, the marginals and the observables computed for
+the whole block along its leading beta axis.  The public one-point
+routes are a block of one, so they give the same bits as the sweep's
+row, whatever the block split or thread count.
 """
 
 import math
@@ -28,7 +35,8 @@ from .errors import (AssemblyError, ConvergenceError, DomainError,
 # globals by the names in MODELS; the benchmark tracer wraps the _raw ones
 from .models import (CylinderParams, DnlsParams, ParticleChainParams,
                      _chain_free_energy_raw, _chain_solve, _check_beta,
-                     _check_m, _dnls_free_energy_raw, _dnls_solve,
+                     _check_m, _cylinder_free_energy_raw,
+                     _dnls_free_energy_raw, _dnls_solve,
                      cylinder_free_energy, dnls_free_energy,
                      particle_chain_free_energy, reference_cylinder_ax0,
                      reference_particle_chain_gamma0)
@@ -67,45 +75,71 @@ def fd_derivative(f, x, order=1, accuracy=6, *, h):
 
 
 def _marginals(T, eig):
-    """Nodes z_i, site marginal v_i^2, bond marginal v_i T_ij v_j / lambda_1."""
+    """Nodes z_i, site marginal v_i^2 and bond marginal
+    v_i T_ij v_j / lambda_1 of a stacked solve, each with the block's
+    leading beta axis."""
     v = eig.vector
-    return T.rule.nodes, v * v, v[:, None] * T.entries * v[None, :] / eig.lambda1
+    bond = v[:, :, None] * T.entries * v[:, None, :] / eig.lambda1[:, None, None]
+    return T.rule.nodes, v * v, bond
 
 
-def _chain_row(p, beta, m):
-    """F and (stretch_sq, energy) of the particle chain from one solve."""
+def _pair_sum(x):
+    # sum over the (m, m) pair axes, one row per beta
+    return x.reshape(x.shape[0], -1).sum(axis=-1)
+
+
+def _one_point(row, p, beta, m):
+    """The observables of a block route at one beta, as a block of one."""
     _check_beta(beta)
     _check_m(m)
-    f, T, eig = _chain_solve(p.eta, p.mu3, p.lam, p.gamma, beta, int(m))
+    _, values = row(p, np.array([beta], dtype=float), int(m))
+    return tuple(float(x[0]) for x in values)
+
+
+def _chain_row(p, betas, m, observables=True):
+    """F and (stretch_sq, energy) of the particle chain at each beta of
+    a block, from one stacked solve; observables=False skips them."""
+    f, T, eig = _chain_solve(p.eta, p.mu3, p.lam, p.gamma, betas, m)
+    if not observables:
+        return f, ()
     q, site, bond = _marginals(T, eig)
-    stretch_sq = float(np.sum(bond * (q[:, None] - q[None, :]) ** 2)) / 2.0
-    energy = 1.0 / beta - float(site @ (p.mu3 * q ** 3 / 12.0
-                                        + p.lam * q ** 4 / 24.0))
+    d = q[:, :, None] - q[:, None, :]
+    stretch_sq = _pair_sum(bond * d * d) / 2.0
+    energy = 1.0 / betas - np.sum(site * (p.mu3 * q ** 3 / 12.0
+                                          + p.lam * q ** 4 / 24.0), axis=-1)
     return f, (stretch_sq, energy)
 
 
 def particle_chain_observables(p, beta, m):
     """(dF/dgamma, d(beta F)/dbeta) at one point = (<(q - q')^2/2>_bond,
     1/beta - <mu3 q^3/12 + lam q^4/24>_site)."""
-    return _chain_row(p, beta, m)[1]
+    return _one_point(_chain_row, p, beta, m)
 
 
-def _dnls_row(p, beta, m):
-    """F and (density, energy) of the DNLS chain from one solve."""
-    _check_beta(beta)
-    _check_m(m)
-    f, T, eig = _dnls_solve(p.g, p.mu_c, beta, int(m))
+def _dnls_row(p, betas, m, observables=True):
+    """F and (density, energy) of the DNLS chain at each beta of a
+    block, from one stacked solve; observables=False skips them."""
+    f, T, eig = _dnls_solve(p.g, p.mu_c, betas, m)
+    if not observables:
+        return f, ()
     r, site, bond = _marginals(T, eig)
-    s = np.sqrt(np.outer(r, r))
-    hop = s * i1_scaled(beta * s) / i0_scaled(beta * s)
-    energy = float(site @ (r + 0.5 * p.g * r ** 2)) - float(np.sum(bond * hop))
-    return f, (float(site @ r), energy)
+    s = np.sqrt(r[:, :, None] * r[:, None, :])
+    x = betas[:, None, None] * s
+    hop = s * i1_scaled(x) / i0_scaled(x)
+    energy = (np.sum(site * (r + 0.5 * p.g * r ** 2), axis=-1)
+              - _pair_sum(bond * hop))
+    return f, (np.sum(site * r, axis=-1), energy)
 
 
 def dnls_observables(p, beta, m):
     """(-dF/dmu, d(beta F)/dbeta + mu <rho>) at one point = (<rho>_site,
     <rho + g rho^2/2>_site - <sqrt(rho rho') I1/I0(beta sqrt(rho rho'))>_bond)."""
-    return _dnls_row(p, beta, m)[1]
+    return _one_point(_dnls_row, p, beta, m)
+
+
+def _cylinder_row(p, betas, m0, observables=False):
+    """F of the cylinder at each beta of a block; it has no observables."""
+    return _cylinder_free_energy_raw(p, betas, m0), ()
 
 
 @dataclass(frozen=True)
@@ -114,8 +148,9 @@ class Model:
 
     Routes are names of functions in this module, looked up when
     called, so a wrapper installed on the module attribute (a
-    profiler's, a test's) is the function that runs.  `measure` returns
-    F and the `observables` columns in that order, from one solve;
+    profiler's, a test's) is the function that runs.  `free_energy`
+    takes one beta; `block` takes a 1-D array of beta and returns F and
+    the `observables` columns in that order, from one stacked solve;
     `reference` is the factorized-limit free energy, defined when the
     params field named by `reference_zero` is 0.
     """
@@ -124,8 +159,8 @@ class Model:
     params: type
     size: str
     free_energy: str
+    block: str
     observables: tuple = ()
-    measure: str = None
     reference: str = None
     reference_zero: str = None
 
@@ -135,10 +170,12 @@ class Model:
     def free_energy_at(self, params, beta, m):
         return self._route("free_energy")(params, beta, m)
 
-    def measure_at(self, params, beta, m):
-        """(F, {column: value} for every observable of the model)."""
-        f, values = self._route("measure")(params, beta, m)
-        return f, dict(zip(self.observables, values))
+    def block_at(self, params, betas, m, observables=()):
+        """(F, {column: values}) at each beta of a block, for the
+        requested observable columns."""
+        f, values = self._route("block")(params, betas, m, bool(observables))
+        columns = dict(zip(self.observables, values))
+        return f, {k: columns[k] for k in observables}
 
     def factorized_at(self, params, beta):
         """Factorized-limit free energy, or None away from that limit."""
@@ -149,14 +186,13 @@ class Model:
 
 MODELS = {model.name: model for model in (
     Model("chain", ParticleChainParams, size="m",
-          free_energy="particle_chain_free_energy",
+          free_energy="particle_chain_free_energy", block="_chain_row",
           observables=("stretch_sq", "energy"),
-          measure="_chain_row",
           reference="reference_particle_chain_gamma0", reference_zero="gamma"),
     Model("dnls", DnlsParams, size="m", free_energy="dnls_free_energy",
-          observables=("density", "energy"), measure="_dnls_row"),
+          block="_dnls_row", observables=("density", "energy")),
     Model("cylinder", CylinderParams, size="m0",
-          free_energy="cylinder_free_energy",
+          free_energy="cylinder_free_energy", block="_cylinder_row",
           reference="reference_cylinder_ax0", reference_zero="ax"),
 )}
 
@@ -225,18 +261,29 @@ class SweepResult:
         return names, cols
 
 
-def _sweep_row(spec, beta):
+# a block's (B, m, m) matrix stack holds at most about this many entries,
+# so memory does not grow with the grid's length
+_BLOCK_ENTRIES = 2 ** 21
+
+
+def _grid_point(betas, exc):
+    # the beta a failure belongs to: the stack index the error carries,
+    # or the only beta of a block of one
+    index = getattr(exc, "index", None)
+    if index is None and len(betas) > 1:
+        return f"beta in [{float(betas[0])!r}, {float(betas[-1])!r}]"
+    return f"beta={float(betas[index or 0])!r}"
+
+
+def _sweep_row(spec, betas):
+    """F and the requested observables at each beta of one block."""
     model = _model_of(spec.params)
     try:
-        if spec.observables:
-            f, available = model.measure_at(spec.params, beta, spec.m)
-            obs = {k: available[k] for k in spec.observables}
-        else:
-            f, obs = model.free_energy_at(spec.params, beta, spec.m), {}
+        return model.block_at(spec.params, betas, spec.m, spec.observables)
     except (AssemblyError, ConvergenceError, ResourceLimitError) as exc:
         # keep the exception type, name the grid point that failed
-        raise type(exc)(f"at beta={float(beta)!r}, m={spec.m}: {exc}") from exc
-    return f, obs
+        raise type(exc)(
+            f"at {_grid_point(betas, exc)}, m={spec.m}: {exc}") from exc
 
 
 def map_rows(fn, items, threads=None):
@@ -249,8 +296,14 @@ def map_rows(fn, items, threads=None):
 
 
 def free_energy_sweep(spec, threads=None):
-    """Evaluate the sweep, optionally on a thread pool over grid points."""
-    rows = map_rows(lambda b: _sweep_row(spec, b), spec.beta_grid, threads)
-    free = np.array([r[0] for r in rows])
-    obs = {k: np.array([r[1][k] for r in rows]) for k in spec.observables}
+    """Evaluate the sweep one block of grid rows at a time, each block
+    one stacked solve, optionally on a thread pool over blocks (LAPACK
+    releases the GIL)."""
+    grid = spec.beta_grid
+    rows = max(1, _BLOCK_ENTRIES // spec.m ** 2)
+    blocks = [grid[i:i + rows] for i in range(0, grid.size, rows)]
+    solved = map_rows(lambda b: _sweep_row(spec, b), blocks, threads)
+    free = np.concatenate([f for f, _ in solved])
+    obs = {k: np.concatenate([o[k] for _, o in solved])
+           for k in spec.observables}
     return SweepResult(spec=spec, free_energy=free, observables=obs)

@@ -1,0 +1,259 @@
+"""The stacked path: a sweep solves a block of beta rows as one stack.
+
+Oracles: the public one-point routes, which solve a block of one, must
+give the same bits (==) as the sweep's rows whatever the block split or
+thread count; stacked rules and eigensolves against the same objects
+built one beta at a time; failures injected at one grid point of a
+block must name that beta.
+"""
+
+import numpy as np
+import pytest
+
+import thermo_transfer.nystrom as nystrom
+from thermo_transfer import models, thermo
+from thermo_transfer.errors import AssemblyError, ConvergenceError, DomainError
+from thermo_transfer.models import (
+    CylinderParams,
+    DnlsParams,
+    ParticleChainParams,
+    _chain_solve,
+    _dnls_solve,
+    cylinder_free_energy,
+    dnls_free_energy,
+    particle_chain_free_energy,
+)
+from thermo_transfer.nystrom import LogKernel, assemble, dominant_eigenvalue
+from thermo_transfer.quadrature import QuadratureRule, gauss_hermite_rescaled
+from thermo_transfer.thermo import (
+    SweepSpec,
+    dnls_observables,
+    free_energy_sweep,
+    particle_chain_observables,
+)
+
+CHAIN = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0)
+DNLS = DnlsParams(g=1.0, mu_c=1.0)
+CYLINDER = CylinderParams(eta=1.0, ax=0.5, ay=0.2, ly=3)
+
+# (params, m, observables, one-point F, one-point observables)
+CASES = {
+    "chain": (CHAIN, 12, ("stretch_sq", "energy"), particle_chain_free_energy,
+              particle_chain_observables),
+    "dnls": (DNLS, 10, ("energy", "density"), dnls_free_energy,
+             lambda p, b, m: dnls_observables(p, b, m)[::-1]),
+    "cylinder": (CYLINDER, 6, (), cylinder_free_energy, None),
+}
+GRID = np.linspace(0.5, 6.5, 7)
+
+
+def _blocks_of(monkeypatch, rows, m):
+    monkeypatch.setattr(thermo, "_BLOCK_ENTRIES", rows * m * m)
+
+
+@pytest.mark.parametrize("model", sorted(CASES))
+@pytest.mark.parametrize("rows, threads", [(None, None), (3, None), (3, 2),
+                                           (1, 2)])
+def test_sweep_rows_equal_one_point_routes(monkeypatch, model, rows, threads):
+    params, m, obs, free_energy, observables = CASES[model]
+    if rows is not None:
+        _blocks_of(monkeypatch, rows, m)
+    res = free_energy_sweep(SweepSpec(params=params, beta_grid=GRID, m=m,
+                                      observables=obs), threads=threads)
+    plain = free_energy_sweep(SweepSpec(params=params, beta_grid=GRID, m=m),
+                              threads=threads)
+    for i, beta in enumerate(GRID):
+        f = free_energy(params, beta, m)
+        assert res.free_energy[i] == f and plain.free_energy[i] == f
+        if observables is not None:
+            expect = dict(zip(sorted(obs, key=thermo.OBSERVABLE_COLUMNS.index),
+                              observables(params, beta, m)))
+            for name, value in expect.items():
+                assert res.observables[name][i] == value, (name, beta)
+
+
+def test_block_size_caps_matrix_entries(monkeypatch):
+    seen = []
+    original = thermo._sweep_row
+
+    def spy(spec, betas):
+        seen.append(betas.size)
+        return original(spec, betas)
+
+    monkeypatch.setattr(thermo, "_sweep_row", spy)
+    _blocks_of(monkeypatch, 3, 12)
+    free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=GRID, m=12))
+    assert seen == [3, 3, 1]
+    seen.clear()
+    monkeypatch.undo()
+    monkeypatch.setattr(thermo, "_sweep_row", spy)
+    free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=GRID, m=12))
+    assert seen == [7]
+
+
+# --- a failure inside a block names its own beta ------------------------------
+
+def _eigh_spoiling(monkeypatch, spoil):
+    """np.linalg.eigh that hands back the bottom eigenvector as the top
+    one for stack index spoil(call number), if that is not None."""
+    real = np.linalg.eigh
+    calls = []
+
+    def eigh(a):
+        vals, vecs = real(a)
+        k = spoil(len(calls))
+        calls.append(k)
+        if k is not None and a.ndim == 3:
+            vecs = vecs.copy()
+            vecs[k, :, -1] = vecs[k, :, 0]
+        return vals, vecs
+
+    monkeypatch.setattr(nystrom.np.linalg, "eigh", eigh)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["chain", "dnls"])
+def test_eigensolve_failure_names_its_grid_point(monkeypatch, model):
+    params, m, obs, _, _ = CASES[model]
+    _eigh_spoiling(monkeypatch, lambda call: 3)
+    spec = SweepSpec(params=params, beta_grid=GRID, m=m, observables=obs)
+    with pytest.raises(ConvergenceError) as exc:
+        free_energy_sweep(spec)
+    msg = str(exc.value)
+    assert f"at beta={float(GRID[3])!r}, m={m}:" in msg
+    assert "of matrix 3 in the stack" in msg
+
+
+def test_eigensolve_failure_in_a_later_block(monkeypatch):
+    # blocks of two rows; the second block's second matrix is grid point 3
+    _blocks_of(monkeypatch, 2, 12)
+    _eigh_spoiling(monkeypatch, lambda call: 1 if call == 1 else None)
+    with pytest.raises(ConvergenceError) as exc:
+        free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=GRID, m=12))
+    assert f"at beta={float(GRID[3])!r}, m=12:" in str(exc.value)
+
+
+def test_non_finite_assembly_names_beta_and_node_pair(monkeypatch):
+    # poison one Bessel-factor entry of stack matrix 4 (grid point 4)
+    real = models.log_i0
+
+    def log_i0(x):
+        out = np.array(real(x), dtype=float)
+        if out.ndim == 3:
+            out[4, 2, 5] = np.nan
+        return out
+
+    monkeypatch.setattr(models, "log_i0", log_i0)
+    with pytest.raises(AssemblyError) as exc:
+        free_energy_sweep(SweepSpec(params=DNLS, beta_grid=GRID, m=10))
+    msg = str(exc.value)
+    assert f"at beta={float(GRID[4])!r}, m=10:" in msg
+    assert "node pair (2, 5) of matrix 4 in the stack" in msg
+
+
+def test_rule_failure_names_its_grid_point(monkeypatch):
+    # the DNLS rules are built one beta at a time; the third one fails
+    real = models.stieltjes_recurrence
+    calls = []
+
+    def stieltjes_recurrence(a, b, m):
+        calls.append(a)
+        if len(calls) == 3:
+            raise ConvergenceError("Stieltjes discretization did not stabilize",
+                                   residual=1e-12)
+        return real(a, b, m)
+
+    monkeypatch.setattr(models, "stieltjes_recurrence", stieltjes_recurrence)
+    with pytest.raises(ConvergenceError) as exc:
+        free_energy_sweep(SweepSpec(params=DNLS, beta_grid=GRID, m=10))
+    assert f"at beta={float(GRID[2])!r}, m=10:" in str(exc.value)
+
+
+def test_failure_without_a_stack_index_names_the_block(monkeypatch):
+    def failing(p, betas, m0, observables):
+        raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10)
+
+    monkeypatch.setattr(thermo, "_cylinder_row", failing)
+    with pytest.raises(ConvergenceError) as exc:
+        free_energy_sweep(SweepSpec(params=CYLINDER, beta_grid=GRID, m=6))
+    assert "at beta in [0.5, 6.5], m=6:" in str(exc.value)
+
+
+# --- the stacked layers ------------------------------------------------------
+
+def test_assembled_stacks_are_exactly_symmetric():
+    betas = np.array([0.5, 2.0, 9.0])
+    _, T, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 17)
+    assert T.entries.shape == (3, 17, 17)
+    assert np.array_equal(T.entries, T.entries.swapaxes(-1, -2))
+    _, T, _ = _dnls_solve(1.0, 1.0, betas, 11)
+    assert np.array_equal(T.entries, T.entries.swapaxes(-1, -2))
+    # a kernel whose two argument orders round differently
+    kern = LogKernel(lambda z, zp: -0.1 * z ** 3 - 0.1 * zp ** 3 + 0.3 * z * zp,
+                     site=lambda z: -0.7 * z * z)
+    E = assemble(kern, gauss_hermite_rescaled(20, betas)).entries
+    assert np.array_equal(E, E.swapaxes(-1, -2))
+
+
+def test_stacked_solve_equals_each_beta_alone():
+    betas = np.array([0.5, 2.0, 9.0])
+    f, T, eig = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 15)
+    assert eig.lambda1.shape == (3,) and eig.vector.shape == (3, 15)
+    assert isinstance(eig.residual, float) and eig.iterations == 1
+    assert T.order == 15 and len(T.rule) == 15
+    for k in range(3):
+        f1, T1, eig1 = _chain_solve(1.0, 0.2, 0.2, 1.0, betas[k:k + 1], 15)
+        assert f1[0] == f[k]
+        assert np.array_equal(T1.entries[0], T.entries[k])
+        assert eig1.lambda1[0] == eig.lambda1[k]
+        assert np.array_equal(eig1.vector[0], eig.vector[k])
+    assert eig.residual == max(
+        dominant_eigenvalue(T.entries[k]).residual for k in range(3))
+
+
+def test_single_matrix_gives_scalars():
+    eig = dominant_eigenvalue(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert isinstance(eig.lambda1, float) and eig.vector.shape == (2,)
+
+
+def test_stacked_residual_check_carries_the_failing_index():
+    # the diagonal matrix solves exactly, the dense one to round-off
+    rng = np.random.default_rng(3)
+    B = rng.uniform(0.1, 1.0, size=(6, 6))
+    stack = np.stack([np.diag([3.0, 2.0, 1.0, 0.5, 0.2, 0.1]), B + B.T])
+    assert dominant_eigenvalue(stack[0], tol=1e-300).residual == 0.0
+    with pytest.raises(ConvergenceError) as exc:
+        dominant_eigenvalue(stack, tol=1e-300)
+    assert exc.value.index == 1
+    assert "of matrix 1 in the stack" in str(exc.value)
+    with pytest.raises(ConvergenceError) as exc:
+        dominant_eigenvalue(stack[1], tol=1e-300)
+    assert exc.value.index is None
+
+
+def test_hermite_rule_stack_matches_one_rule_per_precision():
+    a = np.array([0.3, 1.0, 7.5])
+    stack = gauss_hermite_rescaled(9, a)
+    assert stack.nodes.shape == stack.weights.shape == (3, 9)
+    assert len(stack) == 9
+    for k, ak in enumerate(a):
+        one = gauss_hermite_rescaled(9, float(ak))
+        assert np.array_equal(stack.nodes[k], one.nodes)
+        assert np.array_equal(stack.weights[k], one.weights)
+    with pytest.raises(ValueError):
+        stack.weights[0, 0] = 1.0
+    with pytest.raises(DomainError):
+        gauss_hermite_rescaled(9, np.array([1.0, 0.0]))
+    with pytest.raises(DomainError):
+        gauss_hermite_rescaled(9, np.ones((2, 2)))
+
+
+def test_stacked_rule_validates_each_row():
+    nodes = np.array([[-1.0, 0.0, 1.0], [-1.0, 1.0, 0.5]])
+    with pytest.raises(DomainError):
+        QuadratureRule(nodes, np.ones_like(nodes))
+    with pytest.raises(DomainError):
+        QuadratureRule(np.sort(nodes, axis=-1), np.array([[1.0, 1.0, 1.0],
+                                                          [1.0, 0.0, 1.0]]))
+    with pytest.raises(DomainError):
+        QuadratureRule(np.zeros((2, 2, 2)), np.ones((2, 2, 2)))

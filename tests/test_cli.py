@@ -321,11 +321,12 @@ def test_negative_beta_is_domain_error(tmp_path, capsys):
 
 def test_tensor_budget_maps_to_numeric_failure(tmp_path, capsys, monkeypatch):
     # any numeric failure below the sweep exits 1 and names the grid
-    # point; it is injected into the cylinder route, looked up by name
-    def failing(p, beta, m0):
+    # point; it is injected into the cylinder's block route, looked up
+    # by name
+    def failing(p, betas, m0, observables):
         raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10)
 
-    monkeypatch.setattr(thermo, "cylinder_free_energy", failing)
+    monkeypatch.setattr(thermo, "_cylinder_row", failing)
     rc = cli.main(["free-energy", "--model", "cylinder", "--beta-start", "1",
                    "--beta-count", "1", "--m0", "30", "--ly", "3",
                    "--ax", "0.1", "--ay", "0.1", "--out", str(tmp_path / "x.csv")])

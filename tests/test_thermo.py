@@ -398,12 +398,14 @@ def test_sweep_rerun_bit_identical():
 
 
 def test_sweep_error_names_grid_point(monkeypatch):
-    # a numeric failure in the model route (looked up by name in
-    # MODELS) keeps its type and gains the grid point
-    def failing(p, beta, m0):
-        raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10)
+    # a numeric failure in the model's block route (looked up by name in
+    # MODELS) keeps its type and gains the grid point its stack index
+    # names
+    def failing(p, betas, m0, observables):
+        raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10,
+                               index=0)
 
-    monkeypatch.setattr(thermo, "cylinder_free_energy", failing)
+    monkeypatch.setattr(thermo, "_cylinder_row", failing)
     cyl = CylinderParams(eta=1.0, ax=0.1, ay=0.1, ly=3)
     spec = SweepSpec(params=cyl, beta_grid=[1.0, 2.0], m=30)
     with pytest.raises(ConvergenceError) as exc:
