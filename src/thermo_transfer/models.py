@@ -1,17 +1,24 @@
 """The three model systems: kernels, weights, free-energy assembly.
 
 Each model contributes (i) a Gaussian-type weight function that absorbs
-the harmonic part of its on-site potential, (ii) a symmetric log-kernel
+the analytic part of its Boltzmann factor, (ii) a symmetric log-kernel
 for the nearest-neighbour bond, and (iii) the prefactor bookkeeping
 that turns the dominant eigenvalue of the discretized transfer operator
 into a free energy per site.
 
 particle chain (anharmonic on-site potential, harmonic coupling):
     V_loc(q) = eta q^2/2 + mu3 q^3/6 + lam q^4/24,  eta > 0, lam >= |mu3|
-    log k(q, q') = -beta [ mu3 (q^3+q'^3)/12 + lam (q^4+q'^4)/48
-                           + gamma (q-q')^2 / 2 ]
-    weight: normalized Gaussian with precision a = beta eta
-    -beta F = log(2 pi / beta) - log(eta)/2 + log lambda_1
+    weight: normalized Gaussian with the coupling-matched precision
+            a = beta c,  c = sqrt(eta (eta + 4 gamma)),
+            the precision of the harmonic chain's stationary site
+            marginal (c = eta at gamma = 0)
+    log k(q, q') = (a - beta eta)(q^2+q'^2)/4
+                   - beta [ mu3 (q^3+q'^3)/12 + lam (q^4+q'^4)/48
+                            + gamma (q-q')^2 / 2 ]
+    -beta F = log(2 pi / beta) - log(c)/2 + log lambda_1
+    In the scaled nodes x = q sqrt(beta c) the site term
+    (c - eta) x^2 / (4c) and the coupling do not depend on beta, so
+    the energy is still the exact beta-derivative of the m-point beta F.
 
 defocusing DNLS chain in polar coordinates (amplitudes rho >= 0):
     weight: c e^{-a (z-b)^2/2} on [0, inf), a = beta g, b = mu/g,
@@ -28,15 +35,17 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
     Laplacian with eigenvalues Lambda_k = 2 - 2 cos(2 pi k / L_y), is
     diagonal in the ring's real Fourier modes y = U^T q.  U is
     orthogonal, so |q - q'|^2 = |y - y'|^2 and in mode coordinates
-    weight: product over k of Gaussians with precision
-            a_k = beta eta_k,  eta_k = eta + a_y Lambda_k
-    log k(y, y') = -beta a_x |y - y'|^2 / 2   (axial bonds only)
-    Weight and kernel both factor over k, so the m0^L_y-point matrix
-    is the Kronecker product of the harmonic chains' m0-point matrices
-    T_k (on-site eta_k, coupling a_x) and lambda_1 = prod_k lambda_1(T_k):
-    -beta F = (1/L_y) sum_k [log(2 pi / beta) - log(eta_k)/2
+    the ring's Boltzmann factor is a product over k of Gaussians of
+    precision beta eta_k,  eta_k = eta + a_y Lambda_k, and the axial
+    bonds give -beta a_x |y - y'|^2 / 2.  Both factor over k, so the
+    transfer operator is the tensor product of harmonic chains
+    (on-site eta_k, coupling a_x), each solved as the chain above on
+    its own m0-point rule of precision beta sqrt(eta_k (eta_k + 4 a_x)),
+    and lambda_1 = prod_k lambda_1(T_k):
+    -beta F = (1/L_y) sum_k [log(2 pi / beta) - log(c_k)/2
                              + log lambda_1(T_k)],
-    the mean of L_y harmonic-chain free energies.
+    c_k = sqrt(eta_k (eta_k + 4 a_x)): the mean of L_y harmonic-chain
+    free energies.
 
 The solves are stacked over inverse temperature: `_chain_solve` and
 `_dnls_solve` take a 1-D array of beta and return F, the (B, m, m)
@@ -165,17 +174,21 @@ class CylinderParams:
 # particle chain
 
 
-def _chain_logk(mu3, lam, gamma, beta):
-    # beta is a scalar, or shaped (B, 1, 1) against a stacked rule
+def _chain_logk(mu3, lam, gamma, beta, shift=0.0):
+    # beta (and shift) is a scalar, or shaped (B, 1, 1) against a stacked
+    # rule; shift is the precision the Gauss weight takes beyond beta eta,
+    # handed back to the kernel as the site term shift q^2/4
+    c2 = 0.25 * shift
     c3 = beta * mu3 / 12.0
     c4 = beta * lam / 48.0
     cg = 0.5 * beta * gamma
     return LogKernel(lambda q, qp: -cg * (q - qp) ** 2,
-                     site=lambda q: -(c3 * q ** 3 + c4 * q ** 4))
+                     site=lambda q: c2 * q ** 2 - (c3 * q ** 3 + c4 * q ** 4))
 
 
 def particle_chain_log_kernel(p, beta):
-    """Symmetrized log-kernel of the particle chain at inverse temperature beta."""
+    """Symmetrized log-kernel of the particle chain at inverse temperature
+    beta, against the Gauss weight of precision beta eta."""
     _check_beta(beta)
     return _chain_logk(p.mu3, p.lam, p.gamma, beta)
 
@@ -183,11 +196,20 @@ def particle_chain_log_kernel(p, beta):
 def _chain_solve(eta, mu3, lam, gamma, betas, m):
     """(F, T, its DominantEig) of the m-point chain at each beta of a 1-D
     array: one (B, m, m) stack and one stacked eigensolve; T.rule has
-    the (B, m) nodes."""
-    rule = gauss_hermite_rescaled(m, betas * eta)
-    T = assemble(_chain_logk(mu3, lam, gamma, betas[:, None, None]), rule)
+    the (B, m) nodes, a Gauss-Hermite rule of precision beta c."""
+    # beta c is the precision of the harmonic chain's stationary site
+    # marginal; c = eta exactly at gamma = 0.  The raw route takes
+    # gamma < 0, so the weight's domain is checked here
+    if not eta + 4.0 * gamma > 0.0:
+        raise DomainError(
+            f"the chain's Gauss weight needs eta + 4 gamma > 0, "
+            f"got eta={eta!r}, gamma={gamma!r}")
+    c = math.sqrt(eta * (eta + 4.0 * gamma))
+    rule = gauss_hermite_rescaled(m, betas * c)
+    b3 = betas[:, None, None]
+    T = assemble(_chain_logk(mu3, lam, gamma, b3, b3 * (c - eta)), rule)
     eig = dominant_eigenvalue(T)
-    mlogz = (_LOG_2PI - np.log(betas) - 0.5 * math.log(eta)
+    mlogz = (_LOG_2PI - np.log(betas) - 0.5 * math.log(c)
              + np.log(eig.lambda1))
     return -mlogz / betas, T, eig
 
@@ -198,7 +220,8 @@ def _chain_free_energy_raw(eta, mu3, lam, gamma, beta, m):
 
 
 def particle_chain_free_energy(p, beta, m):
-    """Free energy per site, -[log(2pi/beta) - log(eta)/2 + log lambda_1]/beta."""
+    """Free energy per site, -[log(2pi/beta) - log(c)/2 + log lambda_1]/beta,
+    c = sqrt(eta (eta + 4 gamma)) (see the module docstring)."""
     _check_beta(beta)
     _check_m(m)
     return _chain_free_energy_raw(p.eta, p.mu3, p.lam, p.gamma, beta, int(m))
@@ -344,7 +367,10 @@ def cylinder_free_energy(p, beta, m0):
     the module docstring); no matrix is larger than m0 x m0, and modes
     k and ly - k share one solve.  At ax = 0 the kernel is constant and
     every m0 gives the ring determinant to round-off; at ly = 1 this is
-    the harmonic chain itself.
+    the harmonic chain itself.  Each mode's weight is its coupling-
+    matched Gaussian, so at ax > 0 the error falls from 7.5e-6 at
+    m0 = 3 to round-off by m0 = 8 (eta = 1, ax = 0.5, ay = 0.2, ly = 3,
+    beta = 1).
     """
     _check_beta(beta)
     _check_m(m0, "m0")

@@ -9,11 +9,14 @@ Observables are first derivatives of the free energy surface:
 
 By Hellmann-Feynman (d log lambda_1 = v.(dT)v / lambda_1, v the unit
 Perron vector) each is an expectation over the marginals of the solve
-that gives F, exact for the chain's m-point F: its Hermite rule does
-not depend on gamma, and its nodes x_i / sqrt(beta eta) leave d log
-T_ij/dbeta = mu3 (q_i^3 + q_j^3)/24 + lam (q_i^4 + q_j^4)/48.  The DNLS
-rule moves with mu and beta, so there they are exact up to quadrature
-error.  `fd_derivative` is an independent route, for tests and selftest.
+that gives F.  The chain's energy is the exact beta-derivative of its
+m-point beta F: the Hermite nodes x_i / sqrt(beta c), c = sqrt(eta (eta
++ 4 gamma)), leave d log T_ij/dbeta = mu3 (q_i^3 + q_j^3)/24 + lam (q_i^4
++ q_j^4)/48, since c does not depend on beta.  c does depend on gamma,
+so the rule moves with gamma and the chain's stretch_sq is exact only up
+to quadrature error, as are the DNLS observables, whose rule moves with
+mu and beta.  `fd_derivative` is an independent route, for tests and
+selftest.
 
 A sweep cuts its beta grid into blocks of rows and solves each block
 as one stack: one rule stack, one (B, m, m) assembly and one stacked

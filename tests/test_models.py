@@ -45,7 +45,7 @@ from thermo_transfer.models import (
     reference_cylinder_ax0,
     reference_particle_chain_gamma0,
 )
-from thermo_transfer.nystrom import LogKernel, assemble
+from thermo_transfer.nystrom import LogKernel, assemble, dominant_eigenvalue
 from thermo_transfer.quadrature import (
     gauss_hermite_rescaled,
     golub_welsch,
@@ -193,9 +193,8 @@ def test_harmonic_uncoupled_chain_closed_form():
 @pytest.mark.parametrize("eta,gamma,beta,m", [
     (1.0, 1.0, 1.0, 40),
     (2.0, 0.5, 3.0, 40),
-    # strong coupling gamma/eta needs larger rules (the kernel is much
-    # narrower than the weight Gaussian); these sizes exercise the
-    # large-m weight tails
+    # strong coupling gamma/eta: these sizes exercise the large-m weight
+    # tails (the coupling-matched rule is at round-off from m = 30 here)
     (1.0, 4.0, 0.7, 100),
     (0.5, 2.0, 5.0, 100),
 ])
@@ -203,6 +202,69 @@ def test_harmonic_coupled_chain_against_log_cosine_oracle(eta, gamma, beta, m):
     p = ParticleChainParams(eta=eta, gamma=gamma)
     got = particle_chain_free_energy(p, beta, m=m)
     assert got == pytest.approx(harmonic_chain_oracle(eta, gamma, beta), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.5, 5.0])
+def test_coupling_matched_rule_harmonic_chain_at_m12(beta):
+    # the Gauss weight of precision beta sqrt(eta (eta + 4 gamma)) is the
+    # harmonic chain's own site marginal, so m = 12 is at round-off:
+    # measured 6.7e-16 (beta = 0.5) and 5.4e-15 (beta = 5); the beta eta
+    # rule is 5.7e-6 and 4.6e-5 off at the same size
+    got = particle_chain_free_energy(ParticleChainParams(eta=1.0, gamma=1.0), beta, 12)
+    assert got == pytest.approx(harmonic_chain_oracle(1.0, 1.0, beta), rel=1e-13)
+
+
+def bare_weight_chain_solve(eta, mu3, lam, gamma, beta, m):
+    """(F, entries) of the chain against the Gauss weight of precision
+    beta eta, from the public kernel, the rule and the assembly."""
+    betas = np.array([beta])
+    T = assemble(particle_chain_log_kernel(
+        ParticleChainParams(eta=eta, mu3=mu3, lam=lam, gamma=gamma), beta),
+        gauss_hermite_rescaled(m, betas * eta))
+    lam1 = dominant_eigenvalue(T).lambda1
+    mlogz = models._LOG_2PI - np.log(betas) - 0.5 * math.log(eta) + np.log(lam1)
+    return float((-mlogz / betas)[0]), T.entries
+
+
+@pytest.mark.parametrize("eta,mu3,lam,beta,m", [
+    (1.0, 0.2, 0.2, 0.5, 20),
+    (1.0, 0.4, 1.0, 5.0, 12),
+    (0.3, 0.0, 0.5, 2.0, 9),
+    (1.7, 0.0, 0.0, 1.0, 6),
+])
+def test_gamma0_chain_is_bit_identical_to_beta_eta_rule(eta, mu3, lam, beta, m):
+    # at gamma = 0 the coupling-matched precision is sqrt(eta^2) = eta
+    # exactly and the kernel's extra site term is 0
+    f, T, _ = models._chain_solve(eta, mu3, lam, 0.0, np.array([beta]), m)
+    f_bare, entries = bare_weight_chain_solve(eta, mu3, lam, 0.0, beta, m)
+    assert np.array_equal(T.entries, entries)
+    assert f[0] == f_bare
+    got = particle_chain_free_energy(
+        ParticleChainParams(eta=eta, mu3=mu3, lam=lam), beta, m)
+    assert got == f_bare
+
+
+@pytest.mark.parametrize("ly,beta,m0", [(3, 1.0, 8), (4, 2.5, 5), (1, 0.7, 3)])
+def test_ax0_cylinder_is_bit_identical_to_beta_eta_rule(ly, beta, m0):
+    # every ring mode is a gamma = 0 harmonic chain, solved on the rule of
+    # precision beta eta_k; the modes combine as the route combines them
+    p = CylinderParams(eta=1.0, ax=0.0, ay=0.2, ly=ly)
+    etas, counts = np.unique(models._ring_spectrum(p), return_counts=True)
+    f = 0.0
+    for eta_k, count in zip(etas, counts):
+        f = f + count * bare_weight_chain_solve(eta_k, 0.0, 0.0, 0.0, beta, m0)[0]
+    assert cylinder_free_energy(p, beta, m0) == f / ly
+
+
+def test_raw_chain_route_names_eta_and_gamma_outside_the_weight_domain():
+    # the raw route takes gamma < 0 (the stencil helpers step below 0),
+    # but its Gauss weight needs eta + 4 gamma > 0
+    assert math.isfinite(_chain_free_energy_raw(1.0, 0.0, 0.0, -0.2, 1.0, 5))
+    for gamma in (-0.25, -0.3):
+        with pytest.raises(DomainError, match=rf"eta=1\.0, gamma={gamma!r}"):
+            _chain_free_energy_raw(1.0, 0.0, 0.0, gamma, 1.0, 5)
+    with pytest.raises(DomainError, match="eta=0.5"):
+        _chain_free_energy_raw(0.5, 0.0, 0.0, -1.0, np.array([1.0, 2.0]), 5)
 
 
 def test_anharmonic_gamma0_chain_against_adaptive_reference():
@@ -236,16 +298,15 @@ def test_reference_requires_gamma0():
 
 def test_chain_self_convergence_plateau():
     # coupled anharmonic chain: growing m must stop changing the answer.
-    # Measured |F(25)-F(30)|/|F(30)| = 8.5e-11 on this parameter set
-    # (the pair has not quite bottomed out yet); 32 vs 40 sits on the
-    # roundoff floor at 1.1e-13.
+    # Measured |F(25)-F(30)|/|F(30)| = 3.6e-15 and |F(32)-F(40)|/|F(40)|
+    # = 5.5e-16 on this parameter set, both on the round-off floor
     p = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0)
     f25 = particle_chain_free_energy(p, 5.0, 25)
     f30 = particle_chain_free_energy(p, 5.0, 30)
     f32 = particle_chain_free_energy(p, 5.0, 32)
     f40 = particle_chain_free_energy(p, 5.0, 40)
-    assert abs(f25 - f30) <= 1e-10 * abs(f30)
-    assert abs(f32 - f40) <= 1e-12 * abs(f40)
+    assert abs(f25 - f30) <= 1e-13 * abs(f30)
+    assert abs(f32 - f40) <= 1e-13 * abs(f40)
 
 
 def test_chain_free_energy_rejects_bad_arguments():
@@ -340,16 +401,21 @@ def test_cylinder_ax0_against_ring_determinant():
 @pytest.mark.parametrize("m0", [4, 6])
 def test_cylinder_matches_kronecker_nystrom_solve(m0):
     # the factored cylinder against the full m0^Ly-point Nystrom matrix
-    # on the product of per-mode Gauss-Hermite rules, axial kernel
-    # -beta ax |y - y'|^2 / 2 written here; lambda_1 of the Kronecker
-    # product is the product of the per-mode lambda_1; measured 7e-16
-    # (m0 = 4) and 4e-16 (m0 = 6)
+    # on the product of per-mode Gauss-Hermite rules at the coupling-
+    # matched precisions a_k = beta c_k, c_k = sqrt(eta_k (eta_k + 4 ax)),
+    # with the axial kernel -beta ax |y - y'|^2 / 2 and the site terms
+    # (a_k - beta eta_k)(y_k^2 + y'_k^2)/4 written here; lambda_1 of the
+    # Kronecker product is the product of the per-mode lambda_1; measured
+    # 1.1e-16 (m0 = 4 and 6)
     eta, ax, ay, ly, beta = 1.0, 0.5, 0.7, 3, 1.3
     eta_k = eta + ay * (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(ly) / ly))
-    rule = tensor_product([gauss_hermite_rescaled(m0, beta * e) for e in eta_k], ly)
-    axial = LogKernel(lambda y, yp: -0.5 * beta * ax * np.sum((y - yp) ** 2, axis=-1))
+    c_k = np.sqrt(eta_k * (eta_k + 4.0 * ax))
+    rule = tensor_product([gauss_hermite_rescaled(m0, beta * c) for c in c_k], ly)
+    shift = 0.25 * beta * (c_k - eta_k)
+    axial = LogKernel(lambda y, yp: (-0.5 * beta * ax * np.sum((y - yp) ** 2, axis=-1)
+                                     + np.sum(shift * (y * y + yp * yp), axis=-1)))
     lam1 = np.linalg.eigvalsh(assemble(axial, rule).entries)[-1]
-    mbf = (math.log(2.0 * math.pi / beta) - 0.5 * np.mean(np.log(eta_k))
+    mbf = (math.log(2.0 * math.pi / beta) - 0.5 * np.mean(np.log(c_k))
            + math.log(lam1) / ly)
     got = cylinder_free_energy(CylinderParams(eta=eta, ax=ax, ay=ay, ly=ly), beta, m0)
     assert got == pytest.approx(-mbf / beta, rel=1e-13)
@@ -362,8 +428,9 @@ def test_coupled_cylinder_against_closed_form(ly):
     #   -beta F = log(2 pi/beta)
     #             - (1/(2 Ly)) sum_k log[(A_k + sqrt(A_k^2 - 4 ax^2))/2],
     #   A_k = eta + 2 ax + ay (2 - 2 cos(2 pi k/Ly));
-    # the m0 = 8 truncation error was measured at 9.1e-6 (Ly = 3) and
-    # 7.9e-6 (Ly = 8) relative
+    # every ring mode's Gauss weight has the coupling-matched precision
+    # beta sqrt(eta_k (eta_k + 4 ax)), so m0 = 8 is at round-off:
+    # measured 4.4e-14 (Ly = 3) and 2.8e-14 (Ly = 8) relative
     eta, ax, ay, beta = 1.0, 0.5, 0.2, 1.0
     mbf = math.log(2.0 * math.pi / beta)
     for k in range(ly):
@@ -371,7 +438,7 @@ def test_coupled_cylinder_against_closed_form(ly):
         mbf -= math.log(0.5 * (big_a + math.sqrt(big_a ** 2 - 4.0 * ax ** 2))) / (2 * ly)
     expect = -mbf / beta
     got = cylinder_free_energy(CylinderParams(eta=eta, ax=ax, ay=ay, ly=ly), beta, 8)
-    assert got == pytest.approx(expect, rel=5e-5)
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("ly,solves", [(1, 1), (2, 2), (3, 2), (8, 5)])
@@ -409,9 +476,9 @@ def test_cylinder_reference_ay0_closed_form():
 def test_cylinder_swap_anisotropy_stays_small():
     # swapping ax and ay changes which direction is transfer and which
     # is ring; at Ly = 3 the two free energies agree only up to a
-    # finite-circumference anisotropy, measured at 3.54e-3 / 1.77e-3 /
-    # 7.07e-4 absolute for beta = 1 / 2 / 5 on this parameter set (the
-    # exact values are 3.52e-3 / 1.76e-3 / 7.05e-4; it does NOT vanish
+    # finite-circumference anisotropy, measured at m0 = 8 as the exact
+    # 3.52e-3 / 1.76e-3 / 7.05e-4 absolute for beta = 1 / 2 / 5 on this
+    # parameter set (to 1e-13 of the m0 = 30 values; it does NOT vanish
     # with m0, only with Ly)
     for beta, cap in ((1.0, 4e-3), (2.0, 2e-3), (5.0, 8e-4)):
         f_a = cylinder_free_energy(

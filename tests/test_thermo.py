@@ -29,7 +29,7 @@ from thermo_transfer.models import (
     particle_chain_free_energy,
     particle_chain_log_kernel,
 )
-from thermo_transfer.nystrom import assemble, dominant_eigenvalue
+from thermo_transfer.nystrom import LogKernel, assemble, dominant_eigenvalue
 from thermo_transfer.quadrature import (
     gauss_hermite_rescaled,
     golub_welsch,
@@ -190,8 +190,15 @@ def test_default_step():
 # --- chain observables against spectral-route oracles ------------------------------
 
 def chain_spectral_observables(p, beta, m):
-    rule = gauss_hermite_rescaled(m, beta * p.eta)
-    T = assemble(particle_chain_log_kernel(p, beta), rule)
+    # production's discretization: the Gauss-Hermite rule at the
+    # coupling-matched precision a = beta sqrt(eta (eta + 4 gamma)), and
+    # the kernel against the beta eta weight plus (a - beta eta)(q^2 + q'^2)/4
+    a = beta * math.sqrt(p.eta * (p.eta + 4.0 * p.gamma))
+    rule = gauss_hermite_rescaled(m, a)
+    bare = particle_chain_log_kernel(p, beta)
+    shift = 0.25 * (a - beta * p.eta)
+    T = assemble(LogKernel(lambda q, qp: bare(q, qp) + shift * (q * q + qp * qp)),
+                 rule)
     eig = dominant_eigenvalue(T)
     v = eig.vector / np.linalg.norm(eig.vector)
     z = rule.nodes
