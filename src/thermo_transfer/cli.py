@@ -259,9 +259,8 @@ def _model(cfg):
 
 def _params(cfg, model):
     """The model's params object, each field read from the config."""
-    return model.params(**{
-        f.name: getattr(cfg, _PARAM_KEYS.get(f.name, f.name))
-        for f in dataclasses.fields(model.params)})
+    return model(**{f.name: getattr(cfg, _PARAM_KEYS.get(f.name, f.name))
+                    for f in dataclasses.fields(model)})
 
 
 def _require_out(cfg):
@@ -310,31 +309,28 @@ def run_observables(cfg):
     return _run_sweep(cfg, model, model.observables)
 
 
-def _convergence_reference(cfg, model, params, beta, ms, evaluate):
-    """Reference free energy per the configured strategy.
-
-    Returns (F_ref, m_to_skip); m_to_skip is the largest m when it
-    doubles as the reference (its own error row would be exactly 0).
-    """
+def _factorized_reference(cfg, params, beta, ms):
+    """The factorized-limit F the configured strategy asks for, or None
+    when the largest m is the reference."""
     strategy = cfg.reference or "auto"
-    if strategy in ("auto", "factorized"):
-        f_ref = model.factorized_at(params, beta)
-        if f_ref is not None:
-            return f_ref, None
-        if strategy == "factorized":
-            needs = ", ".join(f"{m.name} needs {m.reference_zero}=0"
-                              for m in MODELS.values() if m.reference)
-            raise UsageError(
-                f"no factorized reference for these parameters ({needs})")
-    if len(ms) < 2:
+    f_ref = None if strategy == "largest-m" else params.factorized(beta)
+    if f_ref is None and strategy == "factorized":
+        needs = ", ".join(f"{m.name} needs {m.reference_zero}=0"
+                          for m in MODELS.values() if m.reference_zero)
+        raise UsageError(
+            f"no factorized reference for these parameters ({needs})")
+    if f_ref is None and len(ms) < 2:
         raise UsageError(
             "largest-m reference needs at least two entries in --m-list")
-    m_ref = max(ms)
-    return evaluate(m_ref), m_ref
+    return f_ref
 
 
 def run_convergence(cfg):
-    """Errors vs quadrature size at a single beta -> CSV `m,rel_error`."""
+    """Errors vs quadrature size at a single beta -> CSV `m,rel_error`.
+
+    Each m is a one-point sweep.  Against the largest-m reference, the
+    largest m's own row (exactly 0) is left out.
+    """
     _require_out(cfg)
     if cfg.beta_count not in (None, 1):
         raise UsageError("convergence runs at a single beta (--beta-count 1)")
@@ -343,15 +339,20 @@ def run_convergence(cfg):
     if not cfg.m_list:
         raise UsageError("--m-list is required for the convergence subcommand")
     beta = cfg.beta_start
-    model = _model(cfg)
     # quadrature sizes come from --m-list here, so --m/--m0 is not needed
-    params = _params(cfg, model)
-    evaluate = lambda m: model.free_energy_at(params, beta, m)
-
+    params = _params(cfg, _model(cfg))
     ms = list(cfg.m_list)
+    f_ref = _factorized_reference(cfg, params, beta, ms)
+
+    def evaluate(m):
+        spec = SweepSpec(params=params, beta_grid=[beta], m=m)
+        return free_energy_sweep(spec).free_energy[0]
+
     values = map_rows(evaluate, ms, cfg.threads)
-    f_ref, m_skip = _convergence_reference(cfg, model, params, beta, ms,
-                                           evaluate)
+    m_skip = None
+    if f_ref is None:
+        m_skip = max(ms)
+        f_ref = values[ms.index(m_skip)]
     rows = [(m, abs(f - f_ref) / abs(f_ref))
             for m, f in zip(ms, values) if m != m_skip]
     _write_csv(cfg.out, ["m", "rel_error"],

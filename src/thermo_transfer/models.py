@@ -47,16 +47,37 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
     c_k = sqrt(eta_k (eta_k + 4 a_x)): the mean of L_y harmonic-chain
     free energies.
 
-The solves are stacked over inverse temperature: `_chain_solve` and
-`_dnls_solve` take a 1-D array of beta and return F, the (B, m, m)
-matrix stack and its DominantEig for the whole block, and the `_raw`
-routes give F with the shape of their beta argument.  The public
-free-energy routes take one beta and solve it as a block of one, so a
-point gives the same bits alone as inside a sweep.
+Each params class is its model.  Class attributes give its CLI
+`name`, its size flag `size` ("m" or "m0"), its `observables` columns
+and `reference_zero`, the field that is 0 in its factorized limit.
+`block(betas, m, observables=True)` returns F and {column: values} at
+each beta of a 1-D array from one stacked solve: `_chain_solve` and
+`_dnls_solve` return F, the (B, m, m) matrix stack and its DominantEig
+for the whole block, and the `_raw` routes give F with the shape of
+their beta argument.  The public free-energy routes take one beta and
+solve it as a block of one, so a point gives the same bits alone as
+inside a sweep.  `factorized(beta)` is the reference F of the
+factorized limit, or None away from it: the gamma=0 chain and the
+a_x=0 cylinder factorize into independent single-site (single-ring)
+problems with closed-form or 1D-integral partition functions.
 
-The gamma=0 chain and the a_x=0 cylinder factorize into independent
-single-site (single-ring) problems with closed-form or 1D-integral
-partition functions; those serve as reference solutions.
+The observables are first derivatives of the free energy surface:
+
+    particle chain:  <(q_l - q_{l+1})^2 / 2> = dF/dgamma
+                     <e_l> = d(beta F)/dbeta
+    DNLS:            <rho_l> = -dF/dmu
+                     <e_l> = d(beta F)/dbeta + mu <rho_l>
+
+By Hellmann-Feynman (d log lambda_1 = v.(dT)v / lambda_1, v the unit
+Perron vector) each is an expectation over the marginals of the solve
+that gives F: the site marginal v_i^2 and the bond marginal
+v_i T_ij v_j / lambda_1.  The chain's energy is the exact
+beta-derivative of its m-point beta F: the Hermite nodes
+x_i / sqrt(beta c) leave d log T_ij/dbeta = mu3 (q_i^3 + q_j^3)/24
++ lam (q_i^4 + q_j^4)/48, since c does not depend on beta.  c does
+depend on gamma, so the rule moves with gamma and the chain's
+stretch_sq is exact only up to quadrature error, as are the DNLS
+observables, whose rule moves with mu and beta.
 """
 
 import math
@@ -66,7 +87,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .nystrom import LogKernel, assemble, dominant_eigenvalue
-from .specfun import log_i0
+from .specfun import i0_scaled, i1_scaled, log_i0
 from .quadrature import (QuadratureRule, gauss_hermite_rescaled,
                          golub_welsch, stieltjes_recurrence,
                          truncated_gaussian_normalization)
@@ -109,6 +130,11 @@ class ParticleChainParams:
     partition function divergent), and gamma >= 0.
     """
 
+    name = "chain"
+    size = "m"
+    observables = ("stretch_sq", "energy")
+    reference_zero = "gamma"
+
     eta: float
     mu3: float = 0.0
     lam: float = 0.0
@@ -131,10 +157,37 @@ class ParticleChainParams:
         return (0.5 * self.eta * q ** 2 + self.mu3 * q ** 3 / 6.0
                 + self.lam * q ** 4 / 24.0)
 
+    def block(self, betas, m, observables=True):
+        """F and {stretch_sq, energy} at each beta of a block, from one
+        stacked solve: <(q - q')^2/2>_bond and 1/beta - <mu3 q^3/12 +
+        lam q^4/24>_site; observables=False skips them."""
+        f, T, eig = _chain_solve(self.eta, self.mu3, self.lam, self.gamma,
+                                 betas, m)
+        if not observables:
+            return f, {}
+        q, site, bond = _marginals(T, eig)
+        d = q[:, :, None] - q[:, None, :]
+        energy = 1.0 / betas - np.sum(site * (self.mu3 * q ** 3 / 12.0
+                                              + self.lam * q ** 4 / 24.0),
+                                      axis=-1)
+        return f, {"stretch_sq": _pair_sum(bond * d * d) / 2.0,
+                   "energy": energy}
+
+    def factorized(self, beta):
+        """The gamma = 0 reference F, or None at gamma != 0."""
+        if self.gamma != 0.0:
+            return None
+        return reference_particle_chain_gamma0(self, beta)
+
 
 @dataclass(frozen=True)
 class DnlsParams:
     """g: defocusing coupling (> 0), mu_c: chemical potential."""
+
+    name = "dnls"
+    size = "m"
+    observables = ("density", "energy")
+    reference_zero = None
 
     g: float
     mu_c: float = 0.0
@@ -150,10 +203,35 @@ class DnlsParams:
         b = self.mu_c / self.g
         return a, b, truncated_gaussian_normalization(a, b)
 
+    def block(self, betas, m, observables=True):
+        """F and {density, energy} at each beta of a block, from one
+        stacked solve: <rho>_site and <rho + g rho^2/2>_site -
+        <sqrt(rho rho') I1/I0(beta sqrt(rho rho'))>_bond;
+        observables=False skips them."""
+        f, T, eig = _dnls_solve(self.g, self.mu_c, betas, m)
+        if not observables:
+            return f, {}
+        r, site, bond = _marginals(T, eig)
+        s = np.sqrt(r[:, :, None] * r[:, None, :])
+        x = betas[:, None, None] * s
+        hop = s * i1_scaled(x) / i0_scaled(x)
+        energy = (np.sum(site * (r + 0.5 * self.g * r ** 2), axis=-1)
+                  - _pair_sum(bond * hop))
+        return f, {"density": np.sum(site * r, axis=-1), "energy": energy}
+
+    def factorized(self, beta):
+        """None: the DNLS chain has no factorized limit."""
+        return None
+
 
 @dataclass(frozen=True)
 class CylinderParams:
     """eta: on-site precision, ax/ay: couplings along/around, ly: circumference."""
+
+    name = "cylinder"
+    size = "m0"
+    observables = ()
+    reference_zero = "ax"
 
     eta: float
     ax: float
@@ -168,6 +246,30 @@ class CylinderParams:
                 f"couplings must be >= 0, got ax={self.ax!r}, ay={self.ay!r}")
         if not isinstance(self.ly, (int, np.integer)) or self.ly < 1:
             raise DomainError(f"ly must be a positive integer, got {self.ly!r}")
+
+    def block(self, betas, m0, observables=True):
+        """F at each beta of a block; the cylinder has no observables."""
+        return _cylinder_free_energy_raw(self, betas, m0), {}
+
+    def factorized(self, beta):
+        """The ax = 0 closed-form F, or None at ax != 0."""
+        if self.ax != 0.0:
+            return None
+        return reference_cylinder_ax0(self, beta)
+
+
+def _marginals(T, eig):
+    """Nodes z_i, site marginal v_i^2 and bond marginal
+    v_i T_ij v_j / lambda_1 of a stacked solve, each with the block's
+    leading beta axis."""
+    v = eig.vector
+    bond = v[:, :, None] * T.entries * v[:, None, :] / eig.lambda1[:, None, None]
+    return T.rule.nodes, v * v, bond
+
+
+def _pair_sum(x):
+    # sum over the (m, m) pair axes, one row per beta
+    return x.reshape(x.shape[0], -1).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +388,11 @@ def _dnls_solve(g, mu_c, betas, m):
     weights = np.empty((betas.size, m))
     for k, beta in enumerate(betas):
         a = beta * g
-        log_c[k] = math.log(truncated_gaussian_normalization(a, b))
+        # one normalization per weight, for the prefactor and the rule
+        c = truncated_gaussian_normalization(a, b)
+        log_c[k] = math.log(c)
         try:
-            rule = golub_welsch(stieltjes_recurrence(a, b, m))
+            rule = golub_welsch(stieltjes_recurrence(a, b, m, c=c))
         except ConvergenceError as exc:
             raise ConvergenceError(f"rule {k} of the stack: {exc}",
                                    residual=exc.residual, index=k) from exc

@@ -122,6 +122,10 @@ def test_eigensolve_failure_names_its_grid_point(monkeypatch, model):
     msg = str(exc.value)
     assert f"at beta={float(GRID[3])!r}, m={m}:" in msg
     assert "of matrix 3 in the stack" in msg
+    # the re-raised error keeps the residual the eigensolve measured
+    cause = exc.value.__cause__
+    assert isinstance(cause, ConvergenceError) and cause.residual > 1e-14
+    assert exc.value.residual == cause.residual
 
 
 def test_eigensolve_failure_in_a_later_block(monkeypatch):
@@ -156,12 +160,12 @@ def test_rule_failure_names_its_grid_point(monkeypatch):
     real = models.stieltjes_recurrence
     calls = []
 
-    def stieltjes_recurrence(a, b, m):
+    def stieltjes_recurrence(a, b, m, c=None):
         calls.append(a)
         if len(calls) == 3:
             raise ConvergenceError("Stieltjes discretization did not stabilize",
                                    residual=1e-12)
-        return real(a, b, m)
+        return real(a, b, m, c=c)
 
     monkeypatch.setattr(models, "stieltjes_recurrence", stieltjes_recurrence)
     with pytest.raises(ConvergenceError) as exc:
@@ -173,7 +177,7 @@ def test_failure_without_a_stack_index_names_the_block(monkeypatch):
     def failing(p, betas, m0, observables):
         raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10)
 
-    monkeypatch.setattr(thermo, "_cylinder_row", failing)
+    monkeypatch.setattr(CylinderParams, "block", failing)
     with pytest.raises(ConvergenceError) as exc:
         free_energy_sweep(SweepSpec(params=CYLINDER, beta_grid=GRID, m=6))
     assert "at beta in [0.5, 6.5], m=6:" in str(exc.value)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermo_transfer import cli, selftest, specfun, thermo
+from thermo_transfer import cli, models, selftest, specfun
 from thermo_transfer.cli import (
     RunConfig,
     UsageError,
@@ -283,6 +283,43 @@ def test_convergence_needs_two_sizes_for_largest_m(tmp_path):
     assert rc == 2
 
 
+def test_convergence_largest_m_solves_each_m_once(tmp_path, monkeypatch):
+    # the largest m is both a row and the reference; it is solved once
+    real = models._dnls_solve
+    sizes = []
+
+    def spy(g, mu_c, betas, m):
+        sizes.append(m)
+        return real(g, mu_c, betas, m)
+
+    monkeypatch.setattr(models, "_dnls_solve", spy)
+    rc = cli.main(["convergence", "--model", "dnls", "--beta-start", "15",
+                   "--beta-count", "1", "--mu", "1", "--m-list", "4,6,8,10",
+                   "--reference", "largest-m", "--out", str(tmp_path / "x.csv")])
+    assert rc == 0
+    assert sizes == [4, 6, 8, 10]
+
+
+def test_convergence_numeric_failure_names_beta_and_m(tmp_path, capsys,
+                                                      monkeypatch):
+    real = CylinderParams.block
+
+    def failing(p, betas, m0, observables):
+        if m0 == 3:
+            raise ConvergenceError("eigenvalue residual 3.000e-10",
+                                   residual=3e-10)
+        return real(p, betas, m0, observables)
+
+    monkeypatch.setattr(CylinderParams, "block", failing)
+    rc = cli.main(["convergence", "--model", "cylinder", "--beta-start", "2",
+                   "--beta-count", "1", "--ax", "0.5", "--ay", "0.2",
+                   "--ly", "3", "--m-list", "2,3,4",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "numeric failure:" in err and "at beta=2.0, m=3:" in err
+
+
 def test_convergence_rejects_beta_grid(tmp_path):
     rc = cli.main(["convergence", "--model", "dnls", "--beta-start", "1",
                    "--beta-stop", "5", "--beta-count", "4", "--m-list", "4,8",
@@ -321,12 +358,11 @@ def test_negative_beta_is_domain_error(tmp_path, capsys):
 
 def test_tensor_budget_maps_to_numeric_failure(tmp_path, capsys, monkeypatch):
     # any numeric failure below the sweep exits 1 and names the grid
-    # point; it is injected into the cylinder's block route, looked up
-    # by name
+    # point; it is injected into the cylinder's block solve
     def failing(p, betas, m0, observables):
         raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10)
 
-    monkeypatch.setattr(thermo, "_cylinder_row", failing)
+    monkeypatch.setattr(CylinderParams, "block", failing)
     rc = cli.main(["free-energy", "--model", "cylinder", "--beta-start", "1",
                    "--beta-count", "1", "--m0", "30", "--ly", "3",
                    "--ax", "0.1", "--ay", "0.1", "--out", str(tmp_path / "x.csv")])

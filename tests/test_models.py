@@ -329,6 +329,33 @@ def test_dnls_weight_parameters():
     assert c == pytest.approx(truncated_gaussian_normalization(6.0, 0.5), rel=1e-15)
 
 
+def test_dnls_solve_normalizes_each_weight_once(monkeypatch):
+    # one erfc (one truncated-Gaussian normalization) per beta, shared by
+    # the prefactor and the Stieltjes rule, which gives the same bits as
+    # the rule computing its own
+    from thermo_transfer import quadrature
+
+    betas = np.array([0.5, 3.0, 15.0])
+    expect = models._dnls_solve(1.0, 1.0, betas, 8)[0]
+    real = quadrature.erfc
+    calls = []
+
+    def erfc(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(quadrature, "erfc", erfc)
+    f = models._dnls_solve(1.0, 1.0, betas, 8)[0]
+    assert len(calls) == 3 and np.array_equal(f, expect)
+    monkeypatch.undo()
+    for a in betas:
+        c = truncated_gaussian_normalization(a, 1.0)
+        own = stieltjes_recurrence(a, 1.0, 8)
+        given = stieltjes_recurrence(a, 1.0, 8, c=c)
+        assert np.array_equal(own.alpha, given.alpha)
+        assert np.array_equal(own.beta, given.beta)
+
+
 def dnls_independent_route(g, mu_c, beta, m):
     # same math, disjoint implementation: mpmath's besseli for the
     # Bessel factor, plain (non-log) assembly, dense scipy eigensolver

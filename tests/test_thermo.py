@@ -11,6 +11,7 @@ measured at 1e-11..1e-12; asserted with an order of margin.
 """
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -405,14 +406,13 @@ def test_sweep_rerun_bit_identical():
 
 
 def test_sweep_error_names_grid_point(monkeypatch):
-    # a numeric failure in the model's block route (looked up by name in
-    # MODELS) keeps its type and gains the grid point its stack index
-    # names
+    # a numeric failure in the model's block solve keeps its type and
+    # gains the grid point its stack index names
     def failing(p, betas, m0, observables):
         raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10,
                                index=0)
 
-    monkeypatch.setattr(thermo, "_cylinder_row", failing)
+    monkeypatch.setattr(CylinderParams, "block", failing)
     cyl = CylinderParams(eta=1.0, ax=0.1, ay=0.1, ly=3)
     spec = SweepSpec(params=cyl, beta_grid=[1.0, 2.0], m=30)
     with pytest.raises(ConvergenceError) as exc:
@@ -420,6 +420,42 @@ def test_sweep_error_names_grid_point(monkeypatch):
     msg = str(exc.value)
     assert "at beta=1.0, m=30" in msg
     assert "residual 3.000e-10" in msg
+
+
+def test_sweep_spec_rejects_a_non_model_params_object():
+    @dataclass(frozen=True)
+    class IsingParams:
+        j: float = 1.0
+        observables = ()
+
+    with pytest.raises(DomainError, match="unknown model parameter type IsingParams"):
+        SweepSpec(params=IsingParams(), beta_grid=[1.0], m=4)
+
+
+# one params object per model, with its factorized field at 0 and away from it
+_AT_LIMIT = {"chain": ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2),
+             "dnls": DnlsParams(g=1.0, mu_c=1.0),
+             "cylinder": CylinderParams(eta=1.0, ax=0.0, ay=0.2, ly=3)}
+
+
+@pytest.mark.parametrize("name", sorted(thermo.MODELS))
+def test_each_model_block_and_factorized_limit(name):
+    model = thermo.MODELS[name]
+    p = _AT_LIMIT[name]
+    assert type(p) is model and model.name == name
+    betas = np.array([0.5, 2.0])
+    f, values = p.block(betas, 6)
+    assert f.shape == (2,) and tuple(values) == model.observables
+    assert all(v.shape == (2,) for v in values.values())
+    f_only, none = p.block(betas, 6, observables=False)
+    assert none == {} and np.array_equal(f_only, f)
+    if model.reference_zero is None:
+        assert p.factorized(2.0) is None
+        return
+    assert getattr(p, model.reference_zero) == 0.0
+    assert math.isfinite(p.factorized(2.0))
+    away = replace(p, **{model.reference_zero: 0.3})
+    assert away.factorized(2.0) is None
 
 
 def test_sweep_columns_layout():
