@@ -17,7 +17,7 @@ solved as one harmonic chain per ring Fourier mode.
 """
 
 from .errors import (AssemblyError, ConvergenceError, DomainError,
-                     ResourceLimitError)
+                     NumericError, ResourceLimitError)
 from .models import (CylinderParams, DnlsParams, ParticleChainParams,
                      cylinder_free_energy, cylinder_log_kernel,
                      dnls_free_energy, dnls_log_kernel,
@@ -35,7 +35,8 @@ from .thermo import (SweepResult, SweepSpec, dnls_observables, fd_derivative,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "ConvergenceError", "DomainError", "ResourceLimitError",
+    "AssemblyError", "ConvergenceError", "DomainError", "NumericError",
+    "ResourceLimitError",
     "CylinderParams", "DnlsParams", "ParticleChainParams",
     "cylinder_free_energy", "cylinder_log_kernel",
     "dnls_free_energy", "dnls_log_kernel",

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import selftest as _selftest
-from .errors import (AssemblyError, ConvergenceError, DomainError,
-                     ResourceLimitError)
+from .errors import DomainError, NumericError
 from .thermo import MODELS, SweepSpec, free_energy_sweep, map_rows
 
 __all__ = ["RunConfig", "UsageError", "build_config", "config_text", "main",
@@ -196,8 +195,9 @@ def _build_parser():
         p.add_argument("--ay", type=float, default=None)
         p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads over beta rows or m values "
-                            "(default 1)")
+                       help="worker threads over blocks of beta rows or "
+                            "over m values (default 1); every shipped "
+                            "config fits in one block")
         if name == "convergence":
             p.add_argument("--m-list", dest="m_list", default=None,
                            help="comma-separated quadrature sizes")
@@ -388,7 +388,7 @@ def main(argv=None):
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssemblyError, ConvergenceError, ResourceLimitError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Everything numeric that can go wrong maps onto one of four categories:
-bad input parameters, an iteration that failed to converge, a kernel
-that produced a non-finite matrix entry, and a requested problem size
-beyond the configured budget.
+Bad input raises DomainError.  Valid input whose evaluation fails
+raises a NumericError: ConvergenceError for an iteration that missed
+its tolerance, AssemblyError for a non-finite kernel entry,
+ResourceLimitError for a problem size beyond the budget, and
+NumericError itself for a quantity a double cannot hold.  Sweeps and
+the CLI (exit code 1) catch NumericError.
 """
 
 
@@ -11,13 +13,13 @@ class DomainError(ValueError):
     """Parameter outside the admissible domain (e.g. beta <= 0, negative x)."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative procedure did not reach its tolerance.
+class NumericError(RuntimeError):
+    """Valid input whose numeric evaluation failed.
 
-    Carries the last achieved residual in ``residual`` so callers can
-    decide whether the partial result is still usable, and, for a
-    stacked solve, the position of the first failing problem in the
-    stack in ``index`` (None otherwise).
+    ``residual`` is the last achieved residual, so callers can decide
+    whether the partial result is still usable, and ``index`` the
+    position of the first failing problem in a stacked solve (each None
+    where it does not apply).
     """
 
     def __init__(self, message, residual=None, index=None):
@@ -26,17 +28,13 @@ class ConvergenceError(RuntimeError):
         self.index = index
 
 
-class AssemblyError(RuntimeError):
-    """Kernel evaluation produced a non-finite value during matrix assembly.
-
-    ``index`` is the position of the offending matrix in a stacked
-    assembly (None for a single matrix).
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+class ConvergenceError(NumericError):
+    """An iterative procedure did not reach its tolerance."""
 
 
-class ResourceLimitError(RuntimeError):
+class AssemblyError(NumericError):
+    """Kernel evaluation produced a non-finite value during matrix assembly."""
+
+
+class ResourceLimitError(NumericError):
     """Requested problem size exceeds the configured budget."""

@@ -45,7 +45,7 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
     -beta F = (1/L_y) sum_k [log(2 pi / beta) - log(c_k)/2
                              + log lambda_1(T_k)],
     c_k = sqrt(eta_k (eta_k + 4 a_x)): the mean of L_y harmonic-chain
-    free energies.
+    free energies, each `ParticleChainParams(eta=eta_k, gamma=a_x)`.
 
 Each params class is its model.  Class attributes give its CLI
 `name`, its size flag `size` ("m" or "m0"), its `observables` columns
@@ -54,8 +54,9 @@ and `reference_zero`, the field that is 0 in its factorized limit.
 each beta of a 1-D array from one stacked solve: `_chain_solve` and
 `_dnls_solve` return F, the (B, m, m) matrix stack and its DominantEig
 for the whole block, and the `_raw` routes give F with the shape of
-their beta argument.  The public free-energy routes take one beta and
-solve it as a block of one, so a point gives the same bits alone as
+their beta argument.  Every one-point route, free energy or
+observables, is one `_point` call: the beta and size checks, then
+`block` on a block of one, so a point gives the same bits alone as
 inside a sweep.  `factorized(beta)` is the reference F of the
 factorized limit, or None away from it: the gamma=0 chain and the
 a_x=0 cylinder factorize into independent single-site (single-ring)
@@ -85,10 +86,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NumericError
 from .nystrom import LogKernel, assemble, dominant_eigenvalue
 from .specfun import i0_scaled, i1_scaled, log_i0
-from .quadrature import (QuadratureRule, gauss_hermite_rescaled,
+from .quadrature import (QuadratureRule, _check_m, gauss_hermite_rescaled,
                          golub_welsch, stieltjes_recurrence,
                          truncated_gaussian_normalization)
 # unused here; kept because the benchmark tracer wraps models.tensor_product
@@ -110,15 +111,20 @@ def _check_beta(beta):
         raise DomainError(f"beta must be positive and finite, got {beta!r}")
 
 
-def _check_m(m, name="m"):
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise DomainError(f"{name} must be a positive integer, got {m!r}")
-
-
 def _per_beta(solve, beta):
     # solve(1-D betas) -> F per beta; a scalar beta is a block of one
     f = solve(np.asarray(beta, dtype=float).reshape(-1))
     return f if np.ndim(beta) else float(f[0])
+
+
+def _point(p, beta, m, observables=False):
+    """F and {column: value} of p's model at one beta, solved as a block
+    of one, so a point gives the same bits alone as inside a sweep."""
+    _check_beta(beta)
+    _check_m(m, p.size)
+    f, values = p.block(np.array([beta], dtype=float), int(m), observables)
+    names = p.observables if observables else ()
+    return float(f[0]), {k: float(values[k][0]) for k in names}
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,7 @@ class ParticleChainParams:
         energy = 1.0 / betas - np.sum(site * (self.mu3 * q ** 3 / 12.0
                                               + self.lam * q ** 4 / 24.0),
                                       axis=-1)
-        return f, {"stretch_sq": _pair_sum(bond * d * d) / 2.0,
+        return f, {"stretch_sq": np.sum(bond * d * d, axis=(-2, -1)) / 2.0,
                    "energy": energy}
 
     def factorized(self, beta):
@@ -216,7 +222,7 @@ class DnlsParams:
         x = betas[:, None, None] * s
         hop = s * i1_scaled(x) / i0_scaled(x)
         energy = (np.sum(site * (r + 0.5 * self.g * r ** 2), axis=-1)
-                  - _pair_sum(bond * hop))
+                  - np.sum(bond * hop, axis=(-2, -1)))
         return f, {"density": np.sum(site * r, axis=-1), "energy": energy}
 
     def factorized(self, beta):
@@ -248,8 +254,14 @@ class CylinderParams:
             raise DomainError(f"ly must be a positive integer, got {self.ly!r}")
 
     def block(self, betas, m0, observables=True):
-        """F at each beta of a block; the cylinder has no observables."""
-        return _cylinder_free_energy_raw(self, betas, m0), {}
+        """F at each beta of a block, the mean of one chain model per ring
+        mode, solved once per distinct eta_k; no observables."""
+        etas, counts = np.unique(_ring_spectrum(self), return_counts=True)
+        f = 0.0
+        for eta_k, count in zip(etas, counts):
+            chain = ParticleChainParams(eta=float(eta_k), gamma=self.ax)
+            f = f + count * chain.block(betas, m0, observables=False)[0]
+        return f / self.ly, {}
 
     def factorized(self, beta):
         """The ax = 0 closed-form F, or None at ax != 0."""
@@ -265,11 +277,6 @@ def _marginals(T, eig):
     v = eig.vector
     bond = v[:, :, None] * T.entries * v[:, None, :] / eig.lambda1[:, None, None]
     return T.rule.nodes, v * v, bond
-
-
-def _pair_sum(x):
-    # sum over the (m, m) pair axes, one row per beta
-    return x.reshape(x.shape[0], -1).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +331,7 @@ def _chain_free_energy_raw(eta, mu3, lam, gamma, beta, m):
 def particle_chain_free_energy(p, beta, m):
     """Free energy per site, -[log(2pi/beta) - log(c)/2 + log lambda_1]/beta,
     c = sqrt(eta (eta + 4 gamma)) (see the module docstring)."""
-    _check_beta(beta)
-    _check_m(m)
-    return _chain_free_energy_raw(p.eta, p.mu3, p.lam, p.gamma, beta, int(m))
+    return _point(p, beta, m)[0]
 
 
 def reference_particle_chain_gamma0(p, beta, tail_exponent=45.0):
@@ -388,14 +393,14 @@ def _dnls_solve(g, mu_c, betas, m):
     weights = np.empty((betas.size, m))
     for k, beta in enumerate(betas):
         a = beta * g
-        # one normalization per weight, for the prefactor and the rule
-        c = truncated_gaussian_normalization(a, b)
-        log_c[k] = math.log(c)
         try:
+            # one normalization per weight, for the prefactor and the rule
+            c = truncated_gaussian_normalization(a, b)
             rule = golub_welsch(stieltjes_recurrence(a, b, m, c=c))
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"rule {k} of the stack: {exc}",
-                                   residual=exc.residual, index=k) from exc
+        except NumericError as exc:
+            raise type(exc)(f"rule {k} of the stack: {exc}",
+                            residual=exc.residual, index=k) from exc
+        log_c[k] = math.log(c)
         nodes[k], weights[k] = rule.nodes, rule.weights
     T = assemble(_dnls_logk(betas[:, None, None]), QuadratureRule(nodes, weights))
     eig = dominant_eigenvalue(T)
@@ -413,9 +418,7 @@ def dnls_free_energy(p, beta, m):
     The quadrature rule depends on (mu, beta) through the weight
     parameters a = beta g and b = mu/g, so it is rebuilt on every call.
     """
-    _check_beta(beta)
-    _check_m(m)
-    return _dnls_free_energy_raw(p.g, p.mu_c, beta, int(m))
+    return _point(p, beta, m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +456,6 @@ def _ring_spectrum(p):
     return p.eta + p.ay * (2.0 - 2.0 * np.cos(2.0 * math.pi * wave / p.ly))
 
 
-def _cylinder_free_energy_raw(p, betas, m0):
-    # one stacked harmonic-chain solve per distinct ring mode for the
-    # whole block of betas
-    etas, counts = np.unique(_ring_spectrum(p), return_counts=True)
-    f = 0.0
-    for eta_k, count in zip(etas, counts):
-        f = f + count * _chain_free_energy_raw(eta_k, 0.0, 0.0, p.ax, betas, m0)
-    return f / p.ly
-
-
 def cylinder_free_energy(p, beta, m0):
     """Per-site free energy of the cylinder, one harmonic chain per ring mode.
 
@@ -476,9 +469,7 @@ def cylinder_free_energy(p, beta, m0):
     m0 = 3 to round-off by m0 = 8 (eta = 1, ax = 0.5, ay = 0.2, ly = 3,
     beta = 1).
     """
-    _check_beta(beta)
-    _check_m(m0, "m0")
-    return _per_beta(lambda b: _cylinder_free_energy_raw(p, b, int(m0)), beta)
+    return _point(p, beta, m0)[0]
 
 
 def reference_cylinder_ax0(p, beta):

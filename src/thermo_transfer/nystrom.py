@@ -61,11 +61,10 @@ class LogKernel:
 @dataclass(frozen=True)
 class NystromMatrix:
     """Symmetric positive discretization matrix, or a stack (B, m, m) of
-    them, plus its provenance."""
+    them, and the rule it was assembled on."""
 
     entries: np.ndarray
     rule: object
-    kernel: LogKernel
 
     @property
     def order(self):
@@ -140,7 +139,7 @@ def assemble(kernel, rule):
             f"non-finite kernel value at node pair ({i}, {j}){where}: "
             f"z_i={nodes[(*stack, i)]!r}, z_j={nodes[(*stack, j)]!r}, "
             f"log entry={logT[(*stack, i, j)]!r}", index=index)
-    return NystromMatrix(np.exp(logT), rule, kernel)
+    return NystromMatrix(np.exp(logT), rule)
 
 
 def dominant_eigenvalue(T, tol=1e-14):

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import ConvergenceError, DomainError, ResourceLimitError
+from .errors import (ConvergenceError, DomainError, NumericError,
+                     ResourceLimitError)
 from .specfun import erfc
 
 __all__ = [
@@ -141,6 +142,12 @@ class TensorRule:
         return math.prod(b.total_mass for b in self.bases)
 
 
+def _check_m(m, name="m"):
+    # the one check of a quadrature size, m or the cylinder's m0
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise DomainError(f"{name} must be a positive integer, got {m!r}")
+
+
 @functools.lru_cache(maxsize=None)
 def _unit_hermite(m):
     # the m-point rule of the standard normal measure (precision 1),
@@ -162,18 +169,14 @@ def gauss_hermite_rescaled(m, a):
     stack of one rule per entry: nodes and weights of shape
     a.shape + (m,).
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
+    _check_m(m)
     prec = np.asarray(a, dtype=float)
     if prec.ndim > 1 or not ((prec > 0.0) & np.isfinite(prec)).all():
         raise DomainError(f"precision parameter a must be positive, got {a!r}")
     unit_nodes, unit_weights = _unit_hermite(int(m))
     nodes = unit_nodes / np.sqrt(prec)[..., None]
-    weights = np.empty_like(nodes)
-    weights[...] = unit_weights
     nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(nodes, weights)
+    return QuadratureRule(nodes, np.broadcast_to(unit_weights, nodes.shape))
 
 
 def golub_welsch(rc):
@@ -209,15 +212,17 @@ def truncated_gaussian_normalization(a, b):
     c = 2 sqrt(a/2pi) / erfc(-b sqrt(a/2)); the denominator is the
     complementary form of 1 + erf(b sqrt(a/2)), which keeps full
     relative accuracy when the mode b sits far below the domain and
-    the surviving mass is tiny.
+    the surviving mass is tiny.  When even that underflows, the input
+    is valid but a double cannot hold the mass: NumericError.
     """
     if not (a > 0.0):
         raise DomainError(f"a must be positive, got {a!r}")
     mass = erfc(-b * math.sqrt(0.5 * a))
     if mass == 0.0:
-        raise DomainError(
+        raise NumericError(
             f"truncated-Gaussian mass on [0, inf) underflows for "
-            f"a={a!r}, b={b!r} (mode more than ~38 sigma below zero)")
+            f"a={float(a)!r}, b={float(b)!r} "
+            f"(mode more than ~38 sigma below zero)")
     return 2.0 * math.sqrt(a / (2.0 * math.pi)) / mass
 
 
@@ -306,8 +311,7 @@ def stieltjes_recurrence(a, b, m, c=None, lower=0.0):
     """
     if not (a > 0.0) or not math.isfinite(a):
         raise DomainError(f"a must be positive, got {a!r}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
+    _check_m(m)
     m = int(m)
     a = float(a)
     b = float(b)

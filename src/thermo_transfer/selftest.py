@@ -145,7 +145,7 @@ def suite_models():
         fails.append("cylinder kernel hand value off")
     c0 = models.CylinderParams(eta=1.0, ax=0.0, ay=0.2, ly=3)
     if not _close(models.cylinder_free_energy(c0, 5.0, 6),
-                  models.reference_cylinder_ax0(c0, 5.0), 1e-3):
+                  models.reference_cylinder_ax0(c0, 5.0), 1e-12):
         fails.append("ax=0 cylinder far from ring-determinant reference")
     cy = models.CylinderParams(eta=1.0, ax=0.3, ay=0.0, ly=3)
     p1 = models.ParticleChainParams(eta=1.0, gamma=0.3)
@@ -168,7 +168,7 @@ def suite_thermo():
         fails.append("stencil convergence rate below order 6 on e^x")
     p = models.ParticleChainParams(eta=1.0)
     _, energy = thermo.particle_chain_observables(p, 5.0, 8)
-    if not _close(energy, 0.2, 1e-8):
+    if not _close(energy, 0.2, 1e-12):
         fails.append("harmonic chain energy violates equipartition 1/beta")
     dp = models.DnlsParams(g=1.0, mu_c=1.0)
     if models.dnls_free_energy(dp, 1.0, 10) != models.dnls_free_energy(dp, 1.0, 10):

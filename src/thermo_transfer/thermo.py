@@ -4,9 +4,10 @@ A sweep cuts its beta grid into blocks of rows and solves each block
 as one stack through its model's `block` (see `models`): one rule
 stack, one (B, m, m) assembly and one stacked eigensolve, with F, the
 marginals and the observables computed for the whole block along its
-leading beta axis.  The public one-point routes are a block of one, so
-they give the same bits as the sweep's row, whatever the block split
-or thread count.  `fd_derivative` is an independent route to the
+leading beta axis.  The public one-point routes are a block of one
+(`models._point`), so they give the same bits as the sweep's row,
+whatever the block split or thread count.  A numeric failure inside a
+block is re-raised with its beta and its row in the whole grid.  `fd_derivative` is an independent route to the
 observables, for tests and selftest.
 """
 
@@ -16,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AssemblyError, ConvergenceError, DomainError,
-                     ResourceLimitError)
-from .models import (CylinderParams, DnlsParams, ParticleChainParams,
-                     _check_beta, _check_m)
+from .errors import DomainError, NumericError
+from .models import CylinderParams, DnlsParams, ParticleChainParams, _point
+from .quadrature import _check_m
 # not called here: the benchmark tracer wraps these names on this module
 from .models import (_chain_free_energy_raw, _dnls_free_energy_raw,  # noqa: F401
                      cylinder_free_energy, dnls_free_energy,
@@ -57,25 +57,16 @@ def fd_derivative(f, x, order=1, accuracy=6, *, h):
     return float(d) / h
 
 
-def _one_point(p, beta, m):
-    """The observables of p's model at one beta, as a block of one, in
-    p.observables order."""
-    _check_beta(beta)
-    _check_m(m)
-    _, values = p.block(np.array([beta], dtype=float), int(m))
-    return tuple(float(values[k][0]) for k in p.observables)
-
-
 def particle_chain_observables(p, beta, m):
     """(dF/dgamma, d(beta F)/dbeta) at one point = (<(q - q')^2/2>_bond,
     1/beta - <mu3 q^3/12 + lam q^4/24>_site)."""
-    return _one_point(p, beta, m)
+    return tuple(_point(p, beta, m, observables=True)[1].values())
 
 
 def dnls_observables(p, beta, m):
     """(-dF/dmu, d(beta F)/dbeta + mu <rho>) at one point = (<rho>_site,
     <rho + g rho^2/2>_site - <sqrt(rho rho') I1/I0(beta sqrt(rho rho'))>_bond)."""
-    return _one_point(p, beta, m)
+    return tuple(_point(p, beta, m, observables=True)[1].values())
 
 
 # the models by CLI name; each params class is its model
@@ -106,10 +97,10 @@ class SweepSpec:
             raise DomainError("beta grid must be positive and finite")
         if np.any(np.diff(grid) <= 0.0):
             raise DomainError("beta grid must be strictly increasing")
-        _check_m(self.m)
         if not isinstance(self.params, tuple(MODELS.values())):
             raise DomainError(
                 f"unknown model parameter type {type(self.params).__name__}")
+        _check_m(self.m, self.params.size)
         supported = self.params.observables
         obs = tuple(self.observables)
         for name in obs:
@@ -150,22 +141,23 @@ _BLOCK_ENTRIES = 2 ** 21
 def _grid_point(betas, exc):
     # the beta a failure belongs to: the stack index the error carries,
     # or the only beta of a block of one
-    index = getattr(exc, "index", None)
+    index = exc.index
     if index is None and len(betas) > 1:
         return f"beta in [{float(betas[0])!r}, {float(betas[-1])!r}]"
     return f"beta={float(betas[index or 0])!r}"
 
 
-def _sweep_row(spec, betas):
-    """F and the requested observables at each beta of one block."""
+def _sweep_row(spec, betas, start):
+    """F and the requested observables at each beta of one block, the
+    block whose first row is grid row `start`."""
     try:
         f, values = spec.params.block(betas, spec.m, bool(spec.observables))
-    except (AssemblyError, ConvergenceError, ResourceLimitError) as exc:
-        # keep the exception type and residual, name the grid point
-        err = type(exc)(f"at {_grid_point(betas, exc)}, m={spec.m}: {exc}")
-        if isinstance(exc, ConvergenceError):
-            err.residual = exc.residual
-        raise err from exc
+    except NumericError as exc:
+        # keep the exception type and residual, name the grid point and
+        # give its index in the whole grid
+        index = None if exc.index is None else start + exc.index
+        raise type(exc)(f"at {_grid_point(betas, exc)}, m={spec.m}: {exc}",
+                        residual=exc.residual, index=index) from exc
     return f, {k: values[k] for k in spec.observables}
 
 
@@ -184,8 +176,9 @@ def free_energy_sweep(spec, threads=None):
     releases the GIL)."""
     grid = spec.beta_grid
     rows = max(1, _BLOCK_ENTRIES // spec.m ** 2)
-    blocks = [grid[i:i + rows] for i in range(0, grid.size, rows)]
-    solved = map_rows(lambda b: _sweep_row(spec, b), blocks, threads)
+    starts = range(0, grid.size, rows)
+    solved = map_rows(lambda i: _sweep_row(spec, grid[i:i + rows], i),
+                      starts, threads)
     free = np.concatenate([f for f, _ in solved])
     obs = {k: np.concatenate([o[k] for _, o in solved])
            for k in spec.observables}

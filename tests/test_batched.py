@@ -76,9 +76,9 @@ def test_block_size_caps_matrix_entries(monkeypatch):
     seen = []
     original = thermo._sweep_row
 
-    def spy(spec, betas):
+    def spy(spec, betas, start):
         seen.append(betas.size)
-        return original(spec, betas)
+        return original(spec, betas, start)
 
     monkeypatch.setattr(thermo, "_sweep_row", spy)
     _blocks_of(monkeypatch, 3, 12)
@@ -135,6 +135,8 @@ def test_eigensolve_failure_in_a_later_block(monkeypatch):
     with pytest.raises(ConvergenceError) as exc:
         free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=GRID, m=12))
     assert f"at beta={float(GRID[3])!r}, m=12:" in str(exc.value)
+    # the re-raised error gives the grid row, not the row in its block
+    assert exc.value.index == 3
 
 
 def test_non_finite_assembly_names_beta_and_node_pair(monkeypatch):
@@ -181,6 +183,7 @@ def test_failure_without_a_stack_index_names_the_block(monkeypatch):
     with pytest.raises(ConvergenceError) as exc:
         free_energy_sweep(SweepSpec(params=CYLINDER, beta_grid=GRID, m=6))
     assert "at beta in [0.5, 6.5], m=6:" in str(exc.value)
+    assert exc.value.index is None
 
 
 # --- the stacked layers ------------------------------------------------------

@@ -23,7 +23,11 @@ from thermo_transfer.cli import (
     config_text,
     parse_config_text,
 )
-from thermo_transfer.errors import ConvergenceError
+from thermo_transfer.errors import (
+    AssemblyError,
+    ConvergenceError,
+    ResourceLimitError,
+)
 from thermo_transfer.models import (
     CylinderParams,
     DnlsParams,
@@ -356,11 +360,14 @@ def test_negative_beta_is_domain_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_tensor_budget_maps_to_numeric_failure(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("error", [ConvergenceError, AssemblyError,
+                                   ResourceLimitError])
+def test_tensor_budget_maps_to_numeric_failure(tmp_path, capsys, monkeypatch,
+                                               error):
     # any numeric failure below the sweep exits 1 and names the grid
     # point; it is injected into the cylinder's block solve
     def failing(p, betas, m0, observables):
-        raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10)
+        raise error("eigenvalue residual 3.000e-10", residual=3e-10)
 
     monkeypatch.setattr(CylinderParams, "block", failing)
     rc = cli.main(["free-energy", "--model", "cylinder", "--beta-start", "1",
@@ -369,6 +376,29 @@ def test_tensor_budget_maps_to_numeric_failure(tmp_path, capsys, monkeypatch):
     assert rc == 1
     err = capsys.readouterr().err
     assert "numeric failure:" in err and "at beta=1.0, m=30" in err
+
+
+def test_bad_size_names_the_model_size_flag(tmp_path, capsys):
+    # the cylinder's quadrature size is --m0, and the error says so
+    rc = cli.main(["free-energy", "--model", "cylinder", "--beta-start", "1",
+                   "--beta-count", "1", "--m0", "0", "--ly", "2",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "m0 must be a positive integer, got 0" in capsys.readouterr().err
+
+
+def test_dnls_mass_underflow_is_a_numeric_failure(tmp_path, capsys):
+    # at mu = -3 and beta >= 200 the weight's mode sits so far below zero
+    # that erfc underflows: valid input a double cannot evaluate, so it
+    # exits 1 and names the first beta of the block, not a usage error
+    rc = cli.main(["free-energy", "--model", "dnls", "--mu", "-3",
+                   "--beta-start", "200", "--beta-stop", "400",
+                   "--beta-count", "3", "--m", "20",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "numeric failure: at beta=200.0, m=20: rule 0 of the stack:" in err
+    assert "a=200.0, b=-3.0" in err
 
 
 def test_bad_config_file_path(tmp_path):

@@ -36,6 +36,7 @@ from thermo_transfer.models import (
     DnlsParams,
     ParticleChainParams,
     _chain_free_energy_raw,
+    _chain_solve,
     cylinder_free_energy,
     cylinder_log_kernel,
     dnls_free_energy,
@@ -475,11 +476,11 @@ def test_cylinder_solves_each_distinct_ring_mode_once(monkeypatch, ly, solves):
 
     def counting(eta, *args):
         etas.append(eta)
-        return _chain_free_energy_raw(eta, *args)
+        return _chain_solve(eta, *args)
 
     p = CylinderParams(eta=1.0, ax=0.5, ay=0.2, ly=ly)
     expect = cylinder_free_energy(p, 2.0, 6)
-    monkeypatch.setattr(models, "_chain_free_energy_raw", counting)
+    monkeypatch.setattr(models, "_chain_solve", counting)
     got = cylinder_free_energy(p, 2.0, 6)
     assert len(etas) == solves
     assert len(set(etas)) == solves
@@ -519,7 +520,7 @@ def test_cylinder_free_energy_rejects_bad_arguments():
     p = CylinderParams(eta=1.0, ax=0.1, ay=0.1, ly=2)
     with pytest.raises(DomainError):
         cylinder_free_energy(p, 0.0, 5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="m0 must"):
         cylinder_free_energy(p, 1.0, 0)
 
 
