@@ -257,6 +257,83 @@ def test_stieltjes_rejects_bad_arguments():
         stieltjes_recurrence(1.0, 0.0, 0)
 
 
+def three_term_lanczos(x, w, m):
+    # Lanczos as the three-term recurrence r = x q_k - alpha_k q_k
+    # - sqrt(beta_k) q_{k-1}, then two full Gram-Schmidt passes
+    mass = w.sum()
+    alpha, beta = np.zeros(m), np.zeros(m)
+    beta[0] = mass
+    q = np.sqrt(w) / math.sqrt(mass)
+    basis, q_prev, b = [q], np.zeros_like(q), 0.0
+    for k in range(m):
+        alpha[k] = np.dot(q * x, q)
+        if k == m - 1:
+            break
+        r = x * q - alpha[k] * q - b * q_prev
+        B = np.array(basis)
+        for _ in range(2):
+            r -= B.T @ (B @ r)
+        beta[k + 1] = np.dot(r, r)
+        b = math.sqrt(beta[k + 1])
+        q_prev, q = q, r / b
+        basis.append(q)
+    return alpha, beta
+
+
+@pytest.mark.parametrize("a,b,m", [
+    (1.0, 1.0, 13), (15.0, 1.0, 20), (100.0, -0.3, 40), (1.0, -1.0, 60),
+    (0.1, 1.0, 80),
+])
+def test_fused_lanczos_step_matches_three_term_reference(a, b, m):
+    # one projection on the whole basis per step replaces the three-term
+    # subtraction; only the rounding may differ (measured <= 7.5e-16)
+    sigma = 1.0 / math.sqrt(a)
+    hi = max(b, 0.0) + 12.0 * sigma
+    x, wleg = quadrature._composite_legendre(0.0, hi, math.ceil(hi / sigma), 32)
+    w = wleg * np.exp(-0.5 * a * (x - b) ** 2)
+    alpha, beta = quadrature._lanczos_recurrence(x, w, m)
+    ref_alpha, ref_beta = three_term_lanczos(x, w, m)
+    scale = max(1.0, np.max(np.abs(ref_alpha)), np.max(ref_beta))
+    assert np.max(np.abs(alpha - ref_alpha)) <= 1e-14 * scale
+    assert np.max(np.abs(beta - ref_beta)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("m,first", [(1, 16), (13, 16), (20, 24), (32, 32),
+                                     (40, 32)])
+def test_refinement_starts_at_a_level_sized_by_m(monkeypatch, m, first):
+    # the points per panel of each discretization, in call order
+    real = quadrature._composite_legendre
+    levels = []
+
+    def spy(lo, hi, panels, pts):
+        levels.append(pts)
+        return real(lo, hi, panels, pts)
+
+    monkeypatch.setattr(quadrature, "_composite_legendre", spy)
+    stieltjes_recurrence(15.0, 1.0, m)
+    schedule = [16, 24, 32, 48, 64, 96, 128]
+    start = schedule.index(first)
+    assert len(levels) >= 2
+    assert levels == schedule[start:start + len(levels)]
+
+
+def test_composite_legendre_matches_linspace_bits():
+    rng = np.random.default_rng(20261018)
+    los = np.concatenate([np.zeros(40), -rng.uniform(0.0, 5.0, 40),
+                          rng.uniform(0.0, 5.0, 40)])
+    for lo in los:
+        hi = lo + rng.uniform(0.1, 40.0)
+        panels = int(rng.integers(8, 200))
+        pts = int(rng.choice([16, 24, 32, 48]))
+        x0, w0 = quadrature._legendre_panel(pts)
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        x, w = quadrature._composite_legendre(lo, hi, panels, pts)
+        assert np.array_equal(x, (mid[:, None] + half[:, None] * x0).ravel())
+        assert np.array_equal(w, (half[:, None] * w0).ravel())
+
+
 @settings(max_examples=25, deadline=None)
 @given(a=st.floats(min_value=0.05, max_value=60.0),
        b=st.floats(min_value=-2.0, max_value=6.0),
