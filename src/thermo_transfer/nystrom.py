@@ -8,17 +8,23 @@ discretized on a quadrature rule (z_i, w_i) as the symmetric matrix
 assembled in log space (the kernels carry exponents of order
 beta * q^4 which underflow as raw products).  Each model's matrix has
 m rows (m0 for the cylinder, solved as one chain per ring Fourier
-mode), a few dozen in practice, so the dominant eigenvalue comes from
-one dense symmetric eigendecomposition.  The Perron-Frobenius theorem for
-elementwise positive matrices guarantees a simple positive lambda_1
-with a strictly positive eigenvector.
+mode), a few dozen in practice, so the dominant pair comes from two
+dense steps: lambda_1 is the top of the eigenvalues, and the Perron
+vector is one step of inverse iteration, a solve of
+(sigma I - T) x = T 1 with sigma 16 ulps above lambda_1.  The
+Perron-Frobenius theorem for elementwise positive matrices guarantees
+a simple positive lambda_1 with a strictly positive eigenvector, and
+for T >= 0 and sigma > lambda_1 the Neumann series
+x = sum_k T^(k+1) 1 / sigma^(k+1) is elementwise positive, so x is
+that vector up to rounding.
 
 Both steps take a stack: a rule whose nodes and weights have shape
 (B, m), one rule per inverse temperature of a block, assembles to
 entries of shape (B, m, m), and `dominant_eigenvalue` solves the whole
-stack in one `np.linalg.eigh` call, giving lambda_1 of shape (B,) and
-Perron vectors of shape (B, m).  A single matrix is a stack of one
-inside, so a matrix gives the same bits alone as inside any stack.
+stack with one `np.linalg.eigvalsh` and one `np.linalg.solve` call,
+giving lambda_1 of shape (B,) and Perron vectors of shape (B, m).  A
+single matrix is a stack of one inside, so a matrix gives the same
+bits alone as inside any stack.
 """
 
 import functools
@@ -74,7 +80,7 @@ class NystromMatrix:
 @dataclass(frozen=True)
 class DominantEig:
     """lambda_1, its unit Perron vector, the relative residual and the
-    number of solves (always 1: one dense eigendecomposition).
+    number of solves (always 1: the eigenvalues and one shifted solve).
 
     For a stack, lambda1 has shape (B,), vector shape (B, m), and
     residual is the largest over the stack.
@@ -86,12 +92,31 @@ class DominantEig:
     iterations: int
 
 
+# log of the largest double: exp of a log entry above it overflows
+_LOG_MAX = float(np.log(np.finfo(float).max))
+
+# the shift of the Perron-vector solve, sigma - lambda_1, in ulps of
+# lambda_1: above the few-ulp error of the computed lambda_1 (up to 6
+# at m = 150), so that sigma I - T is not singular in floating point;
+# at 2 ulps LU meets an exact zero pivot in about 1 of 100 small
+# random matrices
+_SHIFT_ULPS = 16.0
+
+
 @functools.lru_cache(maxsize=None)
 def _upper(m):
     # (m, m) mask of the upper triangle, diagonal included
     mask = np.triu(np.ones((m, m), dtype=bool))
     mask.flags.writeable = False
     return mask
+
+
+@functools.lru_cache(maxsize=None)
+def _ones(m):
+    # (m, 1) column of ones: T @ _ones(m) is the stack's row sums
+    ones = np.ones((m, 1))
+    ones.flags.writeable = False
+    return ones
 
 
 def assemble(kernel, rule):
@@ -102,7 +127,9 @@ def assemble(kernel, rule):
     per node; for a stacked rule (weights of shape (B, m)) the result
     is a (B, m, m) stack.  The upper triangle is mirrored onto the
     lower, so every matrix is exactly symmetric regardless of
-    floating-point non-associativity in the kernel.
+    floating-point non-associativity in the kernel.  A log entry that
+    is not finite, or so large that its exp overflows a double, raises
+    AssemblyError naming the node pair and, for a stack, the matrix.
     """
     if not isinstance(kernel, LogKernel):
         kernel = LogKernel(kernel)
@@ -130,15 +157,17 @@ def assemble(kernel, rule):
         half = half + kernel.site(zi)
     logT = half + half.swapaxes(-1, -2) + logk
     logT = np.where(_upper(m), logT, logT.swapaxes(-1, -2))
-    bad = ~np.isfinite(logT)
+    bad = ~np.isfinite(logT) | (logT > _LOG_MAX)
     if bad.any():
         *stack, i, j = (int(k) for k in np.argwhere(bad)[0])
         index = stack[0] if stack else None
         where = "" if index is None else f" of matrix {index} in the stack"
+        entry = logT[(*stack, i, j)]
+        what = "non-finite" if not np.isfinite(entry) else "overflowing"
         raise AssemblyError(
-            f"non-finite kernel value at node pair ({i}, {j}){where}: "
+            f"{what} kernel value at node pair ({i}, {j}){where}: "
             f"z_i={nodes[(*stack, i)]!r}, z_j={nodes[(*stack, j)]!r}, "
-            f"log entry={logT[(*stack, i, j)]!r}", index=index)
+            f"log entry={entry!r}", index=index)
     return NystromMatrix(np.exp(logT), rule)
 
 
@@ -146,24 +175,44 @@ def dominant_eigenvalue(T, tol=1e-14):
     """Dominant eigenvalue and Perron eigenvector of an assembled matrix
     or a (B, m, m) stack of them.
 
-    One stacked dense symmetric eigendecomposition: lambda_1 is the top
-    eigenvalue and the vector is T|u| normalized, u the top
-    eigenvector, which for T >= 0 has no negative entry whatever signs
-    round-off left on u.  The residual is ||T v - lambda_1 v|| /
-    lambda_1, checked for every matrix; ConvergenceError carries the
-    first one above tol and, for a stack, its index.  A single matrix
-    gives scalar lambda1 and a vector of shape (m,).
+    lambda_1 is the top of the stack's eigenvalues (one
+    `np.linalg.eigvalsh`); the vector is one step of inverse iteration,
+    |x| for (sigma I - T) x = T 1 with sigma 16 ulps above lambda_1
+    (one `np.linalg.solve`), scaled by its largest entry before its
+    2-norm so that no square overflows.  The right-hand side T 1, the
+    row sums, leans towards the Perron vector where that vector is
+    concentrated on a few nodes (deep quench), which keeps the residual
+    at a few 1e-15 despite the shift; its scale follows T's, so x
+    stays near 1 / (16 eps) at any lambda_1.  The residual is
+    ||T v / lambda_1 - v||, checked for every matrix; ConvergenceError
+    carries the first one above tol, or not finite, and for a stack its
+    index; a LAPACK failure of either step is a ConvergenceError too,
+    without an index.  A single matrix gives scalar lambda1 and a
+    vector of shape (m,).
     """
     if not (tol > 0.0):
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     A = T.entries if isinstance(T, NystromMatrix) else np.asarray(T, dtype=float)
     stack = A.reshape((-1,) + A.shape[-2:])
-    vals, vecs = np.linalg.eigh(stack)
-    lam = vals[:, -1]
-    v = np.matmul(stack, np.abs(vecs[:, :, -1:]))[:, :, 0]
+    B, m = stack.shape[0], stack.shape[-1]
+    try:
+        lam = np.linalg.eigvalsh(stack)[:, -1]
+        sigma = lam + _SHIFT_ULPS * np.spacing(lam)
+        shifted = np.negative(stack, order="C")
+        shifted.reshape(B, m * m)[:, ::m + 1] += sigma[:, None]
+        x = np.linalg.solve(shifted, np.matmul(stack, _ones(m)))
+    except np.linalg.LinAlgError as exc:
+        # numpy does not say which matrix of a stack failed
+        raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
+    v = np.abs(x[:, :, 0])
+    v /= v.max(axis=-1, keepdims=True)
     v /= np.sqrt((v * v).sum(axis=-1, keepdims=True))
-    r = np.matmul(stack, v[:, :, None])[:, :, 0] - lam[:, None] * v
-    res = np.sqrt((r * r).sum(axis=-1)) / np.abs(lam)
+    r = np.matmul(stack, v[:, :, None])[:, :, 0]
+    r /= lam[:, None]
+    r -= v
+    res = np.sqrt((r * r).sum(axis=-1))
+    # after the max scaling a non-finite or zero x leaves nan in v, so
+    # its residual is nan and fails this test too
     ok = res <= tol
     if not ok.all():
         k = int(np.argmin(ok))
@@ -171,7 +220,7 @@ def dominant_eigenvalue(T, tol=1e-14):
         where = "" if index is None else f" of matrix {k} in the stack"
         raise ConvergenceError(
             f"eigenvalue residual {res[k]:.3e} above tolerance {tol:.1e} "
-            f"after the dense eigendecomposition{where}",
+            f"after the dense solve{where}",
             residual=float(res[k]), index=index)
     if A.ndim == 2:
         return DominantEig(lambda1=float(lam[0]), vector=v[0],

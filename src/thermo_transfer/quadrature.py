@@ -203,18 +203,20 @@ def golub_welsch(rc):
     if m == 1:
         return QuadratureRule(np.array([rc.alpha[0]]), np.array([rc.beta[0]]),
                               total_mass=float(rc.beta[0]))
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstev
 
-    try:
-        # the default stemr driver flushes eigenvector components below
-        # ~1e-40 to exact zero, which destroys the tail weights of rules
-        # beyond m ~ 55; the classic QR driver keeps them to underflow
-        vals, vecs = eigh_tridiagonal(rc.alpha, np.sqrt(rc.beta[1:]),
-                                      lapack_driver="stev")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceError(f"Jacobi eigenproblem failed: {exc}") from exc
+    # LAPACK's QR driver, called directly: scipy's eigh_tridiagonal
+    # gives the same bits but its checks cost several times the solve
+    # at small m.  The relatively robust driver stemr would flush
+    # eigenvector components below ~1e-40 to exact zero, which destroys
+    # the tail weights of rules beyond m ~ 55; stev keeps them to
+    # underflow.  Eigenvalues come back ascending; a non-finite
+    # coefficient leaves info > 0 or nan nodes.
+    vals, vecs, info = dstev(rc.alpha, np.sqrt(rc.beta[1:]), compute_v=1)
+    if info != 0 or not np.isfinite(vals).all():
+        raise ConvergenceError(
+            f"Jacobi eigenproblem failed (LAPACK dstev info={info}) at m={m}")
     weights = rc.beta[0] * vecs[0, :] ** 2
-    # eigh_tridiagonal returns ascending eigenvalues already
     return QuadratureRule(vals, weights, total_mass=float(rc.beta[0]))
 
 

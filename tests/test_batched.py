@@ -93,29 +93,29 @@ def test_block_size_caps_matrix_entries(monkeypatch):
 
 # --- a failure inside a block names its own beta ------------------------------
 
-def _eigh_spoiling(monkeypatch, spoil):
-    """np.linalg.eigh that hands back the bottom eigenvector as the top
-    one for stack index spoil(call number), if that is not None."""
-    real = np.linalg.eigh
+def _vector_spoiling(monkeypatch, spoil):
+    """np.linalg.solve (the Perron-vector step) that hands back all ones,
+    not an eigenvector, for stack index spoil(call number), if that is
+    not None."""
+    real = np.linalg.solve
     calls = []
 
-    def eigh(a):
-        vals, vecs = real(a)
+    def solve(a, b):
+        x = real(a, b)
         k = spoil(len(calls))
         calls.append(k)
         if k is not None and a.ndim == 3:
-            vecs = vecs.copy()
-            vecs[k, :, -1] = vecs[k, :, 0]
-        return vals, vecs
+            x[k] = 1.0
+        return x
 
-    monkeypatch.setattr(nystrom.np.linalg, "eigh", eigh)
+    monkeypatch.setattr(nystrom.np.linalg, "solve", solve)
     return calls
 
 
 @pytest.mark.parametrize("model", ["chain", "dnls"])
 def test_eigensolve_failure_names_its_grid_point(monkeypatch, model):
     params, m, obs, _, _ = CASES[model]
-    _eigh_spoiling(monkeypatch, lambda call: 3)
+    _vector_spoiling(monkeypatch, lambda call: 3)
     spec = SweepSpec(params=params, beta_grid=GRID, m=m, observables=obs)
     with pytest.raises(ConvergenceError) as exc:
         free_energy_sweep(spec)
@@ -131,7 +131,7 @@ def test_eigensolve_failure_names_its_grid_point(monkeypatch, model):
 def test_eigensolve_failure_in_a_later_block(monkeypatch):
     # blocks of two rows; the second block's second matrix is grid point 3
     _blocks_of(monkeypatch, 2, 12)
-    _eigh_spoiling(monkeypatch, lambda call: 1 if call == 1 else None)
+    _vector_spoiling(monkeypatch, lambda call: 1 if call == 1 else None)
     with pytest.raises(ConvergenceError) as exc:
         free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=GRID, m=12))
     assert f"at beta={float(GRID[3])!r}, m=12:" in str(exc.value)
@@ -224,10 +224,12 @@ def test_single_matrix_gives_scalars():
 
 
 def test_stacked_residual_check_carries_the_failing_index():
-    # the diagonal matrix solves exactly, the dense one to round-off
+    # the diagonal matrix solves exactly, the dense one to round-off;
+    # one nonzero entry, since the shifted solve leaves every other
+    # diagonal direction with a part of order eps in the vector
     rng = np.random.default_rng(3)
     B = rng.uniform(0.1, 1.0, size=(6, 6))
-    stack = np.stack([np.diag([3.0, 2.0, 1.0, 0.5, 0.2, 0.1]), B + B.T])
+    stack = np.stack([np.diag([3.0, 0.0, 0.0, 0.0, 0.0, 0.0]), B + B.T])
     assert dominant_eigenvalue(stack[0], tol=1e-300).residual == 0.0
     with pytest.raises(ConvergenceError) as exc:
         dominant_eigenvalue(stack, tol=1e-300)

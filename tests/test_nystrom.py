@@ -2,9 +2,11 @@
 
 Oracles: entrywise recomputation of the assembly formula in plain
 (non-log) arithmetic on small rules, np.linalg.eigh / eigvalsh as a
-second dense eigensolver (the library calls eigh too, so these pin the
-Perron-vector post-processing and the residual), Rayleigh quotients,
-and hand-diagonalizable 2x2 / rank-1 matrices.
+second dense eigensolver (the library takes lambda_1 from eigvalsh and
+the Perron vector from one shifted solve, so eigh's eigenvectors are an
+independent check on that vector, and eigvalsh pins lambda_1 and the
+residual), Rayleigh quotients, and hand-diagonalizable 2x2 / rank-1
+matrices.
 """
 
 import math
@@ -15,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermo_transfer.errors import AssemblyError, ConvergenceError, DomainError
-from thermo_transfer.models import ParticleChainParams, particle_chain_log_kernel
+from thermo_transfer import nystrom
+from thermo_transfer.models import (ParticleChainParams, _chain_solve,
+                                    particle_chain_log_kernel)
 from thermo_transfer.nystrom import (
     DominantEig,
     LogKernel,
@@ -104,6 +108,32 @@ def test_assembly_reports_offending_pair():
     assert repr(rule.nodes[1]) in msg
 
 
+# a double well at deep quench: eta = 0.01, mu3 = lam = 1, gamma = 1
+DEEP_WELL = ParticleChainParams(eta=0.01, mu3=1.0, lam=1.0, gamma=1.0)
+
+
+def _deep_well(beta, m):
+    return assemble(particle_chain_log_kernel(DEEP_WELL, beta),
+                    gauss_hermite_rescaled(m, beta * DEEP_WELL.eta))
+
+
+def test_assembly_overflow_names_the_node_pair():
+    # at beta = 1000 the log entries reach ~1073, finite but beyond the
+    # largest double's log: exp would leave inf in the matrix
+    with pytest.raises(AssemblyError) as exc:
+        _deep_well(1000.0, 30)
+    msg = str(exc.value)
+    assert "overflowing kernel value at node pair (0, 0)" in msg
+    assert exc.value.index is None
+    # in a stack, the matrix that overflows is named by its index
+    shift = np.array([0.0, 800.0])[:, None, None]
+    with pytest.raises(AssemblyError) as exc:
+        assemble(LogKernel(lambda z, zp: shift - 0.5 * (z - zp) ** 2),
+                 gauss_hermite_rescaled(5, np.ones(2)))
+    assert exc.value.index == 1
+    assert "of matrix 1 in the stack" in str(exc.value)
+
+
 def test_assembly_rejects_wrong_kernel_shape():
     rule = gauss_hermite_rescaled(4, 1.0)
     with pytest.raises(AssemblyError):
@@ -169,6 +199,81 @@ def test_eigenvalue_perron_vector_at_domain_edges(eta, mu3, lam, beta, m):
     assert np.all(eig.vector >= 0.0)
     expect = np.linalg.eigvalsh(mat.entries)[-1]
     assert eig.lambda1 == pytest.approx(expect, rel=1e-13)
+    assert eig.residual <= 1e-14
+
+
+def test_eigenvalue_of_huge_entries_converges():
+    # entries up to 8e230: the eigenvector decomposition once stopped
+    # with LAPACK's "did not converge"; eigenvalues plus a shifted solve
+    # handle it, and the residual is taken relative to lambda_1 so no
+    # square of an entry overflows
+    mat = _deep_well(500.0, 30)
+    eig = dominant_eigenvalue(mat)
+    assert eig.residual <= 1e-14
+    expect = np.linalg.eigvalsh(mat.entries)[-1]
+    assert abs(eig.lambda1 - expect) <= 1e-13 * expect
+
+
+def test_perron_vector_normalization_is_scale_safe():
+    # lambda_1 = 1.9e164: squaring the raw vector would overflow and
+    # leave an all-zero "unit" vector that still passes the residual
+    # test; the result is a finite unit vector or a ConvergenceError
+    mat = _deep_well(500.0, 10)
+    try:
+        eig = dominant_eigenvalue(mat)
+    except ConvergenceError:
+        return
+    assert np.all(np.isfinite(eig.vector))
+    assert np.linalg.norm(eig.vector) == pytest.approx(1.0, rel=1e-14)
+    assert eig.residual <= 1e-14
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_vector_fails_the_residual_gate(monkeypatch):
+    # a Perron-vector step that returns nan or zero must not pass as a
+    # converged vector of residual 0
+    real = np.linalg.solve
+    T = np.array([[2.0, 1.0], [1.0, 2.0]])
+    for spoiled in (np.nan, np.inf, 0.0):
+        monkeypatch.setattr(nystrom.np.linalg, "solve",
+                            lambda a, b, x=spoiled: np.full_like(real(a, b), x))
+        with pytest.raises(ConvergenceError):
+            dominant_eigenvalue(T)
+
+
+@pytest.mark.parametrize("step", ["eigvalsh", "solve"])
+def test_lapack_failure_is_a_convergence_error(monkeypatch, step):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(nystrom.np.linalg, step, fail)
+    with pytest.raises(ConvergenceError) as exc:
+        dominant_eigenvalue(np.stack([np.eye(3), 2.0 * np.eye(3)]))
+    assert "did not converge" in str(exc.value)
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+    assert exc.value.index is None
+
+
+def test_config_stack_matches_eigh():
+    # the chain config's (96, 30, 30) stack: lambda_1 and the Perron
+    # vector against the top eigenpair of a full eigendecomposition
+    betas = np.linspace(0.5, 10.0, 96)
+    _, T, eig = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 30)
+    vals, vecs = np.linalg.eigh(T.entries)
+    assert np.allclose(eig.lambda1, vals[:, -1], rtol=1e-13, atol=0.0)
+    assert np.max(np.abs(eig.vector - np.abs(vecs[:, :, -1]))) <= 1e-13
+
+
+def test_positive_stack_gives_positive_vectors():
+    # every entry of these matrices is positive, so every Perron vector
+    # is strictly positive, not merely non-negative
+    gammas = np.array([0.1, 0.5, 1.0])[:, None, None]
+    rule = gauss_hermite_rescaled(20, np.ones(3))
+    mat = assemble(LogKernel(lambda z, zp: -0.5 * gammas * (z - zp) ** 2), rule)
+    assert np.all(mat.entries > 0.0)
+    eig = dominant_eigenvalue(mat)
+    assert eig.vector.shape == (3, 20)
+    assert np.all(eig.vector > 0.0)
     assert eig.residual <= 1e-14
 
 

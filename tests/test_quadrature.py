@@ -24,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermo_transfer import quadrature
-from thermo_transfer.errors import DomainError, ResourceLimitError
+from thermo_transfer.errors import (ConvergenceError, DomainError,
+                                    ResourceLimitError)
 from thermo_transfer.quadrature import (
     QuadratureRule,
     RecurrenceCoefficients,
@@ -158,6 +159,33 @@ def test_large_m_tail_weights_survive(m):
     assert np.all(gw.weights > 0.0)
     assert np.allclose(r.nodes, gw.nodes, atol=5e-13)
     assert np.max(np.abs(r.weights - gw.weights) / gw.weights) < 1e-8
+
+
+@pytest.mark.parametrize("m", [2, 13, 40, 80, 150])
+def test_golub_welsch_bits_equal_scipy_stev_wrapper(m):
+    # golub_welsch calls LAPACK's dstev directly; SciPy's wrapper with
+    # the same driver must give the same bits, on the Hermite
+    # recurrence and on a Stieltjes one (truncated Gaussian)
+    from scipy.linalg import eigh_tridiagonal
+
+    hermite = RecurrenceCoefficients(
+        np.zeros(m), np.concatenate(([1.0], np.arange(1.0, m))))
+    for rc in (hermite, stieltjes_recurrence(2.0, 0.5, min(m, 40))):
+        vals, vecs = eigh_tridiagonal(rc.alpha, np.sqrt(rc.beta[1:]),
+                                      lapack_driver="stev")
+        r = golub_welsch(rc)
+        assert np.array_equal(r.nodes, vals)
+        assert np.array_equal(r.weights, rc.beta[0] * vecs[0, :] ** 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_golub_welsch_non_finite_recurrence_is_a_convergence_error(bad):
+    # LAPACK reports nan with info > 0 and leaves inf as nan nodes with
+    # info = 0; both are a failed rule, not a rule of nan nodes
+    for alpha, beta in (([0.0, bad, 0.0], [1.0, 1.0, 1.0]),
+                        ([0.0, 0.0, 0.0], [1.0, 1.0, bad])):
+        with pytest.raises(ConvergenceError, match="Jacobi eigenproblem"):
+            golub_welsch(RecurrenceCoefficients(np.array(alpha), np.array(beta)))
 
 
 def test_hermite_rule_arrays_are_read_only():
