@@ -41,7 +41,7 @@ def main():
         names, cols = res.columns()
         path = out_dir / f"chain_gamma{gamma:g}.csv"
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(names)
             for row in zip(*cols):
                 w.writerow(["%.17g" % x for x in row])

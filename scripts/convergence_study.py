@@ -49,7 +49,7 @@ def main():
 
         path = out_dir / f"convergence_{name}.csv"
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(["m", "rel_error"])
             for m, e in zip(ms, errs):
                 w.writerow([m, "%.17g" % e])

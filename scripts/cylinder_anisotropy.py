@@ -20,20 +20,20 @@ import pathlib
 
 import numpy as np
 
-from thermo_transfer import (CylinderParams, cylinder_free_energy,
-                             reference_cylinder_ax0)
+from thermo_transfer import (CylinderParams, SweepSpec, cylinder_free_energy,
+                             free_energy_sweep, reference_cylinder_ax0)
 
 
 def swap_run(out_dir, m0):
     betas = np.linspace(0.5, 5.0, 46)
     pa = CylinderParams(eta=1.0, ax=0.5, ay=0.2, ly=3)
     pb = CylinderParams(eta=1.0, ax=0.2, ay=0.5, ly=3)
-    fa = np.array([cylinder_free_energy(pa, b, m0) for b in betas])
-    fb = np.array([cylinder_free_energy(pb, b, m0) for b in betas])
+    fa, fb = (free_energy_sweep(SweepSpec(params=p, beta_grid=betas, m=m0))
+              .free_energy for p in (pa, pb))
 
     path = out_dir / "cylinder_swap.csv"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["beta", "free_energy_ax0.5_ay0.2",
                     "free_energy_ax0.2_ay0.5", "abs_gap"])
         for b, x, y in zip(betas, fa, fb):
@@ -49,7 +49,7 @@ def ax0_run(m0_list):
     print(f"ax=0 determinant reference at beta={beta:g}: F = {ref:.15g}")
     for m0 in m0_list:
         f = cylinder_free_energy(p, beta, m0)
-        print(f"  m0={m0:2d} ({m0 ** 3:5d} points)  rel error "
+        print(f"  m0={m0:2d} points per ring mode  rel error "
               f"{abs(f - ref) / abs(ref):.3e}")
 
 

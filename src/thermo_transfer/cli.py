@@ -11,9 +11,12 @@ observables, selftest.
                                  --beta-count 32 --m 16 --mu 1 --out obs.csv
     thermo-transfer selftest
 
-Flags may also come from a flat `key = value` config file (--config);
-explicit flags win over file entries.  Output is CSV with a header row,
-floats printed as %.17g so identical configs give byte-identical files.
+Each field of `RunConfig` is one setting, declared once: its type
+converts both its flag's text and its entry in a flat `key = value`
+config file (--config).  Every subcommand takes the same flags and keys
+and ignores those it does not read; explicit flags win over file
+entries.  Output is CSV with a header row, numbers printed as %.17g so
+identical configs give byte-identical files.
 Exit codes: 0 success, 1 numeric failure, 2 usage or config error.
 """
 
@@ -67,6 +70,32 @@ class RunConfig:
     reference: str = "auto"
 
 
+# every field but the subcommand is a flag and a config key
+_SETTINGS = {f.name: f for f in dataclasses.fields(RunConfig)[1:]}
+_CHOICES = {"model": tuple(MODELS), "reference": REFERENCES}
+# the flag spelling where it differs from the field name; a config file
+# takes either
+_SPELLING = {"lam": "lambda"}
+_KEYS = {s: n for n, s in _SPELLING.items()}
+_HELP = {
+    "log_beta": "geometric instead of linear beta grid",
+    "m": "quadrature points (chain, dnls)",
+    "m0": "per-coordinate quadrature points (cylinder)",
+    "ly": "cylinder circumference (default 1)",
+    "mu3": "cubic on-site coefficient (chain)",
+    "lam": "quartic on-site coefficient (chain)",
+    "gamma": "nearest-neighbour coupling (chain)",
+    "g": "defocusing coupling (dnls)",
+    "mu": "chemical potential (dnls)",
+    "out": "output CSV path",
+    "threads": "worker threads over blocks of beta rows or over m values "
+               "(default 1); every shipped config fits in one block",
+    "m_list": "comma-separated quadrature sizes (convergence)",
+}
+# params field -> RunConfig field, where the two names differ
+_PARAM_KEYS = {"mu_c": "mu"}
+
+
 def _parse_m_list(text):
     try:
         items = tuple(int(tok) for tok in str(text).replace(";", ",").split(",")
@@ -87,26 +116,10 @@ def _parse_bool(text):
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
-def _parse_reference(text):
-    if text not in REFERENCES:
-        raise UsageError(
-            f"reference must be one of {', '.join(REFERENCES)}, got {text!r}")
-    return text
-
-
-# key -> converter, for config files; keys mirror the long flag names
-_CONVERTERS = {
-    "model": str, "out": str, "reference": _parse_reference,
-    "beta_start": float, "beta_stop": float,
-    "eta": float, "mu3": float, "lam": float, "gamma": float,
-    "g": float, "mu": float, "ax": float, "ay": float,
-    "beta_count": int, "m": int, "m0": int, "ly": int, "threads": int,
-    "log_beta": _parse_bool,
-    "m_list": _parse_m_list,
-}
-_ALIASES = {"lambda": "lam"}
-# params field -> RunConfig field, where the two names differ
-_PARAM_KEYS = {"mu_c": "mu"}
+def _converter(name):
+    """A setting's text -> value, from its field's type."""
+    kind = _SETTINGS[name].type
+    return {bool: _parse_bool, tuple: _parse_m_list}.get(kind, kind)
 
 
 def parse_config_text(text):
@@ -120,15 +133,17 @@ def parse_config_text(text):
             raise UsageError(f"config line {ln}: expected `key = value`, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        key = _ALIASES.get(key, key)
-        if key not in _CONVERTERS:
+        key = _KEYS.get(key, key)
+        if key not in _SETTINGS:
             raise UsageError(f"config line {ln}: unknown key {key!r}")
         try:
-            values[key] = _CONVERTERS[key](val.strip())
-        except UsageError:
-            raise
+            value = _converter(key)(val.strip())
         except ValueError:
             raise UsageError(f"config line {ln}: bad value for {key!r}: {val.strip()!r}")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise UsageError(f"{key} must be one of "
+                             f"{', '.join(_CHOICES[key])}, got {value!r}")
+        values[key] = value
     return values
 
 
@@ -139,10 +154,8 @@ def config_text(cfg):
     round trip is exact.
     """
     lines = []
-    for f in dataclasses.fields(RunConfig):
-        if f.name == "subcommand":
-            continue
-        v = getattr(cfg, f.name)
+    for name in _SETTINGS:
+        v = getattr(cfg, name)
         if v is None:
             continue
         if isinstance(v, bool):
@@ -153,55 +166,24 @@ def config_text(cfg):
             s = ",".join(str(int(x)) for x in v)
         else:
             s = str(v)
-        lines.append(f"{f.name} = {s}")
+        lines.append(f"{name} = {s}")
     return "\n".join(lines) + "\n"
 
 
-def _build_parser():
+def _parser():
     parser = argparse.ArgumentParser(
         prog="thermo-transfer",
         description="Transfer-operator free energies of quasi-1D chains")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None,
-                       help="flat `key = value` config file; flags override it")
-        if name == "selftest":
-            continue
-        p.add_argument("--model", choices=tuple(MODELS), default=None)
-        p.add_argument("--beta-start", type=float, default=None)
-        p.add_argument("--beta-stop", type=float, default=None)
-        p.add_argument("--beta-count", type=int, default=None)
-        p.add_argument("--log-beta", action="store_const", const=True,
-                       default=None, help="geometric instead of linear beta grid")
-        p.add_argument("--m", type=int, default=None,
-                       help="quadrature points (chain, dnls)")
-        p.add_argument("--m0", type=int, default=None,
-                       help="per-coordinate quadrature points (cylinder)")
-        p.add_argument("--ly", type=int, default=None,
-                       help="cylinder circumference (default 1)")
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--mu3", type=float, default=None,
-                       help="cubic on-site coefficient (chain)")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="quartic on-site coefficient (chain)")
-        p.add_argument("--gamma", type=float, default=None,
-                       help="nearest-neighbour coupling (chain)")
-        p.add_argument("--g", type=float, default=None,
-                       help="defocusing coupling (dnls)")
-        p.add_argument("--mu", type=float, default=None,
-                       help="chemical potential (dnls)")
-        p.add_argument("--ax", type=float, default=None)
-        p.add_argument("--ay", type=float, default=None)
-        p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads over blocks of beta rows or "
-                            "over m values (default 1); every shipped "
-                            "config fits in one block")
-        if name == "convergence":
-            p.add_argument("--m-list", dest="m_list", default=None,
-                           help="comma-separated quadrature sizes")
-            p.add_argument("--reference", choices=REFERENCES, default=None)
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", default=None,
+                        help="flat `key = value` config file; flags override it")
+    for name, f in _SETTINGS.items():
+        # a bool flag alone means true
+        switch = {"nargs": "?", "const": True} if f.type is bool else {}
+        parser.add_argument("--" + _SPELLING.get(name, name).replace("_", "-"),
+                            dest=name, type=_converter(name),
+                            choices=_CHOICES.get(name), help=_HELP.get(name),
+                            **switch)
     return parser
 
 
@@ -210,29 +192,17 @@ def build_config(argv=None, config_file_text=None):
 
     Precedence: explicit flag > config file entry > RunConfig default.
     """
-    args = _build_parser().parse_args(argv)
-    file_values = {}
-    if config_file_text is None and getattr(args, "config", None):
+    args = _parser().parse_args(argv)
+    if config_file_text is None and args.config:
         try:
             with open(args.config) as fh:
                 config_file_text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}")
-    if config_file_text is not None:
-        file_values = parse_config_text(config_file_text)
-
-    merged = {"subcommand": args.subcommand}
-    for f in dataclasses.fields(RunConfig):
-        if f.name == "subcommand":
-            continue
-        flag = getattr(args, f.name, None)
-        if f.name == "m_list" and flag is not None:
-            flag = _parse_m_list(flag)
-        if flag is not None:
-            merged[f.name] = flag
-        elif f.name in file_values:
-            merged[f.name] = file_values[f.name]
-    return RunConfig(**merged)
+    values = parse_config_text(config_file_text or "")
+    values.update((name, getattr(args, name)) for name in _SETTINGS
+                  if getattr(args, name) is not None)
+    return RunConfig(subcommand=args.subcommand, **values)
 
 
 def _beta_grid(cfg):
@@ -268,16 +238,10 @@ def _require_out(cfg):
         raise UsageError("--out is required")
 
 
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.17g" % float(v)
-
-
 def _write_csv(path, names, cols):
+    # %.17g prints an integer column (m) as 4, 150, ...
     lines = [",".join(names)]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join("%.17g" % v for v in row) for row in zip(*cols)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -355,9 +319,7 @@ def run_convergence(cfg):
         f_ref = values[ms.index(m_skip)]
     rows = [(m, abs(f - f_ref) / abs(f_ref))
             for m, f in zip(ms, values) if m != m_skip]
-    _write_csv(cfg.out, ["m", "rel_error"],
-               [np.array([r[0] for r in rows]),
-                np.array([r[1] for r in rows])])
+    _write_csv(cfg.out, ["m", "rel_error"], list(zip(*rows)))
     return rows
 
 

@@ -82,6 +82,7 @@ observables, whose rule moves with mu and beta.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _check_beta(beta):
-    if not (beta > 0.0) or not math.isfinite(beta):
-        raise DomainError(f"beta must be positive and finite, got {beta!r}")
+    # a real scalar (a 0-d array too), positive and finite
+    scalar = np.asarray(beta)[()]
+    if (not isinstance(scalar, numbers.Real) or not (scalar > 0.0)
+            or not math.isfinite(scalar)):
+        raise DomainError(
+            f"beta must be a positive, finite real scalar, got {beta!r}")
 
 
 def _per_beta(solve, beta):
@@ -250,8 +255,7 @@ class CylinderParams:
         if self.ax < 0.0 or self.ay < 0.0:
             raise DomainError(
                 f"couplings must be >= 0, got ax={self.ax!r}, ay={self.ay!r}")
-        if not isinstance(self.ly, (int, np.integer)) or self.ly < 1:
-            raise DomainError(f"ly must be a positive integer, got {self.ly!r}")
+        _check_m(self.ly, "ly")
 
     def block(self, betas, m0, observables=True):
         """F at each beta of a block, the mean of one chain model per ring

@@ -155,8 +155,9 @@ class TensorRule:
 
 
 def _check_m(m, name="m"):
-    # the one check of a quadrature size, m or the cylinder's m0
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    # the one check of a size: m, the cylinder's m0 or its ly; a bool
+    # is an int to Python but not a size
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise DomainError(f"{name} must be a positive integer, got {m!r}")
 
 

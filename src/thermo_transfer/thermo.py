@@ -33,16 +33,9 @@ __all__ = ["MODELS", "SweepSpec", "SweepResult",
 OBSERVABLE_COLUMNS = ("stretch_sq", "energy", "density")
 
 
-def fd_derivative(f, x, order=1, accuracy=6, *, h):
-    """First derivative of f at x by the order-6 central stencil.
-
-    Only (order=1, accuracy=6) is implemented; the stencil is exact on
-    polynomials through degree 6 and has O(h^6) error on smooth f.
-    """
-    if order != 1 or accuracy != 6:
-        raise DomainError(
-            f"only the (order=1, accuracy=6) stencil is available, "
-            f"got order={order!r}, accuracy={accuracy!r}")
+def fd_derivative(f, x, *, h):
+    """First derivative of f at x by the order-6 central stencil, exact
+    on polynomials through degree 6 with O(h^6) error on smooth f."""
     if not (h > 0.0) or not math.isfinite(h):
         raise DomainError(f"stencil step h must be positive, got {h!r}")
     vals = np.array([f(x + k * h) for k in range(-3, 4)], dtype=float)
@@ -91,6 +84,8 @@ class SweepSpec:
     def __post_init__(self):
         grid = np.atleast_1d(np.asarray(self.beta_grid, dtype=float))
         object.__setattr__(self, "beta_grid", grid)
+        if grid.ndim != 1:
+            raise DomainError(f"beta grid must be 1-D, got shape {grid.shape}")
         if grid.size == 0:
             raise DomainError("empty beta grid")
         if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):

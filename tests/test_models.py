@@ -46,6 +46,7 @@ from thermo_transfer.models import (
     reference_cylinder_ax0,
     reference_particle_chain_gamma0,
 )
+from thermo_transfer.thermo import dnls_observables, particle_chain_observables
 from thermo_transfer.nystrom import LogKernel, assemble, dominant_eigenvalue
 from thermo_transfer.quadrature import (
     gauss_hermite_rescaled,
@@ -94,6 +95,8 @@ def test_cylinder_params_validation():
         CylinderParams(eta=1.0, ax=0.0, ay=0.0, ly=0)
     with pytest.raises(DomainError):
         CylinderParams(eta=1.0, ax=0.0, ay=0.0, ly=2.5)
+    with pytest.raises(DomainError, match="ly must be a positive integer, got True"):
+        CylinderParams(eta=1.0, ax=0.0, ay=0.0, ly=True)
 
 
 def test_v_loc_hand_value():
@@ -318,6 +321,39 @@ def test_chain_free_energy_rejects_bad_arguments():
         particle_chain_free_energy(p, 1.0, 0)
     with pytest.raises(DomainError):
         particle_chain_free_energy(p, float("nan"), 10)
+
+
+_CHAIN = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0)
+_DNLS = DnlsParams(g=1.0, mu_c=1.0)
+_CYLINDER = CylinderParams(eta=1.0, ax=0.5, ay=0.2, ly=3)
+_ONE_POINT_ROUTES = {
+    "chain_free_energy": lambda b: particle_chain_free_energy(_CHAIN, b, 8),
+    "dnls_free_energy": lambda b: dnls_free_energy(_DNLS, b, 8),
+    "cylinder_free_energy": lambda b: cylinder_free_energy(_CYLINDER, b, 4),
+    "chain_observables": lambda b: particle_chain_observables(_CHAIN, b, 8),
+    "dnls_observables": lambda b: dnls_observables(_DNLS, b, 8),
+    "chain_log_kernel": lambda b: particle_chain_log_kernel(_CHAIN, b),
+    "dnls_log_kernel": dnls_log_kernel,
+    "cylinder_log_kernel": lambda b: cylinder_log_kernel(_CYLINDER, b),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ONE_POINT_ROUTES))
+@pytest.mark.parametrize("beta", [
+    np.array([2.0]), [2.0], np.array([1.0, 2.0]), "2", 2.0 + 0.0j, True, None,
+], ids=["array1", "list1", "array2", "str", "complex", "bool", "none"])
+def test_one_point_routes_take_only_a_real_scalar_beta(route, beta):
+    # a non-scalar beta once escaped as TypeError or numpy's "truth
+    # value is ambiguous" ValueError
+    with pytest.raises(DomainError, match="beta must be a positive, finite real scalar"):
+        _ONE_POINT_ROUTES[route](beta)
+
+
+@pytest.mark.parametrize("route", [r for r in sorted(_ONE_POINT_ROUTES)
+                                   if "log_kernel" not in r])
+def test_one_point_routes_take_a_0d_array_beta(route):
+    fn = _ONE_POINT_ROUTES[route]
+    assert fn(np.array(2.0)) == fn(2.0)
 
 
 # --- DNLS free energy ---------------------------------------------------------------

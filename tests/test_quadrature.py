@@ -111,6 +111,14 @@ def test_hermite_single_point():
     assert r.weights == pytest.approx([1.0])
 
 
+def test_sizes_reject_bools():
+    # True is an int to Python, so it once ran as m = 1
+    with pytest.raises(DomainError, match="m must be a positive integer, got True"):
+        gauss_hermite_rescaled(True, 1.0)
+    with pytest.raises(DomainError, match="got False"):
+        stieltjes_recurrence(1.0, 0.0, False)
+
+
 def test_hermite_rejects_bad_arguments():
     with pytest.raises(DomainError):
         gauss_hermite_rescaled(0, 1.0)

@@ -161,13 +161,6 @@ def test_stencil_exact_on_random_cubics(x, coef):
     assert got == pytest.approx(dp(x), rel=1e-9, abs=1e-9)
 
 
-def test_stencil_rejects_other_orders():
-    with pytest.raises(DomainError):
-        fd_derivative(math.sin, 0.0, order=2, h=0.1)
-    with pytest.raises(DomainError):
-        fd_derivative(math.sin, 0.0, accuracy=4, h=0.1)
-
-
 def test_stencil_rejects_bad_step():
     with pytest.raises(DomainError):
         fd_derivative(math.sin, 0.0, h=0.0)
@@ -339,6 +332,22 @@ def test_sweep_spec_validation():
         SweepSpec(params=p, beta_grid=[1.0], m=0)
     with pytest.raises(DomainError):
         SweepSpec(params="not params", beta_grid=[1.0], m=5)
+
+
+def test_sweep_spec_rejects_a_grid_that_is_not_1d():
+    # a 2-D grid once failed deep in the Hermite builder
+    p = ParticleChainParams(eta=1.0)
+    with pytest.raises(DomainError, match=r"1-D, got shape \(2, 2\)"):
+        SweepSpec(params=p, beta_grid=[[1.0, 2.0], [3.0, 4.0]], m=5)
+
+
+def test_sweep_spec_rejects_a_bool_size():
+    p = ParticleChainParams(eta=1.0)
+    with pytest.raises(DomainError, match="m must be a positive integer, got True"):
+        SweepSpec(params=p, beta_grid=[1.0, 2.0], m=True)
+    cyl = CylinderParams(eta=1.0, ax=0.1, ay=0.1, ly=2)
+    with pytest.raises(DomainError, match="m0 must be a positive integer"):
+        SweepSpec(params=cyl, beta_grid=[1.0], m=True)
 
 
 def test_sweep_spec_observable_names_per_model():
