@@ -29,7 +29,7 @@ import numpy as np
 
 from . import selftest as _selftest
 from .errors import DomainError, NumericError
-from .thermo import MODELS, SweepSpec, free_energy_sweep, map_rows
+from .thermo import MODELS, SweepSpec, free_energy_sweep
 
 __all__ = ["RunConfig", "UsageError", "build_config", "config_text", "main",
            "run_free_energy", "run_convergence", "run_observables",
@@ -69,6 +69,11 @@ class RunConfig:
     m_list: tuple = None
     reference: str = "auto"
 
+    def __post_init__(self):
+        # a config built in code is held to the choices of the flags
+        for name in _CHOICES:
+            _check_choice(name, getattr(self, name))
+
 
 # every field but the subcommand is a flag and a config key
 _SETTINGS = {f.name: f for f in dataclasses.fields(RunConfig)[1:]}
@@ -88,12 +93,20 @@ _HELP = {
     "g": "defocusing coupling (dnls)",
     "mu": "chemical potential (dnls)",
     "out": "output CSV path",
-    "threads": "worker threads over blocks of beta rows or over m values "
-               "(default 1); every shipped config fits in one block",
+    "threads": "worker threads over blocks of beta rows (default 1); "
+               "every shipped config fits in one block",
     "m_list": "comma-separated quadrature sizes (convergence)",
 }
 # params field -> RunConfig field, where the two names differ
 _PARAM_KEYS = {"mu_c": "mu"}
+
+
+def _check_choice(name, value):
+    # a choice setting holds one of its choices, or its default (the
+    # model's None: no model given)
+    if value not in _CHOICES[name] and value != _SETTINGS[name].default:
+        raise UsageError(f"{name} must be one of "
+                         f"{', '.join(_CHOICES[name])}, got {value!r}")
 
 
 def _parse_m_list(text):
@@ -140,9 +153,8 @@ def parse_config_text(text):
             value = _converter(key)(val.strip())
         except ValueError:
             raise UsageError(f"config line {ln}: bad value for {key!r}: {val.strip()!r}")
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise UsageError(f"{key} must be one of "
-                             f"{', '.join(_CHOICES[key])}, got {value!r}")
+        if key in _CHOICES:
+            _check_choice(key, value)
         values[key] = value
     return values
 
@@ -222,8 +234,6 @@ def _beta_grid(cfg):
 def _model(cfg):
     if cfg.model is None:
         raise UsageError("--model is required")
-    if cfg.model not in MODELS:
-        raise UsageError(f"unknown model {cfg.model!r}")
     return MODELS[cfg.model]
 
 
@@ -276,9 +286,8 @@ def run_observables(cfg):
 def _factorized_reference(cfg, params, beta, ms):
     """The factorized-limit F the configured strategy asks for, or None
     when the largest m is the reference."""
-    strategy = cfg.reference or "auto"
-    f_ref = None if strategy == "largest-m" else params.factorized(beta)
-    if f_ref is None and strategy == "factorized":
+    f_ref = None if cfg.reference == "largest-m" else params.factorized(beta)
+    if f_ref is None and cfg.reference == "factorized":
         needs = ", ".join(f"{m.name} needs {m.reference_zero}=0"
                           for m in MODELS.values() if m.reference_zero)
         raise UsageError(
@@ -292,8 +301,9 @@ def _factorized_reference(cfg, params, beta, ms):
 def run_convergence(cfg):
     """Errors vs quadrature size at a single beta -> CSV `m,rel_error`.
 
-    Each m is a one-point sweep.  Against the largest-m reference, the
-    largest m's own row (exactly 0) is left out.
+    Each m is a one-point sweep, in --m-list order; a size may appear
+    only once.  Against the largest-m reference, the largest m's own
+    row (exactly 0) is left out.
     """
     _require_out(cfg)
     if cfg.beta_count not in (None, 1):
@@ -306,13 +316,12 @@ def run_convergence(cfg):
     # quadrature sizes come from --m-list here, so --m/--m0 is not needed
     params = _params(cfg, _model(cfg))
     ms = list(cfg.m_list)
+    repeated = sorted({m for m in ms if ms.count(m) > 1})
+    if repeated:
+        raise UsageError(f"--m-list repeats {', '.join(map(str, repeated))}")
     f_ref = _factorized_reference(cfg, params, beta, ms)
-
-    def evaluate(m):
-        spec = SweepSpec(params=params, beta_grid=[beta], m=m)
-        return free_energy_sweep(spec).free_energy[0]
-
-    values = map_rows(evaluate, ms, cfg.threads)
+    values = [free_energy_sweep(SweepSpec(params=params, beta_grid=[beta],
+                                          m=m)).free_energy[0] for m in ms]
     m_skip = None
     if f_ref is None:
         m_skip = max(ms)

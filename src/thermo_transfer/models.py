@@ -338,7 +338,7 @@ def particle_chain_free_energy(p, beta, m):
     return _point(p, beta, m)[0]
 
 
-def reference_particle_chain_gamma0(p, beta, tail_exponent=45.0):
+def reference_particle_chain_gamma0(p, beta):
     """Factorized reference for the gamma=0 chain by adaptive quadrature.
 
     Z_1 = sqrt(2 pi / beta) int e^{-beta V_loc(q)} dq, F = -log(Z_1)/beta.
@@ -352,7 +352,7 @@ def reference_particle_chain_gamma0(p, beta, tail_exponent=45.0):
     from scipy.integrate import quad as _adaptive_quad
 
     R = 1.0
-    while (beta * min(p.v_loc(R), p.v_loc(-R)) < tail_exponent) and R < 1e6:
+    while (beta * min(p.v_loc(R), p.v_loc(-R)) < 45.0) and R < 1e6:
         R *= 1.5
     val, err = _adaptive_quad(lambda q: math.exp(-beta * float(p.v_loc(q))),
                               -R, R, epsabs=0.0, epsrel=1e-13, limit=400)
@@ -391,15 +391,14 @@ def _dnls_solve(g, mu_c, betas, m):
     1-D array.  The Stieltjes rule is built per beta (its weight moves
     with beta) and the rules are stacked for one assembly and one
     stacked eigensolve."""
-    b = mu_c / g
+    p = DnlsParams(g, mu_c)
     log_c = np.empty(betas.size)
     nodes = np.empty((betas.size, m))
     weights = np.empty((betas.size, m))
     for k, beta in enumerate(betas):
-        a = beta * g
         try:
             # one normalization per weight, for the prefactor and the rule
-            c = truncated_gaussian_normalization(a, b)
+            a, b, c = p.weight_parameters(beta)
             rule = golub_welsch(stieltjes_recurrence(a, b, m, c=c))
         except NumericError as exc:
             raise type(exc)(f"rule {k} of the stack: {exc}",

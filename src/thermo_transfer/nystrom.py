@@ -6,11 +6,14 @@ discretized on a quadrature rule (z_i, w_i) as the symmetric matrix
     T[i, j] = k_beta(z_i, z_j) sqrt(w_i w_j),
 
 assembled in log space (the kernels carry exponents of order
-beta * q^4 which underflow as raw products).  Each model's matrix has
-m rows (m0 for the cylinder, solved as one chain per ring Fourier
-mode), a few dozen in practice, so the dominant pair comes from two
-dense steps: lambda_1 is the top of the eigenvalues, and the Perron
-vector is one step of inverse iteration, a solve of
+beta * q^4 which underflow as raw products).  `assemble` takes the
+kernel only as a `LogKernel` (symmetric pair terms plus optional
+per-node site terms, broadcast over the rule's nodes) and the rule as
+a `QuadratureRule` or `TensorRule`, which cannot be empty.  Each
+model's matrix has m rows (m0 for the cylinder, solved as one chain
+per ring Fourier mode), a few dozen in practice, so the dominant pair
+comes from two dense steps: lambda_1 is the top of the eigenvalues,
+and the Perron vector is one step of inverse iteration, a solve of
 (sigma I - T) x = T 1 with sigma 16 ulps above lambda_1.  The
 Perron-Frobenius theorem for elementwise positive matrices guarantees
 a simple positive lambda_1 with a strictly positive eigenvector, and
@@ -33,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssemblyError, ConvergenceError, DomainError
+from .errors import AssemblyError, ConvergenceError
 
 __all__ = ["LogKernel", "NystromMatrix", "DominantEig",
            "assemble", "dominant_eigenvalue", "fredholm_det"]
@@ -50,12 +53,11 @@ class LogKernel:
     z of shape (..., m, 1) and z' of shape (..., 1, m) for scalar
     points, with a trailing axis of length L_y for ring points, and
     ``fn`` returns shape (..., m, m), ``site`` shape (..., m, 1).
-    All kernels in this package are symmetric; the flag exists so the
-    assembly can assert it.
+    The kernel must be symmetric, fn(z, z') = fn(z', z): assembly
+    evaluates every pair but keeps only the upper triangle.
     """
 
     fn: Callable
-    is_symmetric: bool = True
     site: Callable = None
 
     def __call__(self, z, zp):
@@ -102,6 +104,9 @@ _LOG_MAX = float(np.log(np.finfo(float).max))
 # random matrices
 _SHIFT_ULPS = 16.0
 
+# the largest accepted relative residual ||T v / lambda_1 - v||
+_TOL = 1e-14
+
 
 @functools.lru_cache(maxsize=None)
 def _upper(m):
@@ -131,14 +136,8 @@ def assemble(kernel, rule):
     is not finite, or so large that its exp overflows a double, raises
     AssemblyError naming the node pair and, for a stack, the matrix.
     """
-    if not isinstance(kernel, LogKernel):
-        kernel = LogKernel(kernel)
-    if not kernel.is_symmetric:
-        raise DomainError("assembly requires a symmetric kernel")
     nodes = rule.nodes
     weights = rule.weights
-    if weights.size == 0:
-        raise DomainError("cannot assemble on an empty rule")
     m = weights.shape[-1]
     # point coordinates (a ring's L_y) trail the weights' axes
     point = nodes.shape[weights.ndim:]
@@ -171,7 +170,7 @@ def assemble(kernel, rule):
     return NystromMatrix(np.exp(logT), rule)
 
 
-def dominant_eigenvalue(T, tol=1e-14):
+def dominant_eigenvalue(T):
     """Dominant eigenvalue and Perron eigenvector of an assembled matrix
     or a (B, m, m) stack of them.
 
@@ -185,13 +184,11 @@ def dominant_eigenvalue(T, tol=1e-14):
     at a few 1e-15 despite the shift; its scale follows T's, so x
     stays near 1 / (16 eps) at any lambda_1.  The residual is
     ||T v / lambda_1 - v||, checked for every matrix; ConvergenceError
-    carries the first one above tol, or not finite, and for a stack its
+    carries the first one above 1e-14, or not finite, and for a stack its
     index; a LAPACK failure of either step is a ConvergenceError too,
     without an index.  A single matrix gives scalar lambda1 and a
     vector of shape (m,).
     """
-    if not (tol > 0.0):
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
     A = T.entries if isinstance(T, NystromMatrix) else np.asarray(T, dtype=float)
     stack = A.reshape((-1,) + A.shape[-2:])
     B, m = stack.shape[0], stack.shape[-1]
@@ -213,13 +210,13 @@ def dominant_eigenvalue(T, tol=1e-14):
     res = np.sqrt((r * r).sum(axis=-1))
     # after the max scaling a non-finite or zero x leaves nan in v, so
     # its residual is nan and fails this test too
-    ok = res <= tol
+    ok = res <= _TOL
     if not ok.all():
         k = int(np.argmin(ok))
         index = k if A.ndim == 3 else None
         where = "" if index is None else f" of matrix {k} in the stack"
         raise ConvergenceError(
-            f"eigenvalue residual {res[k]:.3e} above tolerance {tol:.1e} "
+            f"eigenvalue residual {res[k]:.3e} above tolerance {_TOL:.1e} "
             f"after the dense solve{where}",
             residual=float(res[k]), index=index)
     if A.ndim == 2:

@@ -57,6 +57,10 @@ _TAIL_SIGMAS = 12.0
 # on through the two-level agreement check.
 _PANEL_POINTS = (16, 24, 32, 48, 64, 96, 128)
 
+# the most points a tensor rule may have: a dense matrix on the product
+# grid holds the square of this many entries (8192^2 doubles = 512 MiB)
+_TENSOR_BUDGET = 8192
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -69,7 +73,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    total_mass: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -145,14 +148,6 @@ class TensorRule:
     def __len__(self):
         return self.weights.size
 
-    @property
-    def dimension(self):
-        return len(self.bases)
-
-    @property
-    def total_mass(self):
-        return math.prod(b.total_mass for b in self.bases)
-
 
 def _check_m(m, name="m"):
     # the one check of a size: m, the cylinder's m0 or its ly; a bool
@@ -202,8 +197,7 @@ def golub_welsch(rc):
     """
     m = len(rc)
     if m == 1:
-        return QuadratureRule(np.array([rc.alpha[0]]), np.array([rc.beta[0]]),
-                              total_mass=float(rc.beta[0]))
+        return QuadratureRule(np.array([rc.alpha[0]]), np.array([rc.beta[0]]))
     from scipy.linalg.lapack import dstev
 
     # LAPACK's QR driver, called directly: scipy's eigh_tridiagonal
@@ -218,7 +212,7 @@ def golub_welsch(rc):
         raise ConvergenceError(
             f"Jacobi eigenproblem failed (LAPACK dstev info={info}) at m={m}")
     weights = rc.beta[0] * vecs[0, :] ** 2
-    return QuadratureRule(vals, weights, total_mass=float(rc.beta[0]))
+    return QuadratureRule(vals, weights)
 
 
 def truncated_gaussian_normalization(a, b):
@@ -244,17 +238,15 @@ def truncated_gaussian_normalization(a, b):
 @functools.lru_cache(maxsize=None)
 def _legendre_panel(n):
     # Gauss-Legendre nodes/weights on [-1, 1] from the Jacobi matrix of
-    # the Legendre recurrence beta_k = k^2/(4k^2 - 1), total mass 2;
-    # built once per n and read-only, since every caller shares them
-    if n == 1:
-        vals, weights = np.array([0.0]), np.array([2.0])
-    else:
-        from scipy.linalg import eigh_tridiagonal
+    # the Legendre recurrence beta_k = k^2/(4k^2 - 1), total mass 2, for
+    # n >= 2 (the levels start at 16); built once per n and read-only,
+    # since every caller shares them
+    from scipy.linalg import eigh_tridiagonal
 
-        k = np.arange(1, n)
-        off = k / np.sqrt(4.0 * k * k - 1.0)
-        vals, vecs = eigh_tridiagonal(np.zeros(n), off)
-        weights = 2.0 * vecs[0, :] ** 2
+    k = np.arange(1, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    vals, vecs = eigh_tridiagonal(np.zeros(n), off)
+    weights = 2.0 * vecs[0, :] ** 2
     vals.flags.writeable = False
     weights.flags.writeable = False
     return vals, weights
@@ -307,29 +299,24 @@ def _lanczos_recurrence(x, w, m):
     return alpha, beta
 
 
-def stieltjes_recurrence(a, b, m, c=None, lower=0.0):
-    """Recurrence coefficients of the (truncated) Gaussian measure.
+def stieltjes_recurrence(a, b, m, c=None):
+    """Recurrence coefficients of the truncated Gaussian measure.
 
-    The measure is c e^{-a(z-b)^2/2} dz on [lower, inf); by default
-    lower = 0 and c is the normalizing constant, so beta_0 = 1.  Pass
-    lower=None for the full-line sanity variant (with c = 1/sqrt(2pi/a)
-    this reproduces the monic Hermite recurrence alpha_k = 0,
-    beta_k = k/a, up to the cut below).
+    The measure is c e^{-a(z-b)^2/2} dz on [0, inf); by default c is
+    the normalizing constant, so beta_0 = 1.  A caller that already
+    holds that constant passes it as c.
 
     The coefficients are produced by a discretized Stieltjes procedure:
     the measure is replaced by a composite Gauss-Legendre discretization
-    on [lower, max(b, lower) + 12/sqrt(a)] (lower = b - 12/sqrt(a) for
-    the full line) with panels about one standard deviation wide, and
-    the Jacobi coefficients of the discrete measure are extracted by
-    Lanczos with full reorthogonalization.  What comes out is the
-    recurrence of the measure cut at that upper end.  The mass beyond
-    12 sigma is below 1e-31, so low-order coefficients and the free
-    energies built on them do not see the cut, but high orders do: the
-    full-line variant at a = 2.5, b = 0.7, m = 40 has beta_39 off 39/a
-    by 7.3e-2 relative.  The grid is refined through 16, 24, 32, 48,
-    64, 96 and 128 points per panel, starting at the first level with
-    at least min(m, 32) points, until two consecutive levels agree to
-    1e-14.
+    on [0, max(b, 0) + 12/sqrt(a)] with panels about one standard
+    deviation wide, and the Jacobi coefficients of the discrete measure
+    are extracted by Lanczos with full reorthogonalization.  What comes
+    out is the recurrence of the measure cut at that upper end.  The
+    mass beyond 12 sigma is below 1e-31, so low-order coefficients and
+    the free energies built on them do not see the cut, but high orders
+    do.  The grid is refined through 16, 24, 32, 48, 64, 96 and 128
+    points per panel, starting at the first level with at least
+    min(m, 32) points, until two consecutive levels agree to 1e-14.
     """
     if not (a > 0.0) or not math.isfinite(a):
         raise DomainError(f"a must be positive, got {a!r}")
@@ -338,21 +325,16 @@ def stieltjes_recurrence(a, b, m, c=None, lower=0.0):
     a = float(a)
     b = float(b)
     sigma = 1.0 / math.sqrt(a)
-    if lower is None:
-        lo = b - _TAIL_SIGMAS * sigma
-    else:
-        lo = float(lower)
-    hi = max(b, lo) + _TAIL_SIGMAS * sigma
+    hi = max(b, 0.0) + _TAIL_SIGMAS * sigma
     if c is None:
-        c = truncated_gaussian_normalization(a, b) if lower == 0.0 else \
-            1.0 / math.sqrt(2.0 * math.pi / a)
+        c = truncated_gaussian_normalization(a, b)
     density = lambda z: c * np.exp(-0.5 * a * (z - b) ** 2)
 
     # enough panels that each spans about one standard deviation
-    panels = max(8, int(math.ceil((hi - lo) / sigma)))
+    panels = max(8, int(math.ceil(hi / sigma)))
     prev = None
     for pts in [n for n in _PANEL_POINTS if n >= min(m, 32)]:
-        x, wleg = _composite_legendre(lo, hi, panels, pts)
+        x, wleg = _composite_legendre(0.0, hi, panels, pts)
         w = wleg * density(x)
         alpha, beta = _lanczos_recurrence(x, w, m)
         if prev is not None:
@@ -367,13 +349,13 @@ def stieltjes_recurrence(a, b, m, c=None, lower=0.0):
         f"(last coefficient change {resid:.3e})", residual=float(resid))
 
 
-def tensor_product(base, dimension, max_points=8192):
+def tensor_product(base, dimension):
     """Tensor-product rule over `dimension` coordinates.
 
     `base` is either one rule used for every coordinate or a sequence
     of `dimension` rules, one per coordinate.  The flat size (m0^dimension
-    for a shared rule) must not exceed max_points (a dense matrix on the
-    product grid costs size^2 floats, which is the real constraint).
+    for a shared rule) must not exceed 8192 points (a dense matrix on
+    the product grid costs size^2 floats, which is the real constraint).
     """
     if not isinstance(dimension, (int, np.integer)) or dimension < 1:
         raise DomainError(f"dimension must be a positive integer, got {dimension!r}")
@@ -384,10 +366,10 @@ def tensor_product(base, dimension, max_points=8192):
             f"got {len(bases)} per-coordinate rules for dimension {dimension}")
     sizes = [len(b) for b in bases]
     size = math.prod(sizes)
-    if size > max_points:
+    if size > _TENSOR_BUDGET:
         shape = f"m0^Ly = {sizes[0]}^{dimension}" if len(set(sizes)) == 1 \
             else "*".join(map(str, sizes))
         raise ResourceLimitError(
             f"tensor rule size {shape} = {size} "
-            f"exceeds the budget of {max_points} points")
+            f"exceeds the budget of {_TENSOR_BUDGET} points")
     return TensorRule(bases)

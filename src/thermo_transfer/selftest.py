@@ -42,12 +42,15 @@ def suite_quadrature():
     half = quadrature.golub_welsch(rc)
     if np.any(half.nodes <= 0.0):
         fails.append("half-line rule has nodes outside (0, inf)")
-    # full-line Stieltjes round trip against the analytic Hermite rule
+    # the Stieltjes builder's Lanczos step on a full-line grid, against
+    # the analytic Hermite rule
     a = 2.5
-    rc_full = quadrature.stieltjes_recurrence(a, 0.0, 8, c=math.sqrt(a / (2 * math.pi)),
-                                              lower=None)
+    cut = quadrature._TAIL_SIGMAS / math.sqrt(a)
+    x, w = quadrature._composite_legendre(-cut, cut, 24, 16)
+    w = w * math.sqrt(a / (2 * math.pi)) * np.exp(-0.5 * a * x * x)
     direct = quadrature.gauss_hermite_rescaled(8, a)
-    indirect = quadrature.golub_welsch(rc_full)
+    indirect = quadrature.golub_welsch(quadrature.RecurrenceCoefficients(
+        *quadrature._lanczos_recurrence(x, w, 8)))
     if not np.allclose(indirect.nodes, direct.nodes, rtol=0, atol=1e-12):
         fails.append("full-line Stieltjes nodes disagree with Hermite rule")
     if not np.allclose(indirect.weights, direct.weights, rtol=1e-12, atol=1e-15):

@@ -27,7 +27,7 @@ from .models import (_chain_free_energy_raw, _dnls_free_energy_raw,  # noqa: F40
 
 __all__ = ["MODELS", "SweepSpec", "SweepResult",
            "fd_derivative", "particle_chain_observables", "dnls_observables",
-           "map_rows", "free_energy_sweep", "OBSERVABLE_COLUMNS"]
+           "free_energy_sweep", "OBSERVABLE_COLUMNS"]
 
 # canonical CSV column order; each model supports a subset
 OBSERVABLE_COLUMNS = ("stretch_sq", "energy", "density")
@@ -156,24 +156,19 @@ def _sweep_row(spec, betas, start):
     return f, {k: values[k] for k in spec.observables}
 
 
-def map_rows(fn, items, threads=None):
-    """[fn(x) for x in items], in input order; on a thread pool of
-    independent calls when threads > 1."""
-    if threads is not None and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def free_energy_sweep(spec, threads=None):
     """Evaluate the sweep one block of grid rows at a time, each block
-    one stacked solve, optionally on a thread pool over blocks (LAPACK
-    releases the GIL)."""
+    one stacked solve, on a thread pool over blocks when threads > 1
+    (LAPACK releases the GIL)."""
     grid = spec.beta_grid
     rows = max(1, _BLOCK_ENTRIES // spec.m ** 2)
     starts = range(0, grid.size, rows)
-    solved = map_rows(lambda i: _sweep_row(spec, grid[i:i + rows], i),
-                      starts, threads)
+    block = lambda i: _sweep_row(spec, grid[i:i + rows], i)
+    if threads is not None and threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            solved = list(pool.map(block, starts))
+    else:
+        solved = [block(i) for i in starts]
     free = np.concatenate([f for f, _ in solved])
     obs = {k: np.concatenate([o[k] for _, o in solved])
            for k in spec.observables}

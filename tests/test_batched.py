@@ -223,20 +223,22 @@ def test_single_matrix_gives_scalars():
     assert isinstance(eig.lambda1, float) and eig.vector.shape == (2,)
 
 
-def test_stacked_residual_check_carries_the_failing_index():
+def test_stacked_residual_check_carries_the_failing_index(monkeypatch):
     # the diagonal matrix solves exactly, the dense one to round-off;
     # one nonzero entry, since the shifted solve leaves every other
-    # diagonal direction with a part of order eps in the vector
+    # diagonal direction with a part of order eps in the vector.  A
+    # tolerance of 1e-300 fails every residual that is not exactly 0
+    monkeypatch.setattr(nystrom, "_TOL", 1e-300)
     rng = np.random.default_rng(3)
     B = rng.uniform(0.1, 1.0, size=(6, 6))
     stack = np.stack([np.diag([3.0, 0.0, 0.0, 0.0, 0.0, 0.0]), B + B.T])
-    assert dominant_eigenvalue(stack[0], tol=1e-300).residual == 0.0
+    assert dominant_eigenvalue(stack[0]).residual == 0.0
     with pytest.raises(ConvergenceError) as exc:
-        dominant_eigenvalue(stack, tol=1e-300)
+        dominant_eigenvalue(stack)
     assert exc.value.index == 1
     assert "of matrix 1 in the stack" in str(exc.value)
     with pytest.raises(ConvergenceError) as exc:
-        dominant_eigenvalue(stack[1], tol=1e-300)
+        dominant_eigenvalue(stack[1])
     assert exc.value.index is None
 
 

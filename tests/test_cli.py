@@ -324,6 +324,38 @@ def test_convergence_numeric_failure_names_beta_and_m(tmp_path, capsys,
     assert "numeric failure:" in err and "at beta=2.0, m=3:" in err
 
 
+def test_convergence_rejects_a_repeated_size(tmp_path, capsys):
+    # a repeated largest m would leave no row against the largest-m
+    # reference; the run stops before it writes anything
+    out = tmp_path / "x.csv"
+    rc = cli.main(["convergence", "--model", "dnls", "--beta-start", "2",
+                   "--mu", "1", "--m-list", "8,8", "--reference", "largest-m",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "--m-list repeats 8" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = RunConfig(subcommand="convergence", model="chain", beta_start=2.0,
+                    m_list=(4, 6, 4, 8), out=str(out))
+    with pytest.raises(UsageError, match="repeats 4"):
+        cli.run_convergence(cfg)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, value", [("reference", "factorised"),
+                                         ("reference", None),
+                                         ("model", "heisenberg")])
+def test_code_built_config_rejects_an_unknown_choice(tmp_path, name, value):
+    # the choices of --model and --reference hold for a RunConfig built
+    # in code too, before anything runs
+    settings = dict(subcommand="convergence", model="dnls", mu=1.0,
+                    beta_start=2.0, m_list=(4, 6, 8),
+                    out=str(tmp_path / "x.csv"))
+    settings[name] = value
+    with pytest.raises(UsageError, match=f"{name} must be one of"):
+        RunConfig(**settings)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_convergence_rejects_beta_grid(tmp_path):
     rc = cli.main(["convergence", "--model", "dnls", "--beta-start", "1",
                    "--beta-stop", "5", "--beta-count", "4", "--m-list", "4,8",
