@@ -28,7 +28,7 @@ from .nystrom import (DominantEig, LogKernel, NystromMatrix, assemble,
 from .quadrature import (QuadratureRule, RecurrenceCoefficients, TensorRule,
                          gauss_hermite_rescaled, golub_welsch,
                          stieltjes_recurrence, tensor_product)
-from .specfun import erf, erfc, i0_scaled, i1_scaled, log_i0, log_i0_scaled
+from .specfun import erfc, i0_scaled, i1_scaled, log_i0
 from .thermo import (SweepResult, SweepSpec, dnls_observables, fd_derivative,
                      free_energy_sweep, particle_chain_observables)
 
@@ -47,7 +47,7 @@ __all__ = [
     "QuadratureRule", "RecurrenceCoefficients", "TensorRule",
     "gauss_hermite_rescaled", "golub_welsch", "stieltjes_recurrence",
     "tensor_product",
-    "erf", "erfc", "i0_scaled", "i1_scaled", "log_i0", "log_i0_scaled",
+    "erfc", "i0_scaled", "i1_scaled", "log_i0",
     "SweepResult", "SweepSpec", "dnls_observables", "fd_derivative",
     "free_energy_sweep", "particle_chain_observables",
     "__version__",

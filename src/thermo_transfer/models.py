@@ -44,8 +44,11 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
     and lambda_1 = prod_k lambda_1(T_k):
     -beta F = (1/L_y) sum_k [log(2 pi / beta) - log(c_k)/2
                              + log lambda_1(T_k)],
-    c_k = sqrt(eta_k (eta_k + 4 a_x)): the mean of L_y harmonic-chain
-    free energies, each `ParticleChainParams(eta=eta_k, gamma=a_x)`.
+    c_k = sqrt(eta_k (eta_k + 4 a_x)), the mean of L_y harmonic-chain
+    free energies.  A harmonic mode's kernel in the scaled nodes has no
+    beta in it, so lambda_1(T_k) is a constant of beta: the modes are
+    one stacked solve at beta = 1, one matrix per distinct eta_k, and
+    beta F(beta) = F(1) + log beta.
 
 Each params class is its model.  Class attributes give its CLI
 `name`, its size flag `size` ("m" or "m0"), its `observables` columns
@@ -258,14 +261,20 @@ class CylinderParams:
         _check_m(self.ly, "ly")
 
     def block(self, betas, m0, observables=True):
-        """F at each beta of a block, the mean of one chain model per ring
-        mode, solved once per distinct eta_k; no observables."""
+        """F at each beta of a block from one stacked solve at beta = 1:
+        one harmonic chain per distinct eta_k, the stack axis, and
+        beta F = F(1) + log beta; no observables."""
         etas, counts = np.unique(_ring_spectrum(self), return_counts=True)
-        f = 0.0
-        for eta_k, count in zip(etas, counts):
-            chain = ParticleChainParams(eta=float(eta_k), gamma=self.ax)
-            f = f + count * chain.block(betas, m0, observables=False)[0]
-        return f / self.ly, {}
+        try:
+            f1 = _chain_solve(etas, 0.0, 0.0, self.ax, np.ones(etas.size), m0)[0]
+        except NumericError as exc:
+            # the index is a ring mode, not a beta row: the failure holds
+            # at every beta of the block
+            mode = (f"eta_k in [{float(etas[0])!r}, {float(etas[-1])!r}]"
+                    if exc.index is None else f"eta_k={float(etas[exc.index])!r}")
+            raise type(exc)(f"ring mode {mode}: {exc}",
+                            residual=exc.residual) from exc
+        return (counts @ f1 / self.ly + np.log(betas)) / betas, {}
 
     def factorized(self, beta):
         """The ax = 0 closed-form F, or None at ax != 0."""
@@ -309,20 +318,22 @@ def particle_chain_log_kernel(p, beta):
 def _chain_solve(eta, mu3, lam, gamma, betas, m):
     """(F, T, its DominantEig) of the m-point chain at each beta of a 1-D
     array: one (B, m, m) stack and one stacked eigensolve; T.rule has
-    the (B, m) nodes, a Gauss-Hermite rule of precision beta c."""
+    the (B, m) nodes, a Gauss-Hermite rule of precision beta c.  eta is
+    a scalar, or an array with one entry per beta."""
     # beta c is the precision of the harmonic chain's stationary site
     # marginal; c = eta exactly at gamma = 0.  The raw route takes
     # gamma < 0, so the weight's domain is checked here
-    if not eta + 4.0 * gamma > 0.0:
+    if not np.all(eta + 4.0 * gamma > 0.0):
         raise DomainError(
             f"the chain's Gauss weight needs eta + 4 gamma > 0, "
             f"got eta={eta!r}, gamma={gamma!r}")
-    c = math.sqrt(eta * (eta + 4.0 * gamma))
+    c = np.sqrt(eta * (eta + 4.0 * gamma))
     rule = gauss_hermite_rescaled(m, betas * c)
     b3 = betas[:, None, None]
-    T = assemble(_chain_logk(mu3, lam, gamma, b3, b3 * (c - eta)), rule)
+    T = assemble(_chain_logk(mu3, lam, gamma, b3,
+                             (betas * (c - eta))[:, None, None]), rule)
     eig = dominant_eigenvalue(T)
-    mlogz = (_LOG_2PI - np.log(betas) - 0.5 * math.log(c)
+    mlogz = (_LOG_2PI - np.log(betas) - 0.5 * np.log(c)
              + np.log(eig.lambda1))
     return -mlogz / betas, T, eig
 
@@ -464,13 +475,14 @@ def cylinder_free_energy(p, beta, m0):
 
     The mean over ring Fourier modes k of the m0-point harmonic-chain
     free energy with on-site eta + a_y Lambda_k and coupling a_x (see
-    the module docstring); no matrix is larger than m0 x m0, and modes
-    k and ly - k share one solve.  At ax = 0 the kernel is constant and
-    every m0 gives the ring determinant to round-off; at ly = 1 this is
-    the harmonic chain itself.  Each mode's weight is its coupling-
-    matched Gaussian, so at ax > 0 the error falls from 7.5e-6 at
-    m0 = 3 to round-off by m0 = 8 (eta = 1, ax = 0.5, ay = 0.2, ly = 3,
-    beta = 1).
+    the module docstring), solved at beta = 1 as one stack of m0 x m0
+    matrices, one per distinct eta_k (modes k and ly - k share one),
+    and scaled by beta F(beta) = F(1) + log beta.  At ax = 0 the kernel
+    is constant and every m0 gives the ring determinant to round-off;
+    at ly = 1 this is the harmonic chain itself.  Each mode's weight is
+    its coupling-matched Gaussian, so at ax > 0 the error falls from
+    7.5e-6 at m0 = 3 to round-off by m0 = 8 (eta = 1, ax = 0.5,
+    ay = 0.2, ly = 3, beta = 1).
     """
     return _point(p, beta, m0)[0]
 

@@ -1,6 +1,6 @@
-"""Error function and scaled modified Bessel functions I0 and I1.
+"""Complementary error function and scaled modified Bessel functions I0 and I1.
 
-erf/erfc give the truncated-Gaussian mass on [0, inf), I0 the angular
+erfc gives the truncated-Gaussian mass on [0, inf), I0 the angular
 integral of the polar-coordinate kernel and I1 = I0' the DNLS hopping
 energy.  All come from `scipy.special`; these wrappers add the
 package's domain checks (a non-finite or out-of-domain argument raises
@@ -20,15 +20,6 @@ import math
 import numpy as np
 
 from .errors import DomainError
-
-
-def erf(x):
-    """Error function of a finite scalar; odd in x, range [-1, 1]."""
-    if not math.isfinite(x):
-        raise DomainError(f"erf expects a finite argument, got {x!r}")
-    from scipy.special import erf as _erf
-
-    return float(_erf(x))
 
 
 def erfc(x):
@@ -72,11 +63,6 @@ def i1_scaled(x):
     from scipy.special import i1e
 
     return _scaled_bessel(i1e, "i1_scaled", x)
-
-
-def log_i0_scaled(x):
-    """log(e^{-x} I0(x)) = log I0(x) - x, overflow safe for any x >= 0."""
-    return np.log(i0_scaled(x))
 
 
 def log_i0(x):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermo_transfer import cli, models, selftest, specfun
+from thermo_transfer import cli, models, selftest, specfun, thermo
 from thermo_transfer.cli import (
     RunConfig,
     UsageError,
@@ -181,7 +181,10 @@ def test_config_file_reproduces_flag_run_byte_identical(tmp_path):
     assert out1.read_bytes().partition(b"\n")[0] == b"beta,free_energy,energy,density"
 
 
-def test_threads_flag_deterministic(tmp_path):
+def test_threads_flag_deterministic(tmp_path, monkeypatch, pools_entered):
+    # blocks of two rows, so the 6-row grid is three blocks and
+    # --threads 4 takes the pool
+    monkeypatch.setattr(thermo, "_BLOCK_ENTRIES", 2 * 14 * 14)
     outs = []
     for i, threads in enumerate(("1", "4")):
         out = tmp_path / f"t{i}.csv"
@@ -190,6 +193,7 @@ def test_threads_flag_deterministic(tmp_path):
                        "--gamma", "0.7", "--threads", threads, "--out", str(out)])
         assert rc == 0
         outs.append(out.read_bytes())
+    assert pools_entered == [4]
     assert outs[0] == outs[1]
 
 
@@ -447,7 +451,7 @@ def test_selftest_subcommand_passes():
 def test_selftest_catches_injected_fault(monkeypatch, capsys):
     # break a special function; the selftest suites call through the
     # module object, so the patch is visible to them
-    monkeypatch.setattr(specfun, "erf", lambda x: 0.9 * x)
+    monkeypatch.setattr(specfun, "erfc", lambda x: 0.9 * x)
     assert cli.main(["selftest"]) == 1
     assert "fail" in capsys.readouterr().out.lower()
 

@@ -250,14 +250,16 @@ def test_gamma0_chain_is_bit_identical_to_beta_eta_rule(eta, mu3, lam, beta, m):
 
 @pytest.mark.parametrize("ly,beta,m0", [(3, 1.0, 8), (4, 2.5, 5), (1, 0.7, 3)])
 def test_ax0_cylinder_is_bit_identical_to_beta_eta_rule(ly, beta, m0):
-    # every ring mode is a gamma = 0 harmonic chain, solved on the rule of
-    # precision beta eta_k; the modes combine as the route combines them
+    # every ring mode is a gamma = 0 harmonic chain, solved at beta = 1 on
+    # the rule of precision eta_k; the modes combine as the route combines
+    # them, beta F = F(1) + log beta
     p = CylinderParams(eta=1.0, ax=0.0, ay=0.2, ly=ly)
     etas, counts = np.unique(models._ring_spectrum(p), return_counts=True)
-    f = 0.0
-    for eta_k, count in zip(etas, counts):
-        f = f + count * bare_weight_chain_solve(eta_k, 0.0, 0.0, 0.0, beta, m0)[0]
-    assert cylinder_free_energy(p, beta, m0) == f / ly
+    f1 = np.array([bare_weight_chain_solve(eta_k, 0.0, 0.0, 0.0, 1.0, m0)[0]
+                   for eta_k in etas])
+    betas = np.array([beta])
+    expect = (counts @ f1 / ly + np.log(betas)) / betas
+    assert cylinder_free_energy(p, beta, m0) == expect[0]
 
 
 def test_raw_chain_route_names_eta_and_gamma_outside_the_weight_domain():
@@ -497,7 +499,7 @@ def test_cylinder_matches_kronecker_nystrom_solve(m0):
     assert got == pytest.approx(-mbf / beta, rel=1e-13)
 
 
-@pytest.mark.parametrize("ly", [3, 8])
+@pytest.mark.parametrize("ly", [3, 8, 1024])
 def test_coupled_cylinder_against_closed_form(ly):
     # harmonic cylinder with ax > 0: per ring Fourier mode k the axial
     # transfer problem is a harmonic chain, giving
@@ -506,7 +508,8 @@ def test_coupled_cylinder_against_closed_form(ly):
     #   A_k = eta + 2 ax + ay (2 - 2 cos(2 pi k/Ly));
     # every ring mode's Gauss weight has the coupling-matched precision
     # beta sqrt(eta_k (eta_k + 4 ax)), so m0 = 8 is at round-off:
-    # measured 4.4e-14 (Ly = 3) and 2.8e-14 (Ly = 8) relative
+    # measured 4.4e-14 (Ly = 3), 2.8e-14 (Ly = 8) and 2.7e-14 (Ly = 1024)
+    # relative
     eta, ax, ay, beta = 1.0, 0.5, 0.2, 1.0
     mbf = math.log(2.0 * math.pi / beta)
     for k in range(ly):
@@ -519,7 +522,8 @@ def test_coupled_cylinder_against_closed_form(ly):
 
 @pytest.mark.parametrize("ly,solves", [(1, 1), (2, 2), (3, 2), (8, 5)])
 def test_cylinder_solves_each_distinct_ring_mode_once(monkeypatch, ly, solves):
-    # modes k and Ly - k have bit-identical eta_k, so they share a solve
+    # modes k and Ly - k have bit-identical eta_k, so they share a matrix
+    # of the block's one stacked solve, whatever the number of beta
     etas = []
 
     def counting(eta, *args):
@@ -529,9 +533,10 @@ def test_cylinder_solves_each_distinct_ring_mode_once(monkeypatch, ly, solves):
     p = CylinderParams(eta=1.0, ax=0.5, ay=0.2, ly=ly)
     expect = cylinder_free_energy(p, 2.0, 6)
     monkeypatch.setattr(models, "_chain_solve", counting)
-    got = cylinder_free_energy(p, 2.0, 6)
-    assert len(etas) == solves
-    assert len(set(etas)) == solves
+    got = p.block(np.array([0.5, 1.0, 2.0]), 6)[0][-1]
+    assert len(etas) == 1
+    assert etas[0].shape == (solves,)
+    assert len(set(etas[0].tolist())) == solves
     assert got == expect
 
 

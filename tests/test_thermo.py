@@ -396,12 +396,17 @@ def test_sweep_matches_point_evaluations():
         assert res.observables["energy"][i] == e
 
 
-def test_sweep_threaded_is_deterministic():
+def test_sweep_threaded_is_deterministic(monkeypatch, pools_entered):
+    # blocks of two rows, so the 6-row grid is three blocks and threads=4
+    # takes the pool
+    monkeypatch.setattr(thermo, "_BLOCK_ENTRIES", 2 * 12 * 12)
     p = DnlsParams(g=1.0, mu_c=1.0)
     grid = np.linspace(0.5, 4.0, 6)
     spec = SweepSpec(params=p, beta_grid=grid, m=12, observables=("density",))
     seq = free_energy_sweep(spec)
+    assert pools_entered == []
     par = free_energy_sweep(spec, threads=4)
+    assert pools_entered == [4]
     assert np.array_equal(seq.free_energy, par.free_energy)
     assert np.array_equal(seq.observables["density"], par.observables["density"])
 
@@ -429,6 +434,22 @@ def test_sweep_error_names_grid_point(monkeypatch):
     msg = str(exc.value)
     assert "at beta=1.0, m=30" in msg
     assert "residual 3.000e-10" in msg
+
+
+@pytest.mark.parametrize("grid, where", [
+    ([2.0], "at beta=2.0, m=30"),
+    ([0.5, 1.0, 2.0], "at beta in [0.5, 2.0], m=30"),
+], ids=["one-beta", "three-beta"])
+def test_cylinder_ring_mode_failure_names_the_mode_not_a_row(grid, where):
+    # the cylinder's stack axis is its ring modes: a failing mode fails
+    # every beta of the block, so the error carries no row index
+    cyl = CylinderParams(eta=1e-3, ax=50.0, ay=0.2, ly=64)
+    with pytest.raises(ConvergenceError) as exc:
+        free_energy_sweep(SweepSpec(params=cyl, beta_grid=grid, m=30))
+    assert exc.value.index is None
+    assert exc.value.residual > 1e-14
+    assert where in str(exc.value)
+    assert "ring mode eta_k=" in str(exc.value)
 
 
 def test_sweep_spec_rejects_a_non_model_params_object():
