@@ -18,7 +18,17 @@ particle chain (anharmonic on-site potential, harmonic coupling):
     -beta F = log(2 pi / beta) - log(c)/2 + log lambda_1
     In the scaled nodes x = q sqrt(beta c) the site term
     (c - eta) x^2 / (4c) and the coupling do not depend on beta, so
-    the energy is still the exact beta-derivative of the m-point beta F.
+    the energy is still the exact beta-derivative of the m-point beta F,
+    and the matrix factors as T_beta = D_beta K0 D_beta:
+        K0_ij = exp(-gamma (x_i - x_j)^2 / (2c)), one beta-free (m, m)
+                matrix per block, at most 1 for gamma >= 0,
+        d_i = sqrt(w_i) exp((c - eta) x_i^2 / (4c)
+                            - beta (mu3 q_i^3/12 + lam q_i^4/48)),
+    and T = K0 o (d_i d_j) is exactly symmetric.  Log entries are
+    formed only to name an entry that would overflow.  The bond
+    observable is a quadratic form on the beta-free K0 o (x - x')^2:
+        <(q - q')^2/2>_bond = (v o d).(K0 o (x - x')^2)(v o d)
+                              / (2 beta c lambda_1).
 
 defocusing DNLS chain in polar coordinates (amplitudes rho >= 0):
     weight: c e^{-a (z-b)^2/2} on [0, inf), a = beta g, b = mu/g,
@@ -47,8 +57,8 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
     c_k = sqrt(eta_k (eta_k + 4 a_x)), the mean of L_y harmonic-chain
     free energies.  A harmonic mode's kernel in the scaled nodes has no
     beta in it, so lambda_1(T_k) is a constant of beta: the modes are
-    one stacked solve at beta = 1, one matrix per distinct eta_k, and
-    beta F(beta) = F(1) + log beta.
+    solved at beta = 1, one matrix per distinct eta_k, in stacks of at
+    most `_BLOCK_ENTRIES` entries, and beta F(beta) = F(1) + log beta.
 
 Each params class is its model.  Class attributes give its CLI
 `name`, its size flag `size` ("m" or "m0"), its `observables` columns
@@ -56,8 +66,8 @@ and `reference_zero`, the field that is 0 in its factorized limit.
 `block(betas, m, observables=True)` returns F and {column: values} at
 each beta of a 1-D array from one stacked solve: `_chain_solve` and
 `_dnls_solve` return F, the (B, m, m) matrix stack and its DominantEig
-for the whole block, and the `_raw` routes give F with the shape of
-their beta argument.  Every one-point route, free energy or
+for the whole block (the chain also its factors K0 and d), and the
+`_raw` routes give F with the shape of their beta argument.  Every one-point route, free energy or
 observables, is one `_point` call: the beta and size checks, then
 `block` on a block of one, so a point gives the same bits alone as
 inside a sweep.  `factorized(beta)` is the reference F of the
@@ -91,11 +101,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericError
-from .nystrom import LogKernel, assemble, dominant_eigenvalue
+from .nystrom import (_LOG_MAX, LogKernel, NystromMatrix, _check_log_entries,
+                      assemble, dominant_eigenvalue)
 from .specfun import i0_scaled, i1_scaled, log_i0
-from .quadrature import (QuadratureRule, _check_m, gauss_hermite_rescaled,
-                         golub_welsch, stieltjes_recurrence,
-                         truncated_gaussian_normalization)
+from .quadrature import (QuadratureRule, _check_m, _unit_hermite,
+                         gauss_hermite_rescaled, golub_welsch,
+                         stieltjes_recurrence, truncated_gaussian_normalization)
 # unused here; kept because the benchmark tracer wraps models.tensor_product
 from .quadrature import tensor_product  # noqa: F401
 
@@ -108,6 +119,16 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+# a stack of matrices holds at most about this many entries, so memory
+# grows neither with a sweep's grid nor with the cylinder's ly
+_BLOCK_ENTRIES = 2 ** 21
+
+
+def _block_rows(m):
+    # how many (m, m) matrices one stack holds
+    return max(1, _BLOCK_ENTRIES // m ** 2)
 
 
 def _check_beta(beta):
@@ -175,17 +196,26 @@ class ParticleChainParams:
         """F and {stretch_sq, energy} at each beta of a block, from one
         stacked solve: <(q - q')^2/2>_bond and 1/beta - <mu3 q^3/12 +
         lam q^4/24>_site; observables=False skips them."""
-        f, T, eig = _chain_solve(self.eta, self.mu3, self.lam, self.gamma,
-                                 betas, m)
+        f, T, eig, (k0, d) = _chain_solve(self.eta, self.mu3, self.lam,
+                                          self.gamma, betas, m)
         if not observables:
             return f, {}
-        q, site, bond = _marginals(T, eig)
-        d = q[:, :, None] - q[:, None, :]
-        energy = 1.0 / betas - np.sum(site * (self.mu3 * q ** 3 / 12.0
-                                              + self.lam * q ** 4 / 24.0),
-                                      axis=-1)
-        return f, {"stretch_sq": np.sum(bond * d * d, axis=(-2, -1)) / 2.0,
-                   "energy": energy}
+        # <(q - q')^2/2>_bond = (v d).(K0 (x - x')^2)(v d) / (2 beta c lambda_1),
+        # since (q - q')^2 = (x - x')^2 / (beta c): a quadratic form on
+        # one beta-free (m, m) matrix, one matrix-vector product per
+        # beta so that a row has the same bits in any block
+        x = _unit_hermite(m)[0]
+        c = math.sqrt(self.eta * (self.eta + 4.0 * self.gamma))
+        u = eig.vector * d
+        ku = np.matmul(k0 * (x[:, None] - x[None, :]) ** 2, u[:, :, None])
+        stretch = (np.sum(ku[:, :, 0] * u, axis=-1)
+                   / (2.0 * c * betas * eig.lambda1))
+        q = T.rule.nodes
+        q2 = q * q
+        energy = 1.0 / betas - np.sum(eig.vector * eig.vector
+                                      * (self.mu3 * (q2 * q) / 12.0
+                                         + self.lam * (q2 * q2) / 24.0), axis=-1)
+        return f, {"stretch_sq": stretch, "energy": energy}
 
     def factorized(self, beta):
         """The gamma = 0 reference F, or None at gamma != 0."""
@@ -225,7 +255,10 @@ class DnlsParams:
         f, T, eig = _dnls_solve(self.g, self.mu_c, betas, m)
         if not observables:
             return f, {}
-        r, site, bond = _marginals(T, eig)
+        # site marginal v_i^2 and bond marginal v_i T_ij v_j / lambda_1
+        v = eig.vector
+        r, site = T.rule.nodes, v * v
+        bond = v[:, :, None] * T.entries * v[:, None, :] / eig.lambda1[:, None, None]
         s = np.sqrt(r[:, :, None] * r[:, None, :])
         x = betas[:, None, None] * s
         hop = s * i1_scaled(x) / i0_scaled(x)
@@ -265,15 +298,9 @@ class CylinderParams:
         one harmonic chain per distinct eta_k, the stack axis, and
         beta F = F(1) + log beta; no observables."""
         etas, counts = np.unique(_ring_spectrum(self), return_counts=True)
-        try:
-            f1 = _chain_solve(etas, 0.0, 0.0, self.ax, np.ones(etas.size), m0)[0]
-        except NumericError as exc:
-            # the index is a ring mode, not a beta row: the failure holds
-            # at every beta of the block
-            mode = (f"eta_k in [{float(etas[0])!r}, {float(etas[-1])!r}]"
-                    if exc.index is None else f"eta_k={float(etas[exc.index])!r}")
-            raise type(exc)(f"ring mode {mode}: {exc}",
-                            residual=exc.residual) from exc
+        rows = _block_rows(m0)
+        f1 = np.concatenate([_ring_modes(etas[i:i + rows], self.ax, m0)
+                             for i in range(0, etas.size, rows)])
         return (counts @ f1 / self.ly + np.log(betas)) / betas, {}
 
     def factorized(self, beta):
@@ -283,43 +310,34 @@ class CylinderParams:
         return reference_cylinder_ax0(self, beta)
 
 
-def _marginals(T, eig):
-    """Nodes z_i, site marginal v_i^2 and bond marginal
-    v_i T_ij v_j / lambda_1 of a stacked solve, each with the block's
-    leading beta axis."""
-    v = eig.vector
-    bond = v[:, :, None] * T.entries * v[:, None, :] / eig.lambda1[:, None, None]
-    return T.rule.nodes, v * v, bond
-
-
 # ---------------------------------------------------------------------------
 # particle chain
 
 
-def _chain_logk(mu3, lam, gamma, beta, shift=0.0):
-    # beta (and shift) is a scalar, or shaped (B, 1, 1) against a stacked
-    # rule; shift is the precision the Gauss weight takes beyond beta eta,
-    # handed back to the kernel as the site term shift q^2/4
-    c2 = 0.25 * shift
+def _anharmonic_site(mu3, lam, beta, q):
+    # -beta (mu3 q^3/12 + lam q^4/48), the chain's site term; beta is a
+    # scalar, or a (B, 1) column against (B, m) nodes
     c3 = beta * mu3 / 12.0
     c4 = beta * lam / 48.0
-    cg = 0.5 * beta * gamma
-    return LogKernel(lambda q, qp: -cg * (q - qp) ** 2,
-                     site=lambda q: c2 * q ** 2 - (c3 * q ** 3 + c4 * q ** 4))
+    q2 = q * q
+    return -(c3 * (q2 * q) + c4 * (q2 * q2))
 
 
 def particle_chain_log_kernel(p, beta):
     """Symmetrized log-kernel of the particle chain at inverse temperature
     beta, against the Gauss weight of precision beta eta."""
     _check_beta(beta)
-    return _chain_logk(p.mu3, p.lam, p.gamma, beta)
+    cg = 0.5 * beta * p.gamma
+    return LogKernel(lambda q, qp: -cg * (q - qp) ** 2,
+                     site=lambda q: _anharmonic_site(p.mu3, p.lam, beta, q))
 
 
 def _chain_solve(eta, mu3, lam, gamma, betas, m):
-    """(F, T, its DominantEig) of the m-point chain at each beta of a 1-D
-    array: one (B, m, m) stack and one stacked eigensolve; T.rule has
-    the (B, m) nodes, a Gauss-Hermite rule of precision beta c.  eta is
-    a scalar, or an array with one entry per beta."""
+    """(F, T, its DominantEig, (K0, d)) of the m-point chain at each beta
+    of a 1-D array: one (B, m, m) stack T = d_i K0_ij d_j and one stacked
+    eigensolve; T.rule has the (B, m) nodes, a Gauss-Hermite rule of
+    precision beta c.  eta is a scalar, or an array with one entry per
+    beta, and K0 has shape (m, m) or (B, m, m) to match."""
     # beta c is the precision of the harmonic chain's stationary site
     # marginal; c = eta exactly at gamma = 0.  The raw route takes
     # gamma < 0, so the weight's domain is checked here
@@ -329,13 +347,32 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
             f"got eta={eta!r}, gamma={gamma!r}")
     c = np.sqrt(eta * (eta + 4.0 * gamma))
     rule = gauss_hermite_rescaled(m, betas * c)
-    b3 = betas[:, None, None]
-    T = assemble(_chain_logk(mu3, lam, gamma, b3,
-                             (betas * (c - eta))[:, None, None]), rule)
+    # in the unit nodes x = q sqrt(beta c) the coupling has no beta in it:
+    # log K0 = -gamma (x - x')^2 / (2c); log d holds the half log-weight,
+    # the site shift (c - eta) x^2 / (4c) and the anharmonic terms
+    x, w = _unit_hermite(m)
+    col = np.shape(c) + (1,)
+    logk0 = (-np.reshape(gamma / (2.0 * c), col + (1,))
+             * (x[:, None] - x[None, :]) ** 2)
+    logd = (0.5 * np.log(w) + np.reshape((c - eta) / (4.0 * c), col) * (x * x)
+            + _anharmonic_site(mu3, lam, betas[:, None], rule.nodes))
+    # for gamma >= 0, K0 <= 1 with 1 on its diagonal, so the largest log
+    # entry is 2 max(log d): within the bound no product overflows, and
+    # beyond it a diagonal entry would, which the log entries then name
+    # (for gamma < 0, K0 >= 1 and d_i d_j <= T_ij)
+    if not (np.isfinite(logd).all() and np.isfinite(logk0).all()
+            and 2.0 * logd.max() + logk0.max() <= _LOG_MAX):
+        _check_log_entries(logk0 + (logd[..., :, None] + logd[..., None, :]),
+                           rule.nodes)
+    k0 = np.exp(logk0, out=logk0)
+    d = np.exp(logd)
+    entries = d[:, :, None] * d[:, None, :]
+    entries *= k0
+    T = NystromMatrix(entries, rule)
     eig = dominant_eigenvalue(T)
     mlogz = (_LOG_2PI - np.log(betas) - 0.5 * np.log(c)
              + np.log(eig.lambda1))
-    return -mlogz / betas, T, eig
+    return -mlogz / betas, T, eig, (k0, d)
 
 
 def _chain_free_energy_raw(eta, mu3, lam, gamma, beta, m):
@@ -460,6 +497,20 @@ def cylinder_log_kernel(p, beta):
         return -beta * v
 
     return LogKernel(logk)
+
+
+def _ring_modes(etas, ax, m0):
+    """F at beta = 1 of the harmonic chain of each ring mode eta_k, as
+    one stack."""
+    try:
+        return _chain_solve(etas, 0.0, 0.0, ax, np.ones(etas.size), m0)[0]
+    except NumericError as exc:
+        # the index is a ring mode, not a beta row: the failure holds at
+        # every beta of the block
+        mode = (f"eta_k in [{float(etas[0])!r}, {float(etas[-1])!r}]"
+                if exc.index is None else f"eta_k={float(etas[exc.index])!r}")
+        raise type(exc)(f"ring mode {mode}: {exc}",
+                        residual=exc.residual) from exc
 
 
 def _ring_spectrum(p):

@@ -9,17 +9,20 @@ assembled in log space (the kernels carry exponents of order
 beta * q^4 which underflow as raw products).  `assemble` takes the
 kernel only as a `LogKernel` (symmetric pair terms plus optional
 per-node site terms, broadcast over the rule's nodes) and the rule as
-a `QuadratureRule` or `TensorRule`, which cannot be empty.  Each
-model's matrix has m rows (m0 for the cylinder, solved as one chain
-per ring Fourier mode), a few dozen in practice, so the dominant pair
-comes from two dense steps: lambda_1 is the top of the eigenvalues,
-and the Perron vector is one step of inverse iteration, a solve of
-(sigma I - T) x = T 1 with sigma 16 ulps above lambda_1.  The
-Perron-Frobenius theorem for elementwise positive matrices guarantees
-a simple positive lambda_1 with a strictly positive eigenvector, and
-for T >= 0 and sigma > lambda_1 the Neumann series
-x = sum_k T^(k+1) 1 / sigma^(k+1) is elementwise positive, so x is
-that vector up to rounding.
+a `QuadratureRule` or `TensorRule`, which cannot be empty.  The
+chain and the cylinder's ring modes do not go through it: their
+Hermite-rule stack is the product d_i K0_ij d_j (see `models`), whose
+log entries go through the same check only when a bound says an
+entry may overflow.  Each model's matrix has m rows (m0 for the
+cylinder, solved as one chain per ring Fourier mode), a few dozen in
+practice, so the dominant pair comes from two dense steps: lambda_1 is
+the top of the eigenvalues, and the Perron vector is one step of
+inverse iteration, a solve of (sigma I - T) x = T 1 with sigma 16 ulps
+above lambda_1.  The Perron-Frobenius theorem for elementwise
+positive matrices guarantees a simple positive lambda_1 with a
+strictly positive eigenvector, and for T >= 0 and sigma > lambda_1 the
+Neumann series x = sum_k T^(k+1) 1 / sigma^(k+1) is elementwise
+positive, so x is that vector up to rounding.
 
 Both steps take a stack: a rule whose nodes and weights have shape
 (B, m), one rule per inverse temperature of a block, assembles to
@@ -156,6 +159,14 @@ def assemble(kernel, rule):
         half = half + kernel.site(zi)
     logT = half + half.swapaxes(-1, -2) + logk
     logT = np.where(_upper(m), logT, logT.swapaxes(-1, -2))
+    _check_log_entries(logT, nodes)
+    return NystromMatrix(np.exp(logT), rule)
+
+
+def _check_log_entries(logT, nodes):
+    # raise AssemblyError at the first log entry that is not finite or
+    # whose exp overflows a double, naming its node pair and, for a
+    # stack, its matrix
     bad = ~np.isfinite(logT) | (logT > _LOG_MAX)
     if bad.any():
         *stack, i, j = (int(k) for k in np.argwhere(bad)[0])
@@ -167,7 +178,6 @@ def assemble(kernel, rule):
             f"{what} kernel value at node pair ({i}, {j}){where}: "
             f"z_i={nodes[(*stack, i)]!r}, z_j={nodes[(*stack, j)]!r}, "
             f"log entry={entry!r}", index=index)
-    return NystromMatrix(np.exp(logT), rule)
 
 
 def dominant_eigenvalue(T):

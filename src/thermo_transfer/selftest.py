@@ -115,6 +115,19 @@ def suite_models():
         fails.append("chain kernel hand value at (1,0) off")
     if k(0.7, -0.3) != k(-0.3, 0.7):
         fails.append("chain kernel not symmetric")
+    # the factored stack T = d_i K0_ij d_j against log-space assembly of
+    # the kernel plus the coupling-matched site shift (a - beta eta)/4 on
+    # the rule of precision a = beta sqrt(eta (eta + 4 gamma)), entry by
+    # entry within 4 eps max(1, |log T_ij|) relative
+    a = 5.0 * math.sqrt(5.0)
+    shift = 0.25 * (a - 5.0)
+    logspace = nystrom.assemble(
+        nystrom.LogKernel(lambda q, qp: k(q, qp) + shift * (q * q + qp * qp)),
+        quadrature.gauss_hermite_rescaled(12, a)).entries
+    factored = models._chain_solve(1.0, 0.2, 0.2, 1.0, np.array([5.0]), 12)[1]
+    bound = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(np.log(logspace)))
+    if not np.all(np.abs(factored.entries[0] - logspace) <= bound * logspace):
+        fails.append("factored chain stack disagrees with log-space assembly")
     p0 = models.ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=0.0)
     F30 = models.particle_chain_free_energy(p0, 5.0, 30)
     Fref = models.reference_particle_chain_gamma0(p0, 5.0)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .models import CylinderParams, DnlsParams, ParticleChainParams, _point
+from .models import (CylinderParams, DnlsParams, ParticleChainParams,
+                     _block_rows, _point)
 from .quadrature import _check_m
 # not called here: the benchmark tracer wraps these names on this module
 from .models import (_chain_free_energy_raw, _dnls_free_energy_raw,  # noqa: F401
@@ -128,11 +129,6 @@ class SweepResult:
         return names, cols
 
 
-# a block's (B, m, m) matrix stack holds at most about this many entries,
-# so memory does not grow with the grid's length
-_BLOCK_ENTRIES = 2 ** 21
-
-
 def _grid_point(betas, exc):
     # the beta a failure belongs to: the stack index the error carries,
     # or the only beta of a block of one
@@ -161,7 +157,7 @@ def free_energy_sweep(spec, threads=None):
     one stacked solve, on a thread pool over blocks when threads > 1
     (LAPACK releases the GIL)."""
     grid = spec.beta_grid
-    rows = max(1, _BLOCK_ENTRIES // spec.m ** 2)
+    rows = _block_rows(spec.m)
     starts = range(0, grid.size, rows)
     block = lambda i: _sweep_row(spec, grid[i:i + rows], i)
     if threads is not None and threads > 1 and len(starts) > 1:

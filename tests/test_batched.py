@@ -48,7 +48,7 @@ GRID = np.linspace(0.5, 6.5, 7)
 
 
 def _blocks_of(monkeypatch, rows, m):
-    monkeypatch.setattr(thermo, "_BLOCK_ENTRIES", rows * m * m)
+    monkeypatch.setattr(models, "_BLOCK_ENTRIES", rows * m * m)
 
 
 @pytest.mark.parametrize("model", sorted(CASES))
@@ -190,7 +190,7 @@ def test_failure_without_a_stack_index_names_the_block(monkeypatch):
 
 def test_assembled_stacks_are_exactly_symmetric():
     betas = np.array([0.5, 2.0, 9.0])
-    _, T, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 17)
+    _, T, _, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 17)
     assert T.entries.shape == (3, 17, 17)
     assert np.array_equal(T.entries, T.entries.swapaxes(-1, -2))
     _, T, _ = _dnls_solve(1.0, 1.0, betas, 11)
@@ -204,12 +204,12 @@ def test_assembled_stacks_are_exactly_symmetric():
 
 def test_stacked_solve_equals_each_beta_alone():
     betas = np.array([0.5, 2.0, 9.0])
-    f, T, eig = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 15)
+    f, T, eig, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 15)
     assert eig.lambda1.shape == (3,) and eig.vector.shape == (3, 15)
     assert isinstance(eig.residual, float) and eig.iterations == 1
     assert T.order == 15 and len(T.rule) == 15
     for k in range(3):
-        f1, T1, eig1 = _chain_solve(1.0, 0.2, 0.2, 1.0, betas[k:k + 1], 15)
+        f1, T1, eig1, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas[k:k + 1], 15)
         assert f1[0] == f[k]
         assert np.array_equal(T1.entries[0], T.entries[k])
         assert eig1.lambda1[0] == eig.lambda1[k]

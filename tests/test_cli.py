@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermo_transfer import cli, models, selftest, specfun, thermo
+from thermo_transfer import cli, models, quadrature, selftest, specfun, thermo
 from thermo_transfer.cli import (
     RunConfig,
     UsageError,
@@ -184,7 +184,7 @@ def test_config_file_reproduces_flag_run_byte_identical(tmp_path):
 def test_threads_flag_deterministic(tmp_path, monkeypatch, pools_entered):
     # blocks of two rows, so the 6-row grid is three blocks and
     # --threads 4 takes the pool
-    monkeypatch.setattr(thermo, "_BLOCK_ENTRIES", 2 * 14 * 14)
+    monkeypatch.setattr(models, "_BLOCK_ENTRIES", 2 * 14 * 14)
     outs = []
     for i, threads in enumerate(("1", "4")):
         out = tmp_path / f"t{i}.csv"
@@ -454,6 +454,19 @@ def test_selftest_catches_injected_fault(monkeypatch, capsys):
     monkeypatch.setattr(specfun, "erfc", lambda x: 0.9 * x)
     assert cli.main(["selftest"]) == 1
     assert "fail" in capsys.readouterr().out.lower()
+
+
+def test_selftest_catches_a_drifted_factored_chain(monkeypatch, capsys):
+    # the factored chain stack reads its weights one part in 1e12 off
+    # the rule's: only the entry-by-entry check against log space sees it
+    def drifted(m):
+        nodes, weights = quadrature._unit_hermite(m)
+        return nodes, weights * (1.0 + 1e-12)
+
+    monkeypatch.setattr(models, "_unit_hermite", drifted)
+    assert cli.main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "factored chain stack disagrees with log-space assembly" in out
 
 
 def test_selftest_reports_all_suites(capsys):

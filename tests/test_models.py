@@ -29,8 +29,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermo_transfer import models
-from thermo_transfer.errors import DomainError
+from thermo_transfer import models, quadrature
+from thermo_transfer.errors import AssemblyError, ConvergenceError, DomainError
 from thermo_transfer.models import (
     CylinderParams,
     DnlsParams,
@@ -220,14 +220,20 @@ def test_coupling_matched_rule_harmonic_chain_at_m12(beta):
 
 def bare_weight_chain_solve(eta, mu3, lam, gamma, beta, m):
     """(F, entries) of the chain against the Gauss weight of precision
-    beta eta, from the public kernel, the rule and the assembly."""
+    beta eta, from the public kernel's pieces on the rule, multiplied as
+    the library multiplies them: T_ij = exp(fn(q_i, q_j)) (d_i d_j),
+    d_i = exp(log(w_i)/2 + site(q_i))."""
     betas = np.array([beta])
-    T = assemble(particle_chain_log_kernel(
-        ParticleChainParams(eta=eta, mu3=mu3, lam=lam, gamma=gamma), beta),
-        gauss_hermite_rescaled(m, betas * eta))
-    lam1 = dominant_eigenvalue(T).lambda1
+    kernel = particle_chain_log_kernel(
+        ParticleChainParams(eta=eta, mu3=mu3, lam=lam, gamma=gamma), beta)
+    rule = gauss_hermite_rescaled(m, betas * eta)
+    q = rule.nodes
+    d = np.exp(0.5 * np.log(rule.weights) + kernel.site(q))
+    entries = np.exp(kernel.fn(q[:, :, None], q[:, None, :])) * (
+        d[:, :, None] * d[:, None, :])
+    lam1 = dominant_eigenvalue(entries).lambda1
     mlogz = models._LOG_2PI - np.log(betas) - 0.5 * math.log(eta) + np.log(lam1)
-    return float((-mlogz / betas)[0]), T.entries
+    return float((-mlogz / betas)[0]), entries
 
 
 @pytest.mark.parametrize("eta,mu3,lam,beta,m", [
@@ -238,8 +244,9 @@ def bare_weight_chain_solve(eta, mu3, lam, gamma, beta, m):
 ])
 def test_gamma0_chain_is_bit_identical_to_beta_eta_rule(eta, mu3, lam, beta, m):
     # at gamma = 0 the coupling-matched precision is sqrt(eta^2) = eta
-    # exactly and the kernel's extra site term is 0
-    f, T, _ = models._chain_solve(eta, mu3, lam, 0.0, np.array([beta]), m)
+    # exactly, the site shift (c - eta) x^2 / (4c) is 0 and K0 is 1;
+    # accuracy against log-space assembly is checked below
+    f, T, _, _ = models._chain_solve(eta, mu3, lam, 0.0, np.array([beta]), m)
     f_bare, entries = bare_weight_chain_solve(eta, mu3, lam, 0.0, beta, m)
     assert np.array_equal(T.entries, entries)
     assert f[0] == f_bare
@@ -260,6 +267,126 @@ def test_ax0_cylinder_is_bit_identical_to_beta_eta_rule(ly, beta, m0):
     betas = np.array([beta])
     expect = (counts @ f1 / ly + np.log(betas)) / betas
     assert cylinder_free_energy(p, beta, m0) == expect[0]
+
+
+# --- the factored chain stack T = d_i K0_ij d_j against log space ------------
+
+def log_space_chain_matrix(p, beta, m):
+    """The chain's matrix by log-space assembly: the public kernel plus
+    the coupling-matched site shift (a - beta eta)(q^2 + q'^2)/4 on the
+    rule of precision a = beta c."""
+    a = beta * math.sqrt(p.eta * (p.eta + 4.0 * p.gamma))
+    bare = particle_chain_log_kernel(p, beta)
+    shift = 0.25 * (a - beta * p.eta)
+    return assemble(LogKernel(lambda q, qp: bare(q, qp) + shift * (q * q + qp * qp)),
+                    gauss_hermite_rescaled(m, a))
+
+
+def extended_chain_matrix(p, beta, m):
+    """The chain's matrix with every log entry and its exp in long double,
+    from the double unit Hermite rule, rounded to double at the end."""
+    x, w = (np.asarray(a, dtype=np.longdouble)
+            for a in quadrature._unit_hermite(m))
+    eta, gamma = np.longdouble(p.eta), np.longdouble(p.gamma)
+    c = np.sqrt(eta * (eta + 4 * gamma))
+    q = x / np.sqrt(np.longdouble(beta) * c)
+    h = (0.5 * np.log(w) + (c - eta) / (4 * c) * x * x
+         - np.longdouble(beta) * (np.longdouble(p.mu3) / 12 * q ** 3
+                                  + np.longdouble(p.lam) / 48 * q ** 4))
+    logT = h[:, None] + h[None, :] - gamma / (2 * c) * (x[:, None] - x[None, :]) ** 2
+    return np.exp(logT).astype(float)
+
+
+def _beta_f(p, beta, lambda1):
+    c = math.sqrt(p.eta * (p.eta + 4.0 * p.gamma))
+    return -(models._LOG_2PI - math.log(beta) - 0.5 * math.log(c)
+             + math.log(lambda1))
+
+
+def test_factored_chain_stack_matches_log_space_entries():
+    # over the shipped chain config's grid: every entry within
+    # 4 eps max(1, |log T_ij|) relative of log-space assembly (measured
+    # 3.2), the rounding of a log entry's size that either route carries
+    p = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0)
+    betas = np.linspace(0.5, 10.0, 96)
+    got = _chain_solve(p.eta, p.mu3, p.lam, p.gamma, betas, 30)[1].entries
+    eps = np.finfo(float).eps
+    for k, beta in enumerate(betas):
+        expect = log_space_chain_matrix(p, beta, 30).entries
+        bound = 4.0 * eps * np.maximum(1.0, np.abs(np.log(expect))) * expect
+        assert np.all(np.abs(got[k] - expect) <= bound)
+
+
+# eta x mu3 = lam x gamma x beta x m; at eta = 0.01, mu3 = lam = 1,
+# gamma = 0, beta >= 1000 the entries overflow on both routes
+_FACTORED_GRID = [(eta, mu, gamma, beta, m)
+                  for eta in (1.0, 0.1, 0.01) for mu in (0.2, 1.0)
+                  for gamma in (0.0, 1.0)
+                  for beta in (0.5, 5.0, 50.0, 500.0, 1000.0, 3000.0)
+                  for m in (30, 80)]
+
+
+def test_factored_chain_free_energy_at_round_off():
+    # |beta dF| / max(1, |beta F|) over the grid: against log-space
+    # assembly at most 2e-14 (measured 1.7e-14), and against entries
+    # summed and exponentiated in long double at most 5e-15 (measured
+    # 2.1e-15).  The log-space route is the looser of the two: it rounds
+    # the coupling-matched shift and the coupling on the scaled nodes q,
+    # and at eta = 0.1, mu3 = lam = 1, gamma = 1 it is 1.6e-14 (beta =
+    # 500, m = 30) and 1.5e-14 (beta = 3000, m = 80) from long double.
+    # Where long double is no wider than double only the first applies
+    wide = np.finfo(np.longdouble).eps < 1e-18
+    raised = []
+    for eta, mu, gamma, beta, m in _FACTORED_GRID:
+        p = ParticleChainParams(eta=eta, mu3=mu, lam=mu, gamma=gamma)
+        try:
+            log_space = log_space_chain_matrix(p, beta, m)
+        except AssemblyError:
+            with pytest.raises(AssemblyError):
+                p.block(np.array([beta]), m, observables=False)
+            raised.append((eta, mu, gamma, beta, m))
+            continue
+        f = p.block(np.array([beta]), m, observables=False)[0][0]
+        checks = [(dominant_eigenvalue(log_space).lambda1, 2e-14)]
+        if wide:
+            checks.append((np.linalg.eigvalsh(
+                extended_chain_matrix(p, beta, m))[-1], 5e-15))
+        for lambda1, tol in checks:
+            expect = _beta_f(p, beta, lambda1)
+            assert abs(beta * f - expect) <= tol * max(1.0, abs(expect))
+    assert raised == [(0.01, 1.0, 0.0, beta, m)
+                      for beta in (1000.0, 3000.0) for m in (30, 80)]
+
+
+@pytest.mark.parametrize("eta,mu,gamma,beta,m", [
+    (1.0, 0.2, 1.0, 0.5, 30), (1.0, 0.2, 1.0, 10.0, 30),
+    (0.1, 1.0, 1.0, 500.0, 80), (0.01, 0.2, 1.0, 3000.0, 80)])
+def test_stretch_quadratic_form_matches_the_pair_sum(eta, mu, gamma, beta, m):
+    # (v d).(K0 (x - x')^2)(v d) / (2 beta c lambda_1) against
+    # sum_ij v_i T_ij v_j (q_i - q_j)^2 / (2 lambda_1) on the same solve
+    # (measured within 3.3e-15 over the grid above)
+    p = ParticleChainParams(eta=eta, mu3=mu, lam=mu, gamma=gamma)
+    betas = np.array([beta])
+    _, T, eig, _ = _chain_solve(eta, mu, mu, gamma, betas, m)
+    q, v = T.rule.nodes[0], eig.vector[0]
+    pairs = np.sum(v[:, None] * T.entries[0] * v[None, :]
+                   * (q[:, None] - q[None, :]) ** 2) / (2.0 * eig.lambda1[0])
+    got = p.block(betas, m)[1]["stretch_sq"][0]
+    assert got == pytest.approx(pairs, rel=1e-14)
+
+
+def test_overflowing_chain_stack_names_the_node_pair_and_matrix():
+    # the double well at deep quench: at beta = 1000 the diagonal entry
+    # at the outermost node has log 1073, beyond the largest double
+    p = ParticleChainParams(eta=0.01, mu3=1.0, lam=1.0, gamma=0.0)
+    with pytest.raises(AssemblyError) as alone:
+        log_space_chain_matrix(p, 1000.0, 30)
+    assert "node pair (0, 0):" in str(alone.value)
+    with pytest.raises(AssemblyError) as exc:
+        p.block(np.array([5.0, 1000.0]), 30)
+    assert exc.value.index == 1
+    assert ("overflowing kernel value at node pair (0, 0) of matrix 1 "
+            "in the stack") in str(exc.value)
 
 
 def test_raw_chain_route_names_eta_and_gamma_outside_the_weight_domain():
@@ -538,6 +665,39 @@ def test_cylinder_solves_each_distinct_ring_mode_once(monkeypatch, ly, solves):
     assert etas[0].shape == (solves,)
     assert len(set(etas[0].tolist())) == solves
     assert got == expect
+
+
+def test_cylinder_mode_chunks_give_the_same_bits(monkeypatch):
+    # ly = 8 has 5 distinct ring modes; with room for 2 matrices per
+    # stack they are solved as 2 + 2 + 1, and F keeps its bits
+    p = CylinderParams(eta=1.0, ax=0.5, ay=0.2, ly=8)
+    betas = np.array([0.5, 1.0, 2.0])
+    whole = p.block(betas, 6)[0]
+    sizes = []
+
+    def counting(eta, *args):
+        sizes.append(eta.size)
+        return _chain_solve(eta, *args)
+
+    monkeypatch.setattr(models, "_BLOCK_ENTRIES", 2 * 6 * 6)
+    monkeypatch.setattr(models, "_chain_solve", counting)
+    assert np.array_equal(p.block(betas, 6)[0], whole)
+    assert sizes == [2, 2, 1]
+
+
+def test_failing_ring_mode_is_named_in_a_later_chunk(monkeypatch):
+    # the fifth distinct mode fails (matrix 4 of one stack); in chunks of
+    # four it is the first matrix of the second, and the error still
+    # names its eta_k and residual
+    cyl = CylinderParams(eta=1e-3, ax=50.0, ay=0.2, ly=64)
+    eta_k = float(np.unique(models._ring_spectrum(cyl))[4])
+    for rows in (None, 4):
+        if rows:
+            monkeypatch.setattr(models, "_BLOCK_ENTRIES", rows * 30 * 30)
+        with pytest.raises(ConvergenceError) as exc:
+            cyl.block(np.array([1.0]), 30)
+        assert str(exc.value).startswith(f"ring mode eta_k={eta_k!r}: ")
+        assert exc.value.index is None and exc.value.residual > 1e-14
 
 
 def test_cylinder_reference_requires_ax0():

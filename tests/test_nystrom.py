@@ -243,7 +243,7 @@ def test_config_stack_matches_eigh():
     # the chain config's (96, 30, 30) stack: lambda_1 and the Perron
     # vector against the top eigenpair of a full eigendecomposition
     betas = np.linspace(0.5, 10.0, 96)
-    _, T, eig = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 30)
+    _, T, eig, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 30)
     vals, vecs = np.linalg.eigh(T.entries)
     assert np.allclose(eig.lambda1, vals[:, -1], rtol=1e-13, atol=0.0)
     assert np.max(np.abs(eig.vector - np.abs(vecs[:, :, -1]))) <= 1e-13

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermo_transfer import thermo
+from thermo_transfer import models, thermo
 from thermo_transfer.errors import ConvergenceError, DomainError
 from thermo_transfer.models import (
     CylinderParams,
@@ -399,7 +399,7 @@ def test_sweep_matches_point_evaluations():
 def test_sweep_threaded_is_deterministic(monkeypatch, pools_entered):
     # blocks of two rows, so the 6-row grid is three blocks and threads=4
     # takes the pool
-    monkeypatch.setattr(thermo, "_BLOCK_ENTRIES", 2 * 12 * 12)
+    monkeypatch.setattr(models, "_BLOCK_ENTRIES", 2 * 12 * 12)
     p = DnlsParams(g=1.0, mu_c=1.0)
     grid = np.linspace(0.5, 4.0, 6)
     spec = SweepSpec(params=p, beta_grid=grid, m=12, observables=("density",))
