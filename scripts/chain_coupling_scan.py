@@ -36,7 +36,7 @@ def main():
     for gamma in GAMMAS:
         p = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=gamma)
         spec = SweepSpec(params=p, beta_grid=betas, m=args.m,
-                         observables=("stretch_sq", "energy"))
+                         observables=True)
         res = free_energy_sweep(spec)
         names, cols = res.columns()
         path = out_dir / f"chain_gamma{gamma:g}.csv"

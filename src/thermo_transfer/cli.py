@@ -32,8 +32,7 @@ from .errors import DomainError, NumericError
 from .thermo import MODELS, SweepSpec, free_energy_sweep
 
 __all__ = ["RunConfig", "UsageError", "build_config", "config_text", "main",
-           "run_free_energy", "run_convergence", "run_observables",
-           "run_selftest"]
+           "run_convergence", "run_selftest"]
 
 SUBCOMMANDS = ("free-energy", "convergence", "observables", "selftest")
 REFERENCES = ("auto", "factorized", "largest-m")
@@ -256,8 +255,11 @@ def _write_csv(path, names, cols):
         fh.write("\n".join(lines) + "\n")
 
 
-def _run_sweep(cfg, model, observables):
+def _run_sweep(cfg, observables):
+    """beta sweep -> CSV `beta,free_energy`, then the model's observable
+    columns if asked for."""
     _require_out(cfg)
+    model = _model(cfg)
     size = getattr(cfg, model.size)
     if size is None:
         raise UsageError(f"--{model.size} is required for model {model.name!r}")
@@ -267,20 +269,6 @@ def _run_sweep(cfg, model, observables):
     names, cols = result.columns()
     _write_csv(cfg.out, names, cols)
     return result
-
-
-def run_free_energy(cfg):
-    """beta sweep -> CSV `beta,free_energy`."""
-    return _run_sweep(cfg, _model(cfg), observables=())
-
-
-def run_observables(cfg):
-    """beta sweep with observable columns appended."""
-    model = _model(cfg)
-    if not model.observables:
-        raise UsageError(
-            f"observables are not defined for the {model.name} model")
-    return _run_sweep(cfg, model, model.observables)
 
 
 def _factorized_reference(cfg, params, beta, ms):
@@ -346,15 +334,11 @@ def main(argv=None):
     try:
         if cfg.subcommand == "selftest":
             return 0 if run_selftest() else 1
-        if cfg.subcommand == "free-energy":
-            result = run_free_energy(cfg)
-            print(f"wrote {cfg.out} ({result.betas.size} rows)")
-        elif cfg.subcommand == "convergence":
-            rows = run_convergence(cfg)
-            print(f"wrote {cfg.out} ({len(rows)} rows)")
-        elif cfg.subcommand == "observables":
-            result = run_observables(cfg)
-            print(f"wrote {cfg.out} ({result.betas.size} rows)")
+        if cfg.subcommand == "convergence":
+            rows = len(run_convergence(cfg))
+        else:
+            rows = _run_sweep(cfg, cfg.subcommand == "observables").betas.size
+        print(f"wrote {cfg.out} ({rows} rows)")
         return 0
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

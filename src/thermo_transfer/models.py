@@ -61,19 +61,18 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
     most `_BLOCK_ENTRIES` entries, and beta F(beta) = F(1) + log beta.
 
 Each params class is its model.  Class attributes give its CLI
-`name`, its size flag `size` ("m" or "m0"), its `observables` columns
-and `reference_zero`, the field that is 0 in its factorized limit.
-`block(betas, m, observables=True)` returns F and {column: values} at
-each beta of a 1-D array from one stacked solve: `_chain_solve` and
-`_dnls_solve` return F, the (B, m, m) matrix stack and its DominantEig
-for the whole block (the chain also its factors K0 and d), and the
-`_raw` routes give F with the shape of their beta argument.  Every one-point route, free energy or
-observables, is one `_point` call: the beta and size checks, then
-`block` on a block of one, so a point gives the same bits alone as
-inside a sweep.  `factorized(beta)` is the reference F of the
-factorized limit, or None away from it: the gamma=0 chain and the
-a_x=0 cylinder factorize into independent single-site (single-ring)
-problems with closed-form or 1D-integral partition functions.
+`name`, its size flag `size` ("m" or "m0"), its `observables` (a row's
+observable columns, in order) and `reference_zero`, the field that is
+0 in its factorized limit.  `block(betas, m, observables=True)` returns
+F and {column: values} at each beta of a 1-D array from one stacked
+solve (`_chain_solve`, `_dnls_solve`; the `_raw` routes give F alone).
+A sweep's block and every one-point route go through `_solve_block`,
+which names a failing beta and m; a point is a block of one, so it
+gives the same bits and errors alone as inside a sweep.
+`factorized(beta)` is the reference F of the factorized limit, or None
+away from it: the gamma=0 chain and the a_x=0 cylinder factorize into
+independent single-site (single-ring) problems with closed-form or
+1D-integral partition functions.
 
 The observables are first derivatives of the free energy surface:
 
@@ -146,14 +145,35 @@ def _per_beta(solve, beta):
     return f if np.ndim(beta) else float(f[0])
 
 
+def _grid_point(betas, exc):
+    # the beta a failure belongs to: the stack index the error carries,
+    # or the only beta of a block of one
+    index = exc.index
+    if index is None and len(betas) > 1:
+        return f"beta in [{float(betas[0])!r}, {float(betas[-1])!r}]"
+    return f"beta={float(betas[index or 0])!r}"
+
+
+def _solve_block(p, betas, m, observables, start=0):
+    """p.block on a block whose first row is grid row `start`; a numeric
+    failure keeps its type and residual and gains its beta, m and index
+    in the whole grid."""
+    try:
+        return p.block(betas, m, observables)
+    except NumericError as exc:
+        index = None if exc.index is None else start + exc.index
+        raise type(exc)(f"at {_grid_point(betas, exc)}, m={m}: {exc}",
+                        residual=exc.residual, index=index) from exc
+
+
 def _point(p, beta, m, observables=False):
     """F and {column: value} of p's model at one beta, solved as a block
-    of one, so a point gives the same bits alone as inside a sweep."""
+    of one, so a point gives the same bits and errors as inside a sweep."""
     _check_beta(beta)
     _check_m(m, p.size)
-    f, values = p.block(np.array([beta], dtype=float), int(m), observables)
-    names = p.observables if observables else ()
-    return float(f[0]), {k: float(values[k][0]) for k in names}
+    f, values = _solve_block(p, np.array([beta], dtype=float), int(m),
+                             observables)
+    return float(f[0]), {k: float(v[0]) for k, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -230,7 +250,7 @@ class DnlsParams:
 
     name = "dnls"
     size = "m"
-    observables = ("density", "energy")
+    observables = ("energy", "density")
     reference_zero = None
 
     g: float
@@ -248,9 +268,9 @@ class DnlsParams:
         return a, b, truncated_gaussian_normalization(a, b)
 
     def block(self, betas, m, observables=True):
-        """F and {density, energy} at each beta of a block, from one
-        stacked solve: <rho>_site and <rho + g rho^2/2>_site -
-        <sqrt(rho rho') I1/I0(beta sqrt(rho rho'))>_bond;
+        """F and {energy, density} at each beta of a block, from one
+        stacked solve: <rho + g rho^2/2>_site -
+        <sqrt(rho rho') I1/I0(beta sqrt(rho rho'))>_bond and <rho>_site;
         observables=False skips them."""
         f, T, eig = _dnls_solve(self.g, self.mu_c, betas, m)
         if not observables:
@@ -264,7 +284,7 @@ class DnlsParams:
         hop = s * i1_scaled(x) / i0_scaled(x)
         energy = (np.sum(site * (r + 0.5 * self.g * r ** 2), axis=-1)
                   - np.sum(bond * hop, axis=(-2, -1)))
-        return f, {"density": np.sum(site * r, axis=-1), "energy": energy}
+        return f, {"energy": energy, "density": np.sum(site * r, axis=-1)}
 
     def factorized(self, beta):
         """None: the DNLS chain has no factorized limit."""
@@ -390,25 +410,33 @@ def reference_particle_chain_gamma0(p, beta):
     """Factorized reference for the gamma=0 chain by adaptive quadrature.
 
     Z_1 = sqrt(2 pi / beta) int e^{-beta V_loc(q)} dq, F = -log(Z_1)/beta.
-    The integration window [-R, R] grows until beta V_loc(+-R) >= 45
-    (integrand tail below 3e-20); the integral itself is evaluated to
-    1e-13 relative.
+    The integrand is shifted by V_min, the least V_loc at its critical
+    points (q = 0 and the real roots of eta + mu3 q/2 + lam q^2/6), so
+    it cannot overflow.  The window [-R, R] holds them all and grows
+    until beta (V_loc(+-R) - V_min) >= 45 (integrand tail below 3e-20);
+    the integral itself is evaluated to 1e-13 relative.
     """
     _check_beta(beta)
     if p.gamma != 0.0:
         raise DomainError("factorized reference requires gamma = 0")
     from scipy.integrate import quad as _adaptive_quad
 
+    disc = 0.25 * p.mu3 ** 2 - 2.0 * p.lam * p.eta / 3.0
+    crit = [0.0] + ([3.0 * (s * math.sqrt(disc) - 0.5 * p.mu3) / p.lam
+                     for s in (-1.0, 1.0)] if p.lam > 0.0 and disc >= 0.0 else [])
+    v_min = min(float(p.v_loc(q)) for q in crit)
     R = 1.0
-    while (beta * min(p.v_loc(R), p.v_loc(-R)) < 45.0) and R < 1e6:
+    while ((R <= max(map(abs, crit))
+            or beta * (min(p.v_loc(R), p.v_loc(-R)) - v_min) < 45.0) and R < 1e6):
         R *= 1.5
-    val, err = _adaptive_quad(lambda q: math.exp(-beta * float(p.v_loc(q))),
-                              -R, R, epsabs=0.0, epsrel=1e-13, limit=400)
+    val, err = _adaptive_quad(
+        lambda q: math.exp(-beta * (float(p.v_loc(q)) - v_min)),
+        -R, R, epsabs=0.0, epsrel=1e-13, limit=400)
     if not np.isfinite(val) or val <= 0.0 or err > 1e-11 * abs(val):
         raise ConvergenceError(
             f"adaptive reference integral unreliable (value {val!r}, "
             f"error estimate {err!r})", residual=err)
-    mlogz = 0.5 * (_LOG_2PI - math.log(beta)) + math.log(val)
+    mlogz = 0.5 * (_LOG_2PI - math.log(beta)) + math.log(val) - beta * v_min
     return -mlogz / beta
 
 

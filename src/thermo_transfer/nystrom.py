@@ -211,15 +211,16 @@ def dominant_eigenvalue(T):
     except np.linalg.LinAlgError as exc:
         # numpy does not say which matrix of a stack failed
         raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
-    v = np.abs(x[:, :, 0])
-    v /= v.max(axis=-1, keepdims=True)
-    v /= np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    # a non-finite or zero x leaves nan in v, without a warning, so its
+    # residual is nan and fails the test below
+    with np.errstate(invalid="ignore"):
+        v = np.abs(x[:, :, 0])
+        v /= v.max(axis=-1, keepdims=True)
+        v /= np.sqrt((v * v).sum(axis=-1, keepdims=True))
     r = np.matmul(stack, v[:, :, None])[:, :, 0]
     r /= lam[:, None]
     r -= v
     res = np.sqrt((r * r).sum(axis=-1))
-    # after the max scaling a non-finite or zero x leaves nan in v, so
-    # its residual is nan and fails this test too
     ok = res <= _TOL
     if not ok.all():
         k = int(np.argmin(ok))

@@ -160,8 +160,13 @@ def _check_m(m, name="m"):
 def _unit_hermite(m):
     # the m-point rule of the standard normal measure (precision 1),
     # read-only because every caller of this m shares the arrays
-    nodes, weights = hermegauss(m)
+    with np.errstate(all="ignore"):
+        nodes, weights = hermegauss(m)
     weights /= math.sqrt(2.0 * math.pi)
+    if not (np.isfinite(weights) & (weights > 0.0)).all():
+        raise ResourceLimitError(
+            f"no {m}-point Hermite rule: numpy's hermegauss overflows its "
+            f"weight normalization from m = 371")
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

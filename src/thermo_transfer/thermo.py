@@ -4,11 +4,13 @@ A sweep cuts its beta grid into blocks of rows and solves each block
 as one stack through its model's `block` (see `models`): one rule
 stack, one (B, m, m) assembly and one stacked eigensolve, with F, the
 marginals and the observables computed for the whole block along its
-leading beta axis.  The public one-point routes are a block of one
-(`models._point`), so they give the same bits as the sweep's row,
-whatever the block split or thread count.  A numeric failure inside a
-block is re-raised with its beta and its row in the whole grid.  `fd_derivative` is an independent route to the
-observables, for tests and selftest.
+leading beta axis.  A row is beta, F and, if asked for, all of the
+model's `observables` columns in their order.  The one-point routes
+are a block of one (`models._point`), so they give the same bits and
+errors as the sweep's row, whatever the block split or thread count;
+`models._solve_block` names a failure's beta, m and grid row.
+`fd_derivative` is an independent route to the observables, for tests
+and selftest.
 """
 
 import math
@@ -17,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .models import (CylinderParams, DnlsParams, ParticleChainParams,
-                     _block_rows, _point)
+                     _block_rows, _point, _solve_block)
 from .quadrature import _check_m
 # not called here: the benchmark tracer wraps these names on this module
 from .models import (_chain_free_energy_raw, _dnls_free_energy_raw,  # noqa: F401
@@ -28,10 +30,7 @@ from .models import (_chain_free_energy_raw, _dnls_free_energy_raw,  # noqa: F40
 
 __all__ = ["MODELS", "SweepSpec", "SweepResult",
            "fd_derivative", "particle_chain_observables", "dnls_observables",
-           "free_energy_sweep", "OBSERVABLE_COLUMNS"]
-
-# canonical CSV column order; each model supports a subset
-OBSERVABLE_COLUMNS = ("stretch_sq", "energy", "density")
+           "free_energy_sweep"]
 
 
 def fd_derivative(f, x, *, h):
@@ -54,13 +53,15 @@ def fd_derivative(f, x, *, h):
 def particle_chain_observables(p, beta, m):
     """(dF/dgamma, d(beta F)/dbeta) at one point = (<(q - q')^2/2>_bond,
     1/beta - <mu3 q^3/12 + lam q^4/24>_site)."""
-    return tuple(_point(p, beta, m, observables=True)[1].values())
+    values = _point(p, beta, m, observables=True)[1]
+    return values["stretch_sq"], values["energy"]
 
 
 def dnls_observables(p, beta, m):
     """(-dF/dmu, d(beta F)/dbeta + mu <rho>) at one point = (<rho>_site,
     <rho + g rho^2/2>_site - <sqrt(rho rho') I1/I0(beta sqrt(rho rho'))>_bond)."""
-    return tuple(_point(p, beta, m, observables=True)[1].values())
+    values = _point(p, beta, m, observables=True)[1]
+    return values["density"], values["energy"]
 
 
 # the models by CLI name; each params class is its model
@@ -72,15 +73,14 @@ MODELS = {cls.name: cls for cls in (ParticleChainParams, DnlsParams,
 class SweepSpec:
     """A free-energy sweep: model parameters, beta grid, quadrature size.
 
-    `observables` is a subset of the model's observable columns (chain:
-    stretch_sq/energy, DNLS: energy/density, cylinder: none), kept in
-    OBSERVABLE_COLUMNS order.
+    `observables` asks for all of the model's observable columns, in
+    its `observables` order, or none; the cylinder has none.
     """
 
     params: object
     beta_grid: np.ndarray
     m: int
-    observables: tuple = ()
+    observables: bool = False
 
     def __post_init__(self):
         grid = np.atleast_1d(np.asarray(self.beta_grid, dtype=float))
@@ -97,21 +97,17 @@ class SweepSpec:
             raise DomainError(
                 f"unknown model parameter type {type(self.params).__name__}")
         _check_m(self.m, self.params.size)
-        supported = self.params.observables
-        obs = tuple(self.observables)
-        for name in obs:
-            if name not in supported:
-                raise DomainError(
-                    f"observable {name!r} not available for "
-                    f"{type(self.params).__name__} (supported: {supported})")
-        # keep canonical column order regardless of request order
-        obs = tuple(c for c in OBSERVABLE_COLUMNS if c in obs)
-        object.__setattr__(self, "observables", obs)
+        if not isinstance(self.observables, bool):
+            raise DomainError(f"observables must be True or False, "
+                              f"got {self.observables!r}")
+        if self.observables and not self.params.observables:
+            raise DomainError(f"observables are not defined for the "
+                              f"{self.params.name} model")
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One row per grid point: beta, F, and any requested observables."""
+    """One row per grid point: beta, F, and the observables if asked for."""
 
     spec: SweepSpec
     free_energy: np.ndarray
@@ -123,33 +119,14 @@ class SweepResult:
 
     def columns(self):
         """(header, column arrays) in CSV order."""
-        names = ["beta", "free_energy"] + list(self.spec.observables)
-        cols = [self.betas, self.free_energy]
-        cols += [self.observables[k] for k in self.spec.observables]
-        return names, cols
-
-
-def _grid_point(betas, exc):
-    # the beta a failure belongs to: the stack index the error carries,
-    # or the only beta of a block of one
-    index = exc.index
-    if index is None and len(betas) > 1:
-        return f"beta in [{float(betas[0])!r}, {float(betas[-1])!r}]"
-    return f"beta={float(betas[index or 0])!r}"
+        names = ["beta", "free_energy"] + list(self.observables)
+        return names, [self.betas, self.free_energy, *self.observables.values()]
 
 
 def _sweep_row(spec, betas, start):
-    """F and the requested observables at each beta of one block, the
-    block whose first row is grid row `start`."""
-    try:
-        f, values = spec.params.block(betas, spec.m, bool(spec.observables))
-    except NumericError as exc:
-        # keep the exception type and residual, name the grid point and
-        # give its index in the whole grid
-        index = None if exc.index is None else start + exc.index
-        raise type(exc)(f"at {_grid_point(betas, exc)}, m={spec.m}: {exc}",
-                        residual=exc.residual, index=index) from exc
-    return f, {k: values[k] for k in spec.observables}
+    """F and the observables at each beta of one block, the block whose
+    first row is grid row `start`."""
+    return _solve_block(spec.params, betas, spec.m, spec.observables, start)
 
 
 def free_energy_sweep(spec, threads=None):
@@ -159,6 +136,9 @@ def free_energy_sweep(spec, threads=None):
     grid = spec.beta_grid
     rows = _block_rows(spec.m)
     starts = range(0, grid.size, rows)
+    # _sweep_row stays, looked up by name at each call, so that a
+    # harness that rebinds thermo._sweep_row (the benchmark's row timer
+    # and tracer) sees every block
     block = lambda i: _sweep_row(spec, grid[i:i + rows], i)
     if threads is not None and threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
@@ -166,6 +146,5 @@ def free_energy_sweep(spec, threads=None):
     else:
         solved = [block(i) for i in starts]
     free = np.concatenate([f for f, _ in solved])
-    obs = {k: np.concatenate([o[k] for _, o in solved])
-           for k in spec.observables}
+    obs = {k: np.concatenate([o[k] for _, o in solved]) for k in solved[0][1]}
     return SweepResult(spec=spec, free_energy=free, observables=obs)

@@ -7,12 +7,15 @@ built one beta at a time; failures injected at one grid point of a
 block must name that beta.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 import thermo_transfer.nystrom as nystrom
 from thermo_transfer import models, thermo
-from thermo_transfer.errors import AssemblyError, ConvergenceError, DomainError
+from thermo_transfer.errors import (AssemblyError, ConvergenceError,
+                                    DomainError, NumericError)
 from thermo_transfer.models import (
     CylinderParams,
     DnlsParams,
@@ -36,13 +39,14 @@ CHAIN = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0)
 DNLS = DnlsParams(g=1.0, mu_c=1.0)
 CYLINDER = CylinderParams(eta=1.0, ax=0.5, ay=0.2, ly=3)
 
-# (params, m, observables, one-point F, one-point observables)
+# (params, m, observables, one-point F, one-point observables in the
+# model's column order)
 CASES = {
-    "chain": (CHAIN, 12, ("stretch_sq", "energy"), particle_chain_free_energy,
+    "chain": (CHAIN, 12, True, particle_chain_free_energy,
               particle_chain_observables),
-    "dnls": (DNLS, 10, ("energy", "density"), dnls_free_energy,
+    "dnls": (DNLS, 10, True, dnls_free_energy,
              lambda p, b, m: dnls_observables(p, b, m)[::-1]),
-    "cylinder": (CYLINDER, 6, (), cylinder_free_energy, None),
+    "cylinder": (CYLINDER, 6, False, cylinder_free_energy, None),
 }
 GRID = np.linspace(0.5, 6.5, 7)
 
@@ -66,7 +70,7 @@ def test_sweep_rows_equal_one_point_routes(monkeypatch, model, rows, threads):
         f = free_energy(params, beta, m)
         assert res.free_energy[i] == f and plain.free_energy[i] == f
         if observables is not None:
-            expect = dict(zip(sorted(obs, key=thermo.OBSERVABLE_COLUMNS.index),
+            expect = dict(zip(params.observables,
                               observables(params, beta, m)))
             for name, value in expect.items():
                 assert res.observables[name][i] == value, (name, beta)
@@ -184,6 +188,37 @@ def test_failure_without_a_stack_index_names_the_block(monkeypatch):
         free_energy_sweep(SweepSpec(params=CYLINDER, beta_grid=GRID, m=6))
     assert "at beta in [0.5, 6.5], m=6:" in str(exc.value)
     assert exc.value.index is None
+
+
+# one-point failures at the edges of the domain: the chain's overflowing
+# double well at deep quench, a DNLS rule that does not stabilize at
+# mu < 0, a cylinder ring mode above the eigen residual tolerance, and
+# the chain's nan Perron vector at beta = 638 (ROADMAP, Known defects)
+EDGE_POINTS = {
+    "chain-overflow": (particle_chain_free_energy,
+                       ParticleChainParams(0.01, 1.0, 1.0, 0.0), 1000.0, 30),
+    "dnls-rule": (dnls_free_energy, DnlsParams(1.0, -3.0), 60.0, 20),
+    "cylinder-mode": (cylinder_free_energy,
+                      CylinderParams(1e-3, 50.0, 0.2, 64), 2.0, 30),
+    "chain-nan-vector": (particle_chain_free_energy,
+                         ParticleChainParams(0.01, 1.0, 1.0, 0.0), 638.0, 30),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_POINTS))
+def test_one_point_failure_is_the_one_row_sweep_failure(case):
+    route, params, beta, m = EDGE_POINTS[case]
+    # a warning on the way (numpy's on a nan vector) fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as point:
+            route(params, beta, m)
+        with pytest.raises(NumericError) as row:
+            free_energy_sweep(SweepSpec(params=params, beta_grid=[beta], m=m))
+    assert type(point.value) is type(row.value)
+    assert str(point.value) == str(row.value)
+    assert str(point.value).startswith(f"at beta={beta!r}, m={m}: ")
+    assert point.value.index == row.value.index
 
 
 # --- the stacked layers ------------------------------------------------------

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,7 +222,8 @@ def test_observables_cylinder_rejected(tmp_path, capsys):
                    "--beta-count", "1", "--m0", "4", "--ly", "2",
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert ("error: observables are not defined for the cylinder model"
+            in capsys.readouterr().err)
 
 
 # --- convergence subcommand ---------------------------------------------------------
@@ -326,6 +328,37 @@ def test_convergence_numeric_failure_names_beta_and_m(tmp_path, capsys,
     assert rc == 1
     err = capsys.readouterr().err
     assert "numeric failure:" in err and "at beta=2.0, m=3:" in err
+
+
+def test_convergence_past_the_reference_overflow_is_a_numeric_failure(
+        tmp_path, capsys):
+    # the gamma = 0 reference's exp(-beta V_loc) overflowed a double here,
+    # and the OverflowError escaped cli.main; now the reference holds and
+    # the model's own overflow at m = 20 is the typed failure
+    rc = cli.main(["convergence", "--model", "chain", "--eta", "0.01",
+                   "--mu3", "1", "--lambda", "1", "--beta-start", "700",
+                   "--m-list", "10,20", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: at beta=700.0, m=20: "
+                          "overflowing kernel value")
+
+
+@pytest.mark.parametrize("model, size", [("chain", "--m"),
+                                         ("cylinder", "--m0")])
+def test_hermite_rule_beyond_numpy_is_a_numeric_failure(tmp_path, capsys,
+                                                        model, size):
+    # numpy's hermegauss overflows its weight normalization from m = 371:
+    # a numeric failure naming beta and m, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["free-energy", "--model", model, "--beta-start", "1",
+                       "--beta-count", "1", size, "380", "--ly", "3",
+                       "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: at beta=1.0, m=380: ")
+    assert "no 380-point Hermite rule" in err
 
 
 def test_convergence_rejects_a_repeated_size(tmp_path, capsys):

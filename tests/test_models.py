@@ -30,7 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermo_transfer import models, quadrature
-from thermo_transfer.errors import AssemblyError, ConvergenceError, DomainError
+from thermo_transfer.errors import (AssemblyError, ConvergenceError,
+                                    DomainError, ResourceLimitError)
 from thermo_transfer.models import (
     CylinderParams,
     DnlsParams,
@@ -421,6 +422,34 @@ def test_double_well_gamma0_chain_against_adaptive_reference(eta):
     p = ParticleChainParams(eta=eta, mu3=1.0, lam=1.0)
     got = particle_chain_free_energy(p, 5.0, m=40)
     assert got == pytest.approx(reference_particle_chain_gamma0(p, 5.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("beta", [700.0, 1000.0])
+def test_gamma0_reference_at_deep_quench_against_mpmath(beta):
+    # the double well's least V_loc is -0.706: exp(-beta V_loc) overflows
+    # a double from beta ~ 657, so the reference shifts its integrand by
+    # V_min; the oracle integrates the unshifted one in mpmath, split at
+    # the critical points (measured within 2.1e-16)
+    p = ParticleChainParams(eta=0.01, mu3=1.0, lam=1.0)
+    with mpmath.workdps(30):
+        d = mpmath.sqrt(mpmath.mpf(0.25) - mpmath.mpf(0.02) / 3)
+        crit = sorted([3 * (s * d - mpmath.mpf(0.5)) for s in (-1, 1)] + [0])
+        z = mpmath.quad(lambda q: mpmath.exp(-beta * (0.005 * q ** 2 + q ** 3 / 6
+                                                      + q ** 4 / 24)),
+                        [-8] + crit + [8])
+        expect = float(-(mpmath.log(2 * mpmath.pi / beta) / 2
+                         + mpmath.log(z)) / beta)
+    assert reference_particle_chain_gamma0(p, beta) == pytest.approx(expect,
+                                                                     rel=1e-14)
+
+
+def test_hermite_rule_beyond_numpy_names_beta_and_m():
+    # numpy's hermegauss overflows its weight normalization from m = 371
+    p = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0)
+    assert math.isfinite(particle_chain_free_energy(p, 1.0, 370))
+    with pytest.raises(ResourceLimitError,
+                       match=r"^at beta=1\.0, m=380: no 380-point Hermite rule"):
+        particle_chain_free_energy(p, 1.0, 380)
 
 
 def test_reference_requires_gamma0():

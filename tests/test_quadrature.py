@@ -16,6 +16,7 @@ machine precision and must NOT be exact at degree 2m (sharpness).
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -193,6 +194,19 @@ def test_golub_welsch_non_finite_recurrence_is_a_convergence_error(bad):
                         ([0.0, 0.0, 0.0], [1.0, 1.0, bad])):
         with pytest.raises(ConvergenceError, match="Jacobi eigenproblem"):
             golub_welsch(RecurrenceCoefficients(np.array(alpha), np.array(beta)))
+
+
+def test_hermite_rule_from_m_371_is_a_resource_limit():
+    # numpy's hermegauss overflows its weight normalization from m = 371
+    # (zero weights at 371, nan from 372); the rule says so, without a
+    # numpy warning, and m = 370 still builds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (gauss_hermite_rescaled(370, 1.0).weights > 0.0).all()
+        for m in (371, 380):
+            with pytest.raises(ResourceLimitError,
+                               match=f"no {m}-point Hermite rule"):
+                gauss_hermite_rescaled(m, 1.0)
 
 
 def test_hermite_rule_arrays_are_read_only():

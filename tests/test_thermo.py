@@ -37,7 +37,6 @@ from thermo_transfer.quadrature import (
     stieltjes_recurrence,
 )
 from thermo_transfer.thermo import (
-    OBSERVABLE_COLUMNS,
     SweepResult,
     SweepSpec,
     dnls_observables,
@@ -351,27 +350,25 @@ def test_sweep_spec_rejects_a_bool_size():
 
 
 def test_sweep_spec_observable_names_per_model():
+    # observables are all of the model's columns, in its order, or none
     chain = ParticleChainParams(eta=1.0)
     dnls = DnlsParams(g=1.0)
     cyl = CylinderParams(eta=1.0, ax=0.1, ay=0.1, ly=2)
-    SweepSpec(params=chain, beta_grid=[1.0], m=5, observables=("stretch_sq",))
-    SweepSpec(params=dnls, beta_grid=[1.0], m=5, observables=("density", "energy"))
-    with pytest.raises(DomainError):
-        SweepSpec(params=chain, beta_grid=[1.0], m=5, observables=("density",))
-    with pytest.raises(DomainError):
-        SweepSpec(params=dnls, beta_grid=[1.0], m=5, observables=("stretch_sq",))
-    with pytest.raises(DomainError):
-        SweepSpec(params=cyl, beta_grid=[1.0], m=5, observables=("energy",))
-    with pytest.raises(DomainError):
-        SweepSpec(params=chain, beta_grid=[1.0], m=5, observables=("bogus",))
-
-
-def test_sweep_spec_canonicalizes_column_order():
-    p = ParticleChainParams(eta=1.0)
-    spec = SweepSpec(params=p, beta_grid=[1.0], m=5,
-                     observables=("energy", "stretch_sq"))
-    assert spec.observables == ("stretch_sq", "energy")
-    assert OBSERVABLE_COLUMNS == ("stretch_sq", "energy", "density")
+    assert chain.observables == ("stretch_sq", "energy")
+    assert dnls.observables == ("energy", "density")
+    for p in (chain, dnls):
+        res = free_energy_sweep(SweepSpec(params=p, beta_grid=[1.0], m=5,
+                                          observables=True))
+        assert tuple(res.observables) == p.observables
+        assert res.columns()[0] == ["beta", "free_energy", *p.observables]
+        plain = free_energy_sweep(SweepSpec(params=p, beta_grid=[1.0], m=5))
+        assert plain.observables == {}
+    with pytest.raises(DomainError, match="not defined for the cylinder model"):
+        SweepSpec(params=cyl, beta_grid=[1.0], m=5, observables=True)
+    SweepSpec(params=cyl, beta_grid=[1.0], m=5, observables=False)
+    # a subset of columns is not a request the spec takes
+    with pytest.raises(DomainError, match="True or False"):
+        SweepSpec(params=chain, beta_grid=[1.0], m=5, observables=("energy",))
 
 
 def test_sweep_spec_scalar_grid_promoted():
@@ -385,8 +382,7 @@ def test_sweep_spec_scalar_grid_promoted():
 def test_sweep_matches_point_evaluations():
     p = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0)
     grid = np.array([0.5, 1.0, 2.0])
-    spec = SweepSpec(params=p, beta_grid=grid, m=15,
-                     observables=("stretch_sq", "energy"))
+    spec = SweepSpec(params=p, beta_grid=grid, m=15, observables=True)
     res = free_energy_sweep(spec)
     assert isinstance(res, SweepResult)
     for i, b in enumerate(grid):
@@ -402,13 +398,15 @@ def test_sweep_threaded_is_deterministic(monkeypatch, pools_entered):
     monkeypatch.setattr(models, "_BLOCK_ENTRIES", 2 * 12 * 12)
     p = DnlsParams(g=1.0, mu_c=1.0)
     grid = np.linspace(0.5, 4.0, 6)
-    spec = SweepSpec(params=p, beta_grid=grid, m=12, observables=("density",))
+    spec = SweepSpec(params=p, beta_grid=grid, m=12, observables=True)
     seq = free_energy_sweep(spec)
     assert pools_entered == []
     par = free_energy_sweep(spec, threads=4)
     assert pools_entered == [4]
     assert np.array_equal(seq.free_energy, par.free_energy)
-    assert np.array_equal(seq.observables["density"], par.observables["density"])
+    assert list(par.observables) == ["energy", "density"]
+    for name, column in seq.observables.items():
+        assert np.array_equal(column, par.observables[name])
 
 
 def test_sweep_rerun_bit_identical():
@@ -490,8 +488,7 @@ def test_each_model_block_and_factorized_limit(name):
 
 def test_sweep_columns_layout():
     p = DnlsParams(g=1.0, mu_c=0.5)
-    spec = SweepSpec(params=p, beta_grid=[1.0, 2.0], m=10,
-                     observables=("energy", "density"))
+    spec = SweepSpec(params=p, beta_grid=[1.0, 2.0], m=10, observables=True)
     res = free_energy_sweep(spec)
     names, cols = res.columns()
     assert names == ["beta", "free_energy", "energy", "density"]
