@@ -371,6 +371,25 @@ def test_sweep_spec_observable_names_per_model():
         SweepSpec(params=chain, beta_grid=[1.0], m=5, observables=("energy",))
 
 
+def test_sweep_spec_canonicalizes_column_order(monkeypatch):
+    # the model's `observables` tuple is the one column order: a sweep
+    # cut into one-row blocks and the one-point route both keep it
+    monkeypatch.setattr(models, "_BLOCK_ENTRIES", 5 * 5)
+    for p in (ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0),
+              DnlsParams(g=1.0, mu_c=0.5)):
+        spec = SweepSpec(params=p, beta_grid=[1.0, 2.0, 3.0], m=5,
+                         observables=True)
+        assert spec.observables is True
+        res = free_energy_sweep(spec)
+        assert tuple(res.observables) == p.observables
+        names, cols = res.columns()
+        assert names == ["beta", "free_energy", *p.observables]
+        for i, b in enumerate(spec.beta_grid):
+            f, values = models._point(p, b, 5, observables=True)
+            assert tuple(values) == p.observables
+            assert [c[i] for c in cols[1:]] == [f, *values.values()]
+
+
 def test_sweep_spec_scalar_grid_promoted():
     p = ParticleChainParams(eta=1.0)
     spec = SweepSpec(params=p, beta_grid=2.0, m=5)
