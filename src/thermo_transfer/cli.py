@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 numeric failure, 2 usage or config error.
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 
@@ -225,6 +226,13 @@ def _beta_grid(cfg):
         return np.array([cfg.beta_start])
     if cfg.beta_stop is None:
         raise UsageError("--beta-stop is required for beta-count > 1")
+    # numpy's grids warn on a bound that is not finite, and geomspace
+    # raises or warns on one that is not positive
+    need = "positive and finite with --log-beta" if cfg.log_beta else "finite"
+    for flag, bound in (("--beta-start", cfg.beta_start),
+                        ("--beta-stop", cfg.beta_stop)):
+        if not math.isfinite(bound) or (cfg.log_beta and not bound > 0.0):
+            raise UsageError(f"{flag} must be {need}, got {bound!r}")
     if cfg.log_beta:
         return np.geomspace(cfg.beta_start, cfg.beta_stop, cfg.beta_count)
     return np.linspace(cfg.beta_start, cfg.beta_stop, cfg.beta_count)
@@ -251,8 +259,11 @@ def _write_csv(path, names, cols):
     # %.17g prints an integer column (m) as 4, 150, ...
     lines = [",".join(names)]
     lines += [",".join("%.17g" % v for v in row) for row in zip(*cols)]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}")
 
 
 def _run_sweep(cfg, observables):

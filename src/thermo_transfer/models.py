@@ -36,6 +36,14 @@ defocusing DNLS chain in polar coordinates (amplitudes rho >= 0):
     log k(rho, rho') = log 2pi + log I0(beta sqrt(rho rho'))
                         - beta (rho+rho')/2
     -beta F = beta mu^2/(2g) + log lambda_1 - log c
+    With u = sqrt(rho) and x = beta u u', beta (rho + rho')/2 =
+    beta (u - u')^2/2 + x, so the matrix is the bounded product
+        T_ij = d_i k_ij e^{-x_ij} I0(x_ij) d_j,
+        d_i = sqrt(w_i),  k_ij = 2 pi exp(-beta (u_i - u_j)^2 / 2),
+    no factor above 2 pi and each exactly symmetric; no log entry is
+    formed.  The hop energy is a quadratic form on the same factors:
+        <sqrt(rho rho') I1/I0(x)>_bond
+            = (v o d).(k o (x / beta) o e^{-x} I1(x))(v o d) / lambda_1.
 
 cylinder (L_y-site rings, periodic in y, infinite in x):
     log k(q, q') = -beta sum_l [ a_x (q_l - q'_l)^2 / 2
@@ -95,18 +103,20 @@ observables, whose rule moves with mu and beta.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericError
 from .nystrom import (_LOG_MAX, LogKernel, NystromMatrix, _check_log_entries,
-                      assemble, dominant_eigenvalue)
+                      dominant_eigenvalue)
 from .specfun import i0_scaled, i1_scaled, log_i0
 from .quadrature import (QuadratureRule, _check_m, _unit_hermite,
                          gauss_hermite_rescaled, golub_welsch,
                          stieltjes_recurrence, truncated_gaussian_normalization)
-# unused here; kept because the benchmark tracer wraps models.tensor_product
+# unused here; kept because the benchmark tracer wraps models.assemble and
+# models.tensor_product
+from .nystrom import assemble  # noqa: F401
 from .quadrature import tensor_product  # noqa: F401
 
 __all__ = [
@@ -137,6 +147,15 @@ def _check_beta(beta):
             or not math.isfinite(scalar)):
         raise DomainError(
             f"beta must be a positive, finite real scalar, got {beta!r}")
+
+
+def _check_finite(p):
+    # each float field of a params class: nan fails every comparison of
+    # the domain checks after this one, and inf passes their signs
+    for f in fields(p):
+        value = getattr(p, f.name)
+        if f.type is float and not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value!r}")
 
 
 def _per_beta(solve, beta):
@@ -196,6 +215,7 @@ class ParticleChainParams:
     gamma: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not (self.eta > 0.0):
             raise DomainError(f"eta must be positive, got {self.eta!r}")
         if self.lam < 0.0:
@@ -257,6 +277,7 @@ class DnlsParams:
     mu_c: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not (self.g > 0.0):
             raise DomainError(f"defocusing coupling g must be positive, got {self.g!r}")
 
@@ -272,18 +293,17 @@ class DnlsParams:
         stacked solve: <rho + g rho^2/2>_site -
         <sqrt(rho rho') I1/I0(beta sqrt(rho rho'))>_bond and <rho>_site;
         observables=False skips them."""
-        f, T, eig = _dnls_solve(self.g, self.mu_c, betas, m)
+        f, T, eig, (k, x, d) = _dnls_solve(self.g, self.mu_c, betas, m)
         if not observables:
             return f, {}
-        # site marginal v_i^2 and bond marginal v_i T_ij v_j / lambda_1
-        v = eig.vector
-        r, site = T.rule.nodes, v * v
-        bond = v[:, :, None] * T.entries * v[:, None, :] / eig.lambda1[:, None, None]
-        s = np.sqrt(r[:, :, None] * r[:, None, :])
-        x = betas[:, None, None] * s
-        hop = s * i1_scaled(x) / i0_scaled(x)
+        # the bond term is a quadratic form, since T_ij I1/I0(x_ij) =
+        # d_i k_ij e^{-x} I1(x_ij) d_j and sqrt(rho rho') = x / beta: one
+        # matrix-vector product per beta, so that a row has the same bits
+        # in any block
+        r, site, u = T.rule.nodes, eig.vector ** 2, eig.vector * d
+        hu = np.matmul(k * x * i1_scaled(x), u[:, :, None])[:, :, 0]
         energy = (np.sum(site * (r + 0.5 * self.g * r ** 2), axis=-1)
-                  - np.sum(bond * hop, axis=(-2, -1)))
+                  - np.sum(hu * u, axis=-1) / (betas * eig.lambda1))
         return f, {"energy": energy, "density": np.sum(site * r, axis=-1)}
 
     def factorized(self, beta):
@@ -306,6 +326,7 @@ class CylinderParams:
     ly: int
 
     def __post_init__(self):
+        _check_finite(self)
         if not (self.eta > 0.0):
             raise DomainError(f"eta must be positive, got {self.eta!r}")
         if self.ax < 0.0 or self.ay < 0.0:
@@ -444,8 +465,10 @@ def reference_particle_chain_gamma0(p, beta):
 # DNLS chain
 
 
-def _dnls_logk(beta):
-    # beta is a scalar, or shaped (B, 1, 1) against a stacked rule
+def dnls_log_kernel(beta):
+    """log k(rho, rho') = log 2pi + log I0(beta sqrt(rho rho')) - beta(rho+rho')/2."""
+    _check_beta(beta)
+
     def bond(r, rp):
         r = np.asarray(r, dtype=float)
         rp = np.asarray(rp, dtype=float)
@@ -456,17 +479,12 @@ def _dnls_logk(beta):
     return LogKernel(bond, site=lambda r: -0.5 * beta * r)
 
 
-def dnls_log_kernel(beta):
-    """log k(rho, rho') = log 2pi + log I0(beta sqrt(rho rho')) - beta(rho+rho')/2."""
-    _check_beta(beta)
-    return _dnls_logk(beta)
-
-
 def _dnls_solve(g, mu_c, betas, m):
-    """(F, T, its DominantEig) of the m-point DNLS chain at each beta of a
-    1-D array.  The Stieltjes rule is built per beta (its weight moves
-    with beta) and the rules are stacked for one assembly and one
-    stacked eigensolve."""
+    """(F, T, its DominantEig, (k, x, d)) of the m-point DNLS chain at each
+    beta of a 1-D array: T_ij = d_i k_ij e^{-x_ij} I0(x_ij) d_j, one
+    (B, m, m) stack and one stacked eigensolve.  The Stieltjes rule is
+    built per beta (its weight moves with beta) and the rules are
+    stacked as T.rule."""
     p = DnlsParams(g, mu_c)
     log_c = np.empty(betas.size)
     nodes = np.empty((betas.size, m))
@@ -481,10 +499,19 @@ def _dnls_solve(g, mu_c, betas, m):
                             residual=exc.residual, index=k) from exc
         log_c[k] = math.log(c)
         nodes[k], weights[k] = rule.nodes, rule.weights
-    T = assemble(_dnls_logk(betas[:, None, None]), QuadratureRule(nodes, weights))
+    # with u = sqrt(rho), beta (rho + rho')/2 = beta (u - u')^2/2 + x and
+    # x = beta u u', so k = 2 pi e^{-beta (u - u')^2/2}, e^{-x} I0(x) and
+    # d = sqrt(w) are each at most 2 pi: no entry overflows, and every
+    # factor, so T, is exactly symmetric
+    u, d = np.sqrt(nodes), np.sqrt(weights)
+    beta = betas[:, None, None]
+    x = beta * (u[:, :, None] * u[:, None, :])
+    k = 2.0 * math.pi * np.exp(-0.5 * beta * (u[:, :, None] - u[:, None, :]) ** 2)
+    T = NystromMatrix(d[:, :, None] * d[:, None, :] * (k * i0_scaled(x)),
+                      QuadratureRule(nodes, weights))
     eig = dominant_eigenvalue(T)
     mbf = 0.5 * betas * mu_c ** 2 / g + np.log(eig.lambda1) - log_c
-    return -mbf / betas, T, eig
+    return -mbf / betas, T, eig, (k, x, d)
 
 
 def _dnls_free_energy_raw(g, mu_c, beta, m):

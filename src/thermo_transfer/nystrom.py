@@ -3,22 +3,22 @@
 The integral operator with symmetric positive kernel k_beta is
 discretized on a quadrature rule (z_i, w_i) as the symmetric matrix
 
-    T[i, j] = k_beta(z_i, z_j) sqrt(w_i w_j),
+    T[i, j] = k_beta(z_i, z_j) sqrt(w_i w_j).
 
-assembled in log space (the kernels carry exponents of order
-beta * q^4 which underflow as raw products).  `assemble` takes the
-kernel only as a `LogKernel` (symmetric pair terms plus optional
-per-node site terms, broadcast over the rule's nodes) and the rule as
-a `QuadratureRule` or `TensorRule`, which cannot be empty.  The
-chain and the cylinder's ring modes do not go through it: their
-Hermite-rule stack is the product d_i K0_ij d_j (see `models`), whose
-log entries go through the same check only when a bound says an
-entry may overflow.  Each model's matrix has m rows (m0 for the
-cylinder, solved as one chain per ring Fourier mode), a few dozen in
-practice, so the dominant pair comes from two dense steps: lambda_1 is
-the top of the eigenvalues, and the Perron vector is one step of
-inverse iteration, a solve of (sigma I - T) x = T 1 with sigma 16 ulps
-above lambda_1.  The Perron-Frobenius theorem for elementwise
+`assemble` builds it in log space from a `LogKernel` (symmetric pair
+terms plus optional per-node site terms, broadcast over the rule's
+nodes) and a `QuadratureRule` or `TensorRule`, which cannot be empty.
+No production route goes through `assemble`: every model builds its
+stack as a bounded product d_i K_ij d_j (see `models`), and
+`assemble` with the `*_log_kernel` functions is the independent
+reference the tests and `selftest` compare against.  The chain's log
+entries go through `assemble`'s check only when a bound says an entry
+may overflow.  Each model's matrix has m rows (m0 for the cylinder,
+solved as one chain per ring Fourier mode), a few dozen in practice,
+so the dominant pair comes from two dense steps: lambda_1 is the top
+of the eigenvalues, and the Perron vector is one step of inverse
+iteration, a solve of (sigma I - T) x = T 1 with sigma 16 ulps above
+lambda_1.  The Perron-Frobenius theorem for elementwise
 positive matrices guarantees a simple positive lambda_1 with a
 strictly positive eigenvector, and for T >= 0 and sigma > lambda_1 the
 Neumann series x = sum_k T^(k+1) 1 / sigma^(k+1) is elementwise

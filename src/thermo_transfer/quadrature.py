@@ -84,8 +84,12 @@ class QuadratureRule:
                 "nodes and weights must be arrays of equal shape, (m,) or (B, m)")
         if nodes.size == 0:
             raise DomainError("empty quadrature rule")
-        if (weights <= 0.0).any():
-            raise DomainError("quadrature weights must be strictly positive")
+        # written so that nan and inf fail
+        if not ((weights > 0.0) & np.isfinite(weights)).all():
+            raise DomainError(
+                "quadrature weights must be strictly positive and finite")
+        if not np.isfinite(nodes).all():
+            raise DomainError("quadrature nodes must be finite")
         if (nodes[..., 1:] <= nodes[..., :-1]).any():
             raise DomainError("quadrature nodes must be strictly increasing")
 
@@ -115,7 +119,9 @@ class RecurrenceCoefficients:
         object.__setattr__(self, "beta", beta)
         if alpha.ndim != 1 or alpha.shape != beta.shape:
             raise DomainError("alpha and beta must be 1D arrays of equal length")
-        if np.any(beta <= 0.0):
+        # written so that nan fails too; golub_welsch turns a non-finite
+        # alpha_k or an infinite beta_k into a failed rule
+        if not (beta > 0.0).all():
             raise DomainError("recurrence coefficients beta_k must be positive")
 
     def __len__(self):

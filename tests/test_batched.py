@@ -144,21 +144,23 @@ def test_eigensolve_failure_in_a_later_block(monkeypatch):
 
 
 def test_non_finite_assembly_names_beta_and_node_pair(monkeypatch):
-    # poison one Bessel-factor entry of stack matrix 4 (grid point 4)
-    real = models.log_i0
+    # poison the site term of node 5 of stack matrix 4 (grid point 4) of
+    # the chain, the route whose log entries are scanned; node 5's row
+    # and column go non-finite, and the scan meets (0, 5) first
+    real = models._anharmonic_site
 
-    def log_i0(x):
-        out = np.array(real(x), dtype=float)
-        if out.ndim == 3:
-            out[4, 2, 5] = np.nan
+    def anharmonic_site(mu3, lam, beta, q):
+        out = np.array(real(mu3, lam, beta, q), dtype=float)
+        if out.ndim == 2:
+            out[4, 5] = np.nan
         return out
 
-    monkeypatch.setattr(models, "log_i0", log_i0)
+    monkeypatch.setattr(models, "_anharmonic_site", anharmonic_site)
     with pytest.raises(AssemblyError) as exc:
-        free_energy_sweep(SweepSpec(params=DNLS, beta_grid=GRID, m=10))
+        free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=GRID, m=10))
     msg = str(exc.value)
     assert f"at beta={float(GRID[4])!r}, m=10:" in msg
-    assert "node pair (2, 5) of matrix 4 in the stack" in msg
+    assert "node pair (0, 5) of matrix 4 in the stack" in msg
 
 
 def test_rule_failure_names_its_grid_point(monkeypatch):
@@ -228,7 +230,7 @@ def test_assembled_stacks_are_exactly_symmetric():
     _, T, _, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 17)
     assert T.entries.shape == (3, 17, 17)
     assert np.array_equal(T.entries, T.entries.swapaxes(-1, -2))
-    _, T, _ = _dnls_solve(1.0, 1.0, betas, 11)
+    _, T, _, _ = _dnls_solve(1.0, 1.0, betas, 11)
     assert np.array_equal(T.entries, T.entries.swapaxes(-1, -2))
     # a kernel whose two argument orders round differently
     kern = LogKernel(lambda z, zp: -0.1 * z ** 3 - 0.1 * zp ** 3 + 0.3 * z * zp,

@@ -421,6 +421,57 @@ def test_invalid_model_choice_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bounds, log_beta, flag", [
+    (["--beta-start", "0", "--beta-stop", "1"], True, "--beta-start"),
+    (["--beta-start", "1", "--beta-stop", "0"], True, "--beta-stop"),
+    (["--beta-start", "-1", "--beta-stop", "1"], True, "--beta-start"),
+    (["--beta-start", "1", "--beta-stop", "inf"], True, "--beta-stop"),
+    (["--beta-start", "1", "--beta-stop", "inf"], False, "--beta-stop"),
+])
+def test_grid_bound_out_of_domain_is_usage_error(tmp_path, capsys, bounds,
+                                                 log_beta, flag):
+    # numpy's geomspace raised on a zero bound and warned on a negative
+    # or infinite one, linspace on an infinite one; the grid now names
+    # the bound first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["free-energy", "--model", "chain", *bounds,
+                       "--beta-count", "3", "--m", "5",
+                       *(["--log-beta"] if log_beta else []),
+                       "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("free-energy", ["--beta-count", "2", "--beta-stop", "2", "--m", "5"]),
+    ("convergence", ["--beta-count", "1", "--m-list", "4,6",
+                     "--reference", "factorized"]),
+])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, subcommand, flags):
+    out = tmp_path / "missing" / "x.csv"
+    rc = cli.main([subcommand, "--model", "chain", "--beta-start", "1",
+                   *flags, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output file: ")
+    assert str(out) in err
+    assert not out.exists()
+
+
+def test_non_finite_model_field_is_usage_error(tmp_path, capsys):
+    # nan once ran into the solve and exited 1 naming a kernel value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["free-energy", "--model", "chain", "--beta-start", "1",
+                       "--beta-count", "1", "--m", "5", "--mu3", "nan",
+                       "--lambda", "nan", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: mu3 must be finite, got nan\n"
+
+
 def test_negative_beta_is_domain_error(tmp_path, capsys):
     rc = cli.main(["free-energy", "--model", "chain", "--beta-start", "-1",
                    "--beta-count", "1", "--m", "5",

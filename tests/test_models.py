@@ -86,6 +86,25 @@ def test_dnls_params_validation():
         DnlsParams(g=-1.0)
 
 
+VALID_FIELDS = {
+    ParticleChainParams: {"eta": 1.0, "mu3": 0.1, "lam": 1.0, "gamma": 1.0},
+    DnlsParams: {"g": 1.0, "mu_c": 1.0},
+    CylinderParams: {"eta": 1.0, "ax": 0.5, "ay": 0.2, "ly": 3},
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("model, field", [
+    pytest.param(model, field, id=f"{model.name}-{field}")
+    for model, fields in VALID_FIELDS.items() for field in fields
+    if field != "ly"])
+def test_params_reject_non_finite_fields(model, field, bad):
+    # nan fails every comparison and inf passes the sign checks, so
+    # each once reached the solve; the error names the field
+    with pytest.raises(DomainError, match=f"^{field} must be finite, got {bad!r}$"):
+        model(**{**VALID_FIELDS[model], field: bad})
+
+
 def test_cylinder_params_validation():
     CylinderParams(eta=1.0, ax=0.0, ay=0.0, ly=1)
     with pytest.raises(DomainError):
@@ -579,6 +598,25 @@ def test_dnls_against_independent_assembly(g, mu_c, beta, m):
     got = dnls_free_energy(DnlsParams(g=g, mu_c=mu_c), beta, m)
     expect = dnls_independent_route(g, mu_c, beta, m)
     assert got == pytest.approx(expect, rel=5e-13)
+
+
+@pytest.mark.parametrize("beta", [1.0, 30.0])
+def test_dnls_stack_entries_against_mpmath(beta):
+    # each entry of the production stack against 2 pi I0(beta sqrt(r r'))
+    # e^{-beta (r + r')/2} sqrt(w w') at 40 digits on the same rule: the
+    # product form keeps full relative accuracy where the log-space route
+    # cancels beta (r + r')/2 against beta sqrt(r r')
+    _, T, _, _ = models._dnls_solve(1.0, 1.0, np.array([beta]), 20)
+    r, w = T.rule.nodes[0], T.rule.weights[0]
+    with mpmath.workdps(40):
+        def entry(i, j):
+            ri, rj = mpmath.mpf(r[i]), mpmath.mpf(r[j])
+            return (2 * mpmath.pi * mpmath.besseli(0, beta * mpmath.sqrt(ri * rj))
+                    * mpmath.exp(-beta * (ri + rj) / 2)
+                    * mpmath.sqrt(mpmath.mpf(w[i]) * mpmath.mpf(w[j])))
+        rel = max(float(abs(T.entries[0, i, j] - entry(i, j)) / entry(i, j))
+                  for i in range(20) for j in range(i, 20))
+    assert rel <= 1e-14
 
 
 def test_dnls_self_convergence_floor():

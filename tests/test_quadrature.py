@@ -189,9 +189,14 @@ def test_golub_welsch_bits_equal_scipy_stev_wrapper(m):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_golub_welsch_non_finite_recurrence_is_a_convergence_error(bad):
     # LAPACK reports nan with info > 0 and leaves inf as nan nodes with
-    # info = 0; both are a failed rule, not a rule of nan nodes
+    # info = 0; both are a failed rule, not a rule of nan nodes.  A nan
+    # beta_k fails RecurrenceCoefficients' own check before that
     for alpha, beta in (([0.0, bad, 0.0], [1.0, 1.0, 1.0]),
                         ([0.0, 0.0, 0.0], [1.0, 1.0, bad])):
+        if np.isnan(beta).any():
+            with pytest.raises(DomainError, match="beta_k must be positive"):
+                RecurrenceCoefficients(np.array(alpha), np.array(beta))
+            continue
         with pytest.raises(ConvergenceError, match="Jacobi eigenproblem"):
             golub_welsch(RecurrenceCoefficients(np.array(alpha), np.array(beta)))
 
@@ -509,6 +514,28 @@ def test_rule_rejects_shape_mismatch():
 def test_recurrence_rejects_nonpositive_beta():
     with pytest.raises(DomainError):
         RecurrenceCoefficients(np.zeros(3), np.array([1.0, -0.1, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rule_rejects_non_finite_nodes_and_weights(bad):
+    # every comparison with nan is false, so `weights <= 0` and
+    # `nodes[1:] <= nodes[:-1]` once let a nan rule through
+    with pytest.raises(DomainError, match="nodes must be finite"):
+        QuadratureRule(np.array([0.0, bad]), np.array([1.0, 1.0]))
+    with pytest.raises(DomainError, match="nodes must be finite"):
+        QuadratureRule(np.array([[0.0, 1.0], [bad, 1.0]]), np.ones((2, 2)))
+    with pytest.raises(DomainError, match="weights must be strictly positive"):
+        QuadratureRule(np.array([0.0, 1.0]), np.array([1.0, bad]))
+
+
+def test_recurrence_rejects_nan_beta():
+    # a nan beta_0 once gave golub_welsch a rule of nan weights
+    for beta in ([np.nan, 1.0], [1.0, np.nan]):
+        with pytest.raises(DomainError, match="beta_k must be positive"):
+            RecurrenceCoefficients(np.zeros(2), np.array(beta))
+    # an infinite mass leaves infinite weights, which the rule rejects
+    with pytest.raises(DomainError, match="weights must be strictly positive"):
+        golub_welsch(RecurrenceCoefficients(np.zeros(2), np.array([np.inf, 1.0])))
 
 
 def test_rule_integrate_method():
