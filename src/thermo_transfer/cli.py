@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 numeric failure, 2 usage or config error.
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -251,8 +252,21 @@ def _params(cfg, model):
 
 
 def _require_out(cfg):
+    """--out is given and can be written, checked before any solve.
+
+    The file is opened for appending, which truncates nothing, so a
+    solve that fails later leaves an existing file as it was; a file
+    the check created is removed again."""
     if not cfg.out:
         raise UsageError("--out is required")
+    existed = os.path.lexists(cfg.out)
+    try:
+        with open(cfg.out, "a"):
+            pass
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}")
+    if not existed:
+        os.remove(cfg.out)
 
 
 def _write_csv(path, names, cols):

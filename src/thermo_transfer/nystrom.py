@@ -180,6 +180,30 @@ def _check_log_entries(logT, nodes):
             f"log entry={entry!r}", index=index)
 
 
+def _lapack_step(step, ndim, *stacks):
+    # step(*stacks) for stacks of B matrices (or right-hand sides).
+    # numpy does not say which matrix of a stack made LAPACK fail, so
+    # after a failure, and only then, the step is re-run one matrix at a
+    # time, and the ConvergenceError names the first that fails alone
+    try:
+        return step(*stacks)
+    except np.linalg.LinAlgError as exc:
+        index = next((k for k in range(len(stacks[0]))
+                      if _fails(step, [s[k:k + 1] for s in stacks])), None)
+        where = ("" if index is None or ndim == 2
+                 else f" of matrix {index} in the stack")
+        raise ConvergenceError(f"dense eigensolve failed{where}: {exc}",
+                               index=None if ndim == 2 else index) from exc
+
+
+def _fails(step, stacks):
+    try:
+        step(*stacks)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
 def dominant_eigenvalue(T):
     """Dominant eigenvalue and Perron eigenvector of an assembled matrix
     or a (B, m, m) stack of them.
@@ -196,21 +220,18 @@ def dominant_eigenvalue(T):
     ||T v / lambda_1 - v||, checked for every matrix; ConvergenceError
     carries the first one above 1e-14, or not finite, and for a stack its
     index; a LAPACK failure of either step is a ConvergenceError too,
-    without an index.  A single matrix gives scalar lambda1 and a
-    vector of shape (m,).
+    with the index of the first matrix that fails that step alone.  A
+    single matrix gives scalar lambda1 and a vector of shape (m,).
     """
     A = T.entries if isinstance(T, NystromMatrix) else np.asarray(T, dtype=float)
     stack = A.reshape((-1,) + A.shape[-2:])
     B, m = stack.shape[0], stack.shape[-1]
-    try:
-        lam = np.linalg.eigvalsh(stack)[:, -1]
-        sigma = lam + _SHIFT_ULPS * np.spacing(lam)
-        shifted = np.negative(stack, order="C")
-        shifted.reshape(B, m * m)[:, ::m + 1] += sigma[:, None]
-        x = np.linalg.solve(shifted, np.matmul(stack, _ones(m)))
-    except np.linalg.LinAlgError as exc:
-        # numpy does not say which matrix of a stack failed
-        raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
+    lam = _lapack_step(np.linalg.eigvalsh, A.ndim, stack)[:, -1]
+    sigma = lam + _SHIFT_ULPS * np.spacing(lam)
+    shifted = np.negative(stack, order="C")
+    shifted.reshape(B, m * m)[:, ::m + 1] += sigma[:, None]
+    x = _lapack_step(np.linalg.solve, A.ndim, shifted,
+                     np.matmul(stack, _ones(m)))
     # a non-finite or zero x leaves nan in v, without a warning, so its
     # residual is nan and fails the test below
     with np.errstate(invalid="ignore"):

@@ -26,6 +26,7 @@ first use, so the Hermite-only chain and cylinder run on numpy alone.
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,15 @@ _TAIL_SIGMAS = 12.0
 # min(m, 32) points; from m = 25 on that is 32, and a larger m climbs
 # on through the two-level agreement check.
 _PANEL_POINTS = (16, 24, 32, 48, 64, 96, 128)
+
+# the Lanczos run of each refinement level that the latest
+# stieltjes_recurrence call compared, keyed by its weight (a, b, c) and
+# its points per panel: a later call on the same weight extends these
+# runs instead of starting new ones; a call on another weight replaces
+# them all.  The lock guards the dict (each run has its own), since
+# sweeps on several threads build rules concurrently
+_memo = {}
+_memo_lock = threading.Lock()
 
 # the most points a tensor rule may have: a dense matrix on the product
 # grid holds the square of this many entries (8192^2 doubles = 512 MiB)
@@ -276,38 +286,83 @@ def _composite_legendre(lo, hi, panels, pts):
     return x, w
 
 
+class _Lanczos:
+    """Discretized Stieltjes procedure on one discrete measure (x, w),
+    resumable in the number of coefficients.
+
+    This is Lanczos, the numerically stable guise of the procedure, on
+    the diagonal "multiplication by x" operator in the discrete inner
+    product <f, g> = sum w_i f(x_i) g(x_i).  Step k projects x q_k on
+    the whole basis B = q_0..q_k at once: h = B r holds alpha_k = h[k],
+    and r - h B removes alpha_k q_k and sqrt(beta_k) q_{k-1} together
+    with the rounding drift towards the older vectors; the second pass
+    is the "twice" of classical Gram-Schmidt.  Coefficient k depends on
+    (x, w) and k alone, so the state holds the basis rows, alpha and
+    beta computed so far, and the projection (r, h) of its last step,
+    which is finished only when a further alpha is asked for: a run
+    extended from m to m' gives the bits of one run to m'.
+    """
+
+    def __init__(self, x, w, m):
+        # room for m coefficients; a request for more grows the arrays
+        mass = w.sum()
+        self._x = x
+        self._lock = threading.Lock()
+        self._basis = np.empty((m, x.size))
+        self._basis[0] = np.sqrt(w) / math.sqrt(mass)
+        self._alpha = np.empty(m)
+        self._beta = np.empty(m)
+        self._beta[0] = mass
+        # coefficients held, the pending (r, h), and the k at which the
+        # measure broke down with the beta_k it gave
+        self._size = 0
+        self._r = np.empty(x.size)
+        self._h = None
+        self._breakdown = (math.inf, None)
+
+    def coefficients(self, m):
+        """Copies of alpha_0..alpha_{m-1} and beta_0..beta_{m-1}."""
+        with self._lock:
+            if m > len(self._alpha):
+                # grow geometrically, so a climb in m copies little
+                cap = max(m, 2 * len(self._alpha))
+                for name in ("_basis", "_alpha", "_beta"):
+                    old = getattr(self, name)
+                    new = np.empty((cap,) + old.shape[1:])
+                    new[:len(old)] = old
+                    setattr(self, name, new)
+            x, basis, alpha, beta = self._x, self._basis, self._alpha, self._beta
+            r, h, size = self._r, self._h, self._size
+            B = basis[:size]
+            for k in range(size, min(m, self._breakdown[0])):
+                if k:
+                    # finish step k - 1
+                    r -= h @ B
+                    r -= (B @ r) @ B
+                    b2 = np.dot(r, r)
+                    if b2 <= 0.0:
+                        self._breakdown = (k, b2)
+                        break
+                    beta[k] = b2
+                    np.divide(r, math.sqrt(b2), out=basis[k])
+                B = basis[:k + 1]
+                np.multiply(x, basis[k], out=r)
+                h = B @ r
+                alpha[k] = h[k]
+                size = k + 1
+            self._h, self._size = h, size
+            k, b2 = self._breakdown
+            if m > k:
+                raise ConvergenceError(
+                    "discretized measure has fewer support points than "
+                    f"requested coefficients (broke down at k={k})",
+                    residual=b2)
+            return alpha[:m].copy(), beta[:m].copy()
+
+
 def _lanczos_recurrence(x, w, m):
-    # Discretized Stieltjes procedure, in the numerically stable guise
-    # of Lanczos on the diagonal "multiplication by x" operator in the
-    # discrete inner product <f, g> = sum w_i f(x_i) g(x_i).  Each step
-    # projects x q_k on the whole basis B = q_0..q_k at once: h = B r
-    # holds alpha_k = h[k], and r - h B removes alpha_k q_k and
-    # sqrt(beta_k) q_{k-1} together with the rounding drift towards the
-    # older vectors; the second pass is the "twice" of classical
-    # Gram-Schmidt.
-    mass = w.sum()
-    alpha = np.zeros(m)
-    beta = np.zeros(m)
-    beta[0] = mass
-    basis = np.empty((m, x.size))
-    basis[0] = np.sqrt(w) / math.sqrt(mass)
-    for k in range(m):
-        B = basis[:k + 1]
-        r = x * basis[k]
-        h = B @ r
-        alpha[k] = h[k]
-        if k == m - 1:
-            break
-        r -= h @ B
-        r -= (B @ r) @ B
-        b2 = np.dot(r, r)
-        if b2 <= 0.0:
-            raise ConvergenceError(
-                "discretized measure has fewer support points than requested "
-                f"coefficients (broke down at k={k + 1})", residual=b2)
-        beta[k + 1] = b2
-        basis[k + 1] = r / math.sqrt(b2)
-    return alpha, beta
+    # one run of the discretized Stieltjes procedure to m coefficients
+    return _Lanczos(x, w, m).coefficients(m)
 
 
 def stieltjes_recurrence(a, b, m, c=None):
@@ -343,21 +398,38 @@ def stieltjes_recurrence(a, b, m, c=None):
 
     # enough panels that each spans about one standard deviation
     panels = max(8, int(math.ceil(hi / sigma)))
-    prev = None
-    for pts in [n for n in _PANEL_POINTS if n >= min(m, 32)]:
-        x, wleg = _composite_legendre(0.0, hi, panels, pts)
-        w = wleg * density(x)
-        alpha, beta = _lanczos_recurrence(x, w, m)
-        if prev is not None:
-            resid = max(np.max(np.abs(alpha - prev[0])),
-                        np.max(np.abs(beta - prev[1])))
-            scale = max(1.0, np.max(np.abs(alpha)), np.max(beta))
-            if resid <= 1e-14 * scale:
-                return RecurrenceCoefficients(alpha, beta)
-        prev = (alpha, beta)
-    raise ConvergenceError(
-        "Stieltjes discretization did not stabilize to 1e-14 "
-        f"(last coefficient change {resid:.3e})", residual=float(resid))
+    weight = (a, b, float(c))
+    with _memo_lock:
+        # this weight's runs by points per panel; another weight's are
+        # dropped now, so that this call's runs can reuse their memory
+        held = {key[3]: run for key, run in _memo.items() if key[:3] == weight}
+        if len(held) < len(_memo):
+            _memo.clear()
+    used = {}
+    try:
+        prev = None
+        for pts in [n for n in _PANEL_POINTS if n >= min(m, 32)]:
+            run = held.get(pts)
+            if run is None:
+                x, wleg = _composite_legendre(0.0, hi, panels, pts)
+                run = _Lanczos(x, wleg * density(x), m)
+            used[weight + (pts,)] = run
+            alpha, beta = run.coefficients(m)
+            if prev is not None:
+                resid = max(abs(alpha - prev[0]).max(),
+                            abs(beta - prev[1]).max())
+                scale = max(1.0, abs(alpha).max(), beta.max())
+                if resid <= 1e-14 * scale:
+                    return RecurrenceCoefficients(alpha, beta)
+            prev = (alpha, beta)
+        raise ConvergenceError(
+            "Stieltjes discretization did not stabilize to 1e-14 "
+            f"(last coefficient change {resid:.3e})", residual=float(resid))
+    finally:
+        # the memo holds this call's levels, of this weight alone
+        with _memo_lock:
+            _memo.clear()
+            _memo.update(used)
 
 
 def tensor_product(base, dimension):

@@ -132,6 +132,35 @@ def test_eigensolve_failure_names_its_grid_point(monkeypatch, model):
     assert exc.value.residual == cause.residual
 
 
+@pytest.mark.parametrize("step", ["eigvalsh", "solve"])
+def test_lapack_failure_names_its_grid_point(monkeypatch, step):
+    # LAPACK fails on the matrix of grid point 1 alone, in the stack of
+    # three and by itself; that matrix is told by its (0, 1) entry, which
+    # the shifted solve sees negated
+    betas = GRID[:3]
+    t01 = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 12)[1].entries[1, 0, 1]
+    marker = t01 if step == "eigvalsh" else -t01
+    real = getattr(np.linalg, step)
+    calls = []
+
+    def fake(a, *args):
+        calls.append(len(a))
+        if np.any(a[:, 0, 1] == marker):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a, *args)
+
+    monkeypatch.setattr(nystrom.np.linalg, step, fake)
+    with pytest.raises(ConvergenceError) as exc:
+        free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=betas, m=12))
+    msg = str(exc.value)
+    assert f"at beta={float(betas[1])!r}, m=12:" in msg
+    assert "of matrix 1 in the stack" in msg
+    assert exc.value.index == 1
+    assert isinstance(exc.value.__cause__.__cause__, np.linalg.LinAlgError)
+    # the stack, then its matrices one at a time up to the failing one
+    assert calls == [3, 1, 1]
+
+
 def test_eigensolve_failure_in_a_later_block(monkeypatch):
     # blocks of two rows; the second block's second matrix is grid point 3
     _blocks_of(monkeypatch, 2, 12)

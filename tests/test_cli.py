@@ -293,6 +293,25 @@ def test_convergence_needs_two_sizes_for_largest_m(tmp_path):
     assert rc == 2
 
 
+def test_convergence_rows_do_not_depend_on_the_m_list_order(tmp_path):
+    # each size extends the Lanczos runs the previous one left, so the
+    # climb down starts from runs the climb up never had
+    ms = list(range(4, 17, 2))
+    rows = []
+    for order in (ms, ms[::-1]):
+        with quadrature._memo_lock:
+            quadrature._memo.clear()
+        out = tmp_path / f"conv_{order[0]}.csv"
+        rc = cli.main(["convergence", "--model", "dnls", "--beta-start", "15",
+                       "--beta-count", "1", "--mu", "1",
+                       "--m-list", ",".join(map(str, order)),
+                       "--out", str(out)])
+        assert rc == 0
+        rows.append(sorted(read_csv(out)[1], key=lambda r: int(r[0])))
+    assert len(rows[0]) == len(ms) - 1
+    assert rows[0] == rows[1]
+
+
 def test_convergence_largest_m_solves_each_m_once(tmp_path, monkeypatch):
     # the largest m is both a row and the reference; it is solved once
     real = models._dnls_solve
@@ -450,7 +469,12 @@ def test_grid_bound_out_of_domain_is_usage_error(tmp_path, capsys, bounds,
     ("convergence", ["--beta-count", "1", "--m-list", "4,6",
                      "--reference", "factorized"]),
 ])
-def test_unwritable_out_is_usage_error(tmp_path, capsys, subcommand, flags):
+def test_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch,
+                                      subcommand, flags):
+    # the output path is checked before anything is solved
+    solves = []
+    monkeypatch.setattr(models, "_chain_solve",
+                        lambda *args: solves.append(args))
     out = tmp_path / "missing" / "x.csv"
     rc = cli.main([subcommand, "--model", "chain", "--beta-start", "1",
                    *flags, "--out", str(out)])
@@ -459,6 +483,34 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, subcommand, flags):
     assert err.startswith("error: cannot write output file: ")
     assert str(out) in err
     assert not out.exists()
+    assert solves == []
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("free-energy", ["--beta-count", "2", "--beta-stop", "2", "--m", "5"]),
+    ("observables", ["--beta-count", "2", "--beta-stop", "2", "--m", "5"]),
+    ("convergence", ["--beta-count", "1", "--m-list", "4,6",
+                     "--reference", "factorized"]),
+])
+@pytest.mark.parametrize("exists", [True, False])
+def test_failed_solve_leaves_the_output_path_as_it_was(
+        tmp_path, capsys, monkeypatch, subcommand, flags, exists):
+    def failing(*args):
+        raise ConvergenceError("eigenvalue residual 3.000e-10",
+                               residual=3e-10)
+
+    monkeypatch.setattr(models, "_chain_solve", failing)
+    out = tmp_path / "x.csv"
+    if exists:
+        out.write_text("beta,free_energy\n1,2\n")
+    rc = cli.main([subcommand, "--model", "chain", "--beta-start", "1",
+                   *flags, "--out", str(out)])
+    assert rc == 1
+    assert "numeric failure" in capsys.readouterr().err
+    if exists:
+        assert out.read_text() == "beta,free_energy\n1,2\n"
+    else:
+        assert not out.exists()
 
 
 def test_non_finite_model_field_is_usage_error(tmp_path, capsys):

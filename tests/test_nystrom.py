@@ -236,7 +236,9 @@ def test_lapack_failure_is_a_convergence_error(monkeypatch, step):
         dominant_eigenvalue(np.stack([np.eye(3), 2.0 * np.eye(3)]))
     assert "did not converge" in str(exc.value)
     assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
-    assert exc.value.index is None
+    # every matrix fails alone too; the first is named
+    assert "of matrix 0 in the stack" in str(exc.value)
+    assert exc.value.index == 0
 
 
 def test_config_stack_matches_eigh():

@@ -16,6 +16,11 @@ machine precision and must NOT be exact at degree 2m (sharpness).
 """
 
 import math
+import os
+import random
+import sys
+import threading
+import time
 import warnings
 
 import mpmath
@@ -368,11 +373,140 @@ def test_refinement_starts_at_a_level_sized_by_m(monkeypatch, m, first):
         return real(lo, hi, panels, pts)
 
     monkeypatch.setattr(quadrature, "_composite_legendre", spy)
+    # an empty memo, so that every level of this call is built
+    monkeypatch.setattr(quadrature, "_memo", {})
     stieltjes_recurrence(15.0, 1.0, m)
     schedule = [16, 24, 32, 48, 64, 96, 128]
     start = schedule.index(first)
     assert len(levels) >= 2
     assert levels == schedule[start:start + len(levels)]
+
+
+def fresh_recurrence(a, b, m):
+    # the coefficients of a call that finds no Lanczos run to extend
+    with quadrature._memo_lock:
+        quadrature._memo.clear()
+    return stieltjes_recurrence(a, b, m)
+
+
+def measure(a, b, pts=24):
+    # the discretized truncated Gaussian of one refinement level
+    sigma = 1.0 / math.sqrt(a)
+    hi = max(b, 0.0) + 12.0 * sigma
+    x, wleg = quadrature._composite_legendre(0.0, hi, math.ceil(hi / sigma), pts)
+    return x, wleg * np.exp(-0.5 * a * (x - b) ** 2)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_extended_lanczos_run_equals_a_fresh_run(order):
+    # one run per measure, asked for m in the given order and
+    # alternating between two measures, gives the bits of a fresh run
+    # to each m; a descending order first grows the basis past every
+    # later request, an ascending one grows it many times
+    ms = list(range(1, 41))
+    if order == "descending":
+        ms.reverse()
+    elif order == "shuffled":
+        np.random.default_rng(20261019).shuffle(ms)
+    measures = [measure(15.0, 1.0), measure(0.5, -3.0)]
+    runs = [quadrature._Lanczos(x, w, 1) for x, w in measures]
+    for m in ms:
+        for (x, w), run in zip(measures, runs):
+            alpha, beta = run.coefficients(m)
+            ref_alpha, ref_beta = quadrature._lanczos_recurrence(x, w, m)
+            assert np.array_equal(alpha, ref_alpha)
+            assert np.array_equal(beta, ref_beta)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_memo_does_not_change_the_coefficients(order):
+    # stieltjes_recurrence through the memo, with the weight
+    # alternating at every call, against calls that find it empty
+    weights = [(15.0, 1.0), (1.0, 1.0), (100.0, -0.3)]
+    ms = list(range(1, 41))
+    fresh = {(w, m): fresh_recurrence(*w, m) for w in weights for m in ms}
+    if order == "descending":
+        ms.reverse()
+    elif order == "shuffled":
+        np.random.default_rng(7).shuffle(ms)
+    for m in ms:
+        for w in weights + weights[::-1]:
+            rc = stieltjes_recurrence(*w, m)
+            assert np.array_equal(rc.alpha, fresh[w, m].alpha)
+            assert np.array_equal(rc.beta, fresh[w, m].beta)
+
+
+def test_lanczos_breakdown_is_raised_where_a_request_reaches_it():
+    # two support points of weight 1/2 each (dyadic, so the arithmetic
+    # is exact): beta_2 is exactly 0, and only a request for three
+    # coefficients meets it, every time it is made
+    run = quadrature._Lanczos(np.array([0.0, 0.0, 1.0, 1.0]), np.ones(4), 1)
+    assert run.coefficients(2)[1].tolist() == [4.0, 0.25]
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match=r"broke down at k=2\)"):
+            run.coefficients(3)
+    alpha, beta = run.coefficients(2)
+    assert alpha.tolist() == [0.5, 0.5]
+    assert beta.tolist() == [4.0, 0.25]
+    with pytest.raises(ConvergenceError, match=r"broke down at k=1\)"):
+        quadrature._lanczos_recurrence(np.array([0.5, 2.0]),
+                                       np.array([1.0, 0.0]), 2)
+
+
+def test_memo_holds_one_weight():
+    stieltjes_recurrence(15.0, 1.0, 10)
+    held = set(quadrature._memo)
+    assert {key[:3] for key in held} == {
+        (15.0, 1.0, truncated_gaussian_normalization(15.0, 1.0))}
+    # the two levels the call compared
+    assert sorted(key[3] for key in held) == [16, 24]
+    stieltjes_recurrence(1.0, -0.3, 30, c=2.0)
+    assert {key[:3] for key in quadrature._memo} == {(1.0, -0.3, 2.0)}
+    assert not held & set(quadrature._memo)
+
+
+def test_threaded_calls_on_one_weight_give_the_serial_bits():
+    # more threads than cores share one weight's Lanczos runs, with
+    # thread switches forced often; each thread works through the m
+    # values in its own order until a deadline
+    a, b = 15.0, 1.0
+    ms = [3, 40, 12, 25, 7, 33, 18, 1, 40, 16, 24, 9]
+    serial = {m: fresh_recurrence(a, b, m) for m in set(ms)}
+    threads = 2 * (os.cpu_count() or 1) + 2
+    deadline = time.monotonic() + 2.0
+    failures, calls = [], []
+
+    def work(seed):
+        order = list(ms)
+        random.Random(seed).shuffle(order)
+        try:
+            while time.monotonic() < deadline:
+                for m in order:
+                    rc = stieltjes_recurrence(a, b, m)
+                    calls.append(m)
+                    if not (np.array_equal(rc.alpha, serial[m].alpha)
+                            and np.array_equal(rc.beta, serial[m].beta)):
+                        failures.append(m)
+                # a call on another weight empties the memo under the
+                # others' feet
+                stieltjes_recurrence(1.0, float(seed), 6)
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(k,), daemon=True)
+                   for k in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert len(calls) >= threads * len(ms)
 
 
 def test_composite_legendre_matches_linspace_bits():
