@@ -22,6 +22,19 @@ the symmetric tridiagonal Jacobi matrix built from the three-term
 recurrence of the monic orthogonal polynomials, and
 w_i = beta_0 * (first eigenvector component)^2.  Only that construction needs SciPy, which it imports on
 first use, so the Hermite-only chain and cylinder run on numpy alone.
+
+A Lanczos run's first m coefficients do not depend on how many more
+are asked for, so each refinement level's run is resumable, and a
+small memo keeps the runs of the levels the latest Stieltjes call
+compared (normally two), for that call's weight (a, b, c) alone; a
+call on another weight replaces them.  A call that climbs m on the
+same weight, as a convergence ladder does, extends those runs instead
+of starting new ones.  The coefficients are the bits of a fresh run,
+whatever the history: a level's discrete measure is a function of
+(a, b, c) and its points per panel, which key the memo, and an
+extended run performs exactly the operations of one run to the larger
+m.  A lock guards the memo and each run has its own, since sweeps on
+several threads build rules concurrently.
 """
 
 import functools
@@ -61,9 +74,10 @@ _PANEL_POINTS = (16, 24, 32, 48, 64, 96, 128)
 # the Lanczos run of each refinement level that the latest
 # stieltjes_recurrence call compared, keyed by its weight (a, b, c) and
 # its points per panel: a later call on the same weight extends these
-# runs instead of starting new ones; a call on another weight replaces
-# them all.  The lock guards the dict (each run has its own), since
-# sweeps on several threads build rules concurrently
+# runs instead of starting new ones; a call on another weight drops
+# them as it starts and leaves its own.  The lock guards the dict (each
+# run has its own), since sweeps on several threads build rules
+# concurrently
 _memo = {}
 _memo_lock = threading.Lock()
 
@@ -383,6 +397,14 @@ def stieltjes_recurrence(a, b, m, c=None):
     do.  The grid is refined through 16, 24, 32, 48, 64, 96 and 128
     points per panel, starting at the first level with at least
     min(m, 32) points, until two consecutive levels agree to 1e-14.
+
+    Every call runs that check.  The Lanczos run of each level it
+    compares is kept in a memo keyed by (a, b, c) and the points per
+    panel, and only the latest call's levels, of its weight, are kept;
+    a later call on the same weight extends those runs to its m (or
+    reads its first m) instead of starting over.  An extended run gives
+    the bits of a fresh one, so the result does not depend on which
+    calls came before; a lock guards the memo for threaded sweeps.
     """
     if not (a > 0.0) or not math.isfinite(a):
         raise DomainError(f"a must be positive, got {a!r}")
