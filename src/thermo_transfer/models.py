@@ -522,7 +522,9 @@ def dnls_free_energy(p, beta, m):
     """Free energy per site of the defocusing DNLS chain.
 
     The quadrature rule depends on (mu, beta) through the weight
-    parameters a = beta g and b = mu/g, so it is rebuilt on every call.
+    parameters a = beta g and b = mu/g, so it is rebuilt on every call;
+    after a call at the same (mu, beta), its recurrence extends that
+    call's Lanczos runs to the new m (see `quadrature`).
     """
     return _point(p, beta, m)[0]
 

@@ -188,20 +188,18 @@ def _lapack_step(step, ndim, *stacks):
     try:
         return step(*stacks)
     except np.linalg.LinAlgError as exc:
-        index = next((k for k in range(len(stacks[0]))
-                      if _fails(step, [s[k:k + 1] for s in stacks])), None)
-        where = ("" if index is None or ndim == 2
-                 else f" of matrix {index} in the stack")
+        index = None
+        for k in range(len(stacks[0])):
+            try:
+                step(*(s[k:k + 1] for s in stacks))
+            except np.linalg.LinAlgError:
+                index = k
+                break
+        if ndim == 2:
+            index = None
+        where = "" if index is None else f" of matrix {index} in the stack"
         raise ConvergenceError(f"dense eigensolve failed{where}: {exc}",
-                               index=None if ndim == 2 else index) from exc
-
-
-def _fails(step, stacks):
-    try:
-        step(*stacks)
-    except np.linalg.LinAlgError:
-        return True
-    return False
+                               index=index) from exc
 
 
 def dominant_eigenvalue(T):

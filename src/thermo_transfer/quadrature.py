@@ -71,13 +71,9 @@ _TAIL_SIGMAS = 12.0
 # on through the two-level agreement check.
 _PANEL_POINTS = (16, 24, 32, 48, 64, 96, 128)
 
-# the Lanczos run of each refinement level that the latest
-# stieltjes_recurrence call compared, keyed by its weight (a, b, c) and
-# its points per panel: a later call on the same weight extends these
-# runs instead of starting new ones; a call on another weight drops
-# them as it starts and leaves its own.  The lock guards the dict (each
-# run has its own), since sweeps on several threads build rules
-# concurrently
+# the Lanczos runs of the levels the latest stieltjes_recurrence call
+# compared, keyed by (a, b, c, points per panel), and the lock that
+# guards the dict (see the module docstring)
 _memo = {}
 _memo_lock = threading.Lock()
 
@@ -348,12 +344,14 @@ class _Lanczos:
             x, basis, alpha, beta = self._x, self._basis, self._alpha, self._beta
             r, h, size = self._r, self._h, self._size
             B = basis[:size]
+            # ndarray.dot, not @: the same BLAS calls and bits, with
+            # less dispatch per call at these sizes
             for k in range(size, min(m, self._breakdown[0])):
                 if k:
                     # finish step k - 1
-                    r -= h @ B
-                    r -= (B @ r) @ B
-                    b2 = np.dot(r, r)
+                    r -= h.dot(B)
+                    r -= B.dot(r).dot(B)
+                    b2 = r.dot(r)
                     if b2 <= 0.0:
                         self._breakdown = (k, b2)
                         break
@@ -361,7 +359,7 @@ class _Lanczos:
                     np.divide(r, math.sqrt(b2), out=basis[k])
                 B = basis[:k + 1]
                 np.multiply(x, basis[k], out=r)
-                h = B @ r
+                h = B.dot(r)
                 alpha[k] = h[k]
                 size = k + 1
             self._h, self._size = h, size
