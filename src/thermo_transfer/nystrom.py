@@ -180,7 +180,7 @@ def _check_log_entries(logT, nodes):
             f"log entry={entry!r}", index=index)
 
 
-def _lapack_step(step, ndim, *stacks):
+def _lapack_step(step, stacked, *stacks):
     # step(*stacks) for stacks of B matrices (or right-hand sides).
     # numpy does not say which matrix of a stack made LAPACK fail, so
     # after a failure, and only then, the step is re-run one matrix at a
@@ -189,14 +189,12 @@ def _lapack_step(step, ndim, *stacks):
         return step(*stacks)
     except np.linalg.LinAlgError as exc:
         index = None
-        for k in range(len(stacks[0])):
+        for k in range(len(stacks[0]) if stacked else 0):
             try:
                 step(*(s[k:k + 1] for s in stacks))
             except np.linalg.LinAlgError:
                 index = k
                 break
-        if ndim == 2:
-            index = None
         where = "" if index is None else f" of matrix {index} in the stack"
         raise ConvergenceError(f"dense eigensolve failed{where}: {exc}",
                                index=index) from exc
@@ -224,11 +222,11 @@ def dominant_eigenvalue(T):
     A = T.entries if isinstance(T, NystromMatrix) else np.asarray(T, dtype=float)
     stack = A.reshape((-1,) + A.shape[-2:])
     B, m = stack.shape[0], stack.shape[-1]
-    lam = _lapack_step(np.linalg.eigvalsh, A.ndim, stack)[:, -1]
+    lam = _lapack_step(np.linalg.eigvalsh, A.ndim == 3, stack)[:, -1]
     sigma = lam + _SHIFT_ULPS * np.spacing(lam)
     shifted = np.negative(stack, order="C")
     shifted.reshape(B, m * m)[:, ::m + 1] += sigma[:, None]
-    x = _lapack_step(np.linalg.solve, A.ndim, shifted,
+    x = _lapack_step(np.linalg.solve, A.ndim == 3, shifted,
                      np.matmul(stack, _ones(m)))
     # a non-finite or zero x leaves nan in v, without a warning, so its
     # residual is nan and fails the test below

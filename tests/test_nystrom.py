@@ -239,6 +239,11 @@ def test_lapack_failure_is_a_convergence_error(monkeypatch, step):
     # every matrix fails alone too; the first is named
     assert "of matrix 0 in the stack" in str(exc.value)
     assert exc.value.index == 0
+    # a single matrix is no stack, and names none
+    with pytest.raises(ConvergenceError) as exc:
+        dominant_eigenvalue(np.eye(3))
+    assert "in the stack" not in str(exc.value)
+    assert exc.value.index is None
 
 
 def test_config_stack_matches_eigh():

@@ -437,9 +437,9 @@ def test_memo_does_not_change_the_coefficients(order):
 
 
 def test_lanczos_breakdown_is_raised_where_a_request_reaches_it():
-    # two support points of weight 1/2 each (dyadic, so the arithmetic
-    # is exact): beta_2 is exactly 0, and only a request for three
-    # coefficients meets it, every time it is made
+    # unit weights on the support points 0 and 1, twice each (dyadic,
+    # so the arithmetic is exact): beta_2 is exactly 0, and only a
+    # request for three coefficients meets it, every time it is made
     run = quadrature._Lanczos(np.array([0.0, 0.0, 1.0, 1.0]), np.ones(4), 1)
     assert run.coefficients(2)[1].tolist() == [4.0, 0.25]
     for _ in range(2):
@@ -472,7 +472,7 @@ def test_threaded_calls_on_one_weight_give_the_serial_bits():
     a, b = 15.0, 1.0
     ms = [3, 40, 12, 25, 7, 33, 18, 1, 40, 16, 24, 9]
     serial = {m: fresh_recurrence(a, b, m) for m in set(ms)}
-    threads = 2 * (os.cpu_count() or 1) + 2
+    threads = (os.cpu_count() or 1) + 2
     deadline = time.monotonic() + 2.0
     failures, calls = [], []
 
