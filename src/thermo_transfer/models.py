@@ -31,11 +31,16 @@ particle chain (anharmonic on-site potential, harmonic coupling):
                               / (2 beta c lambda_1).
 
 defocusing DNLS chain in polar coordinates (amplitudes rho >= 0):
-    weight: c e^{-a (z-b)^2/2} on [0, inf), a = beta g, b = mu/g,
-            c the normalizing constant
+    weight: e^{-beta (g rho^2/2 - mu rho)} drho on [0, inf), which in
+            y = rho sqrt(beta g) is e^{sigma(s)} / sqrt(beta g) times
+            e^{-y^2/2 - s y - sigma(s)} dy, s = -mu sqrt(beta/g),
+            sigma(s) = s^2/2 for s < 0 and 0 otherwise: the rule at
+            (g, mu, beta) is the unit rule of s (`stieltjes_recurrence`)
+            with its nodes divided by sqrt(beta g)
     log k(rho, rho') = log 2pi + log I0(beta sqrt(rho rho'))
                         - beta (rho+rho')/2
-    -beta F = beta mu^2/(2g) + log lambda_1 - log c
+    -beta F = log lambda_1 + sigma(s) - log(beta g)/2, no two large
+              terms subtracted
     With u = sqrt(rho) and x = beta u u', beta (rho + rho')/2 =
     beta (u - u')^2/2 + x, so the matrix is the bounded product
         T_ij = d_i k_ij e^{-x_ij} I0(x_ij) d_j,
@@ -113,11 +118,12 @@ from .nystrom import (_LOG_MAX, LogKernel, NystromMatrix, _check_log_entries,
 from .specfun import i0_scaled, i1_scaled, log_i0
 from .quadrature import (QuadratureRule, _check_m, _unit_hermite,
                          gauss_hermite_rescaled, golub_welsch,
-                         stieltjes_recurrence, truncated_gaussian_normalization)
-# unused here; kept because the benchmark tracer wraps models.assemble and
-# models.tensor_product
+                         stieltjes_recurrence)
+# unused here; kept because the benchmark tracer wraps models.assemble,
+# models.tensor_product and models.truncated_gaussian_normalization
 from .nystrom import assemble  # noqa: F401
 from .quadrature import tensor_product  # noqa: F401
+from .quadrature import truncated_gaussian_normalization  # noqa: F401
 
 __all__ = [
     "ParticleChainParams", "DnlsParams", "CylinderParams",
@@ -280,13 +286,6 @@ class DnlsParams:
         _check_finite(self)
         if not (self.g > 0.0):
             raise DomainError(f"defocusing coupling g must be positive, got {self.g!r}")
-
-    def weight_parameters(self, beta):
-        """Truncated-Gaussian weight parameters (a, b, c) at inverse temperature beta."""
-        _check_beta(beta)
-        a = beta * self.g
-        b = self.mu_c / self.g
-        return a, b, truncated_gaussian_normalization(a, b)
 
     def block(self, betas, m, observables=True):
         """F and {energy, density} at each beta of a block, from one
@@ -483,22 +482,20 @@ def _dnls_solve(g, mu_c, betas, m):
     """(F, T, its DominantEig, (k, x, d)) of the m-point DNLS chain at each
     beta of a 1-D array: T_ij = d_i k_ij e^{-x_ij} I0(x_ij) d_j, one
     (B, m, m) stack and one stacked eigensolve.  The Stieltjes rule is
-    built per beta (its weight moves with beta) and the rules are
-    stacked as T.rule."""
-    p = DnlsParams(g, mu_c)
-    log_c = np.empty(betas.size)
+    the unit rule of s = -mu sqrt(beta/g), built per beta, with its
+    nodes divided by sqrt(beta g); the rules are stacked as T.rule."""
+    DnlsParams(g, mu_c)  # the domain check of the raw route
+    s = -mu_c * np.sqrt(betas / g)
     nodes = np.empty((betas.size, m))
     weights = np.empty((betas.size, m))
-    for k, beta in enumerate(betas):
+    for k in range(betas.size):
         try:
-            # one normalization per weight, for the prefactor and the rule
-            a, b, c = p.weight_parameters(beta)
-            rule = golub_welsch(stieltjes_recurrence(a, b, m, c=c))
+            rule = golub_welsch(stieltjes_recurrence(float(s[k]), m))
         except NumericError as exc:
             raise type(exc)(f"rule {k} of the stack: {exc}",
                             residual=exc.residual, index=k) from exc
-        log_c[k] = math.log(c)
         nodes[k], weights[k] = rule.nodes, rule.weights
+    nodes /= np.sqrt(betas * g)[:, None]
     # with u = sqrt(rho), beta (rho + rho')/2 = beta (u - u')^2/2 + x and
     # x = beta u u', so k = 2 pi e^{-beta (u - u')^2/2}, e^{-x} I0(x) and
     # d = sqrt(w) are each at most 2 pi: no entry overflows, and every
@@ -510,7 +507,8 @@ def _dnls_solve(g, mu_c, betas, m):
     T = NystromMatrix(d[:, :, None] * d[:, None, :] * (k * i0_scaled(x)),
                       QuadratureRule(nodes, weights))
     eig = dominant_eigenvalue(T)
-    mbf = 0.5 * betas * mu_c ** 2 / g + np.log(eig.lambda1) - log_c
+    mbf = (np.log(eig.lambda1) + 0.5 * np.minimum(s, 0.0) ** 2
+           - 0.5 * np.log(betas * g))
     return -mbf / betas, T, eig, (k, x, d)
 
 
@@ -521,10 +519,10 @@ def _dnls_free_energy_raw(g, mu_c, beta, m):
 def dnls_free_energy(p, beta, m):
     """Free energy per site of the defocusing DNLS chain.
 
-    The quadrature rule depends on (mu, beta) through the weight
-    parameters a = beta g and b = mu/g, so it is rebuilt on every call;
-    after a call at the same (mu, beta), its recurrence extends that
-    call's Lanczos runs to the new m (see `quadrature`).
+    The quadrature rule depends on (g, mu, beta) only through
+    s = -mu sqrt(beta/g), so it is rebuilt on every call; after a call
+    at the same s, its recurrence extends that call's Lanczos runs to
+    the new m (see `quadrature`).
     """
     return _point(p, beta, m)[0]
 

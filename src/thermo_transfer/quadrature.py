@@ -2,14 +2,11 @@
 
 * a rescaled Gauss-Hermite rule for the normalized Gaussian
   omega(q) = sqrt(a/2pi) e^{-a q^2/2} on the full line (variance 1/a),
-* a rule for the truncated Gaussian c e^{-a(z-b)^2/2} on [0, inf),
-  whose recurrence coefficients are not classical and are produced by
-  a discretized Stieltjes procedure (Gautschi 1982): Lanczos with full
-  reorthogonalization on a composite Gauss-Legendre grid cut 12 sigma
-  above max(b, 0), refined from the first level with at least
-  min(m, 32) points per panel until two levels agree to 1e-14; the
-  coefficients are those of the cut measure, which shows only at
-  high order,
+* a rule for the one-parameter DNLS weight e^{-y^2/2 - s y - sigma(s)}
+  on [0, inf), whose recurrence coefficients are not classical and are
+  produced by a discretized Stieltjes procedure (Gautschi 1982): Lanczos
+  with full reorthogonalization on refined composite Gauss-Legendre
+  grids (see `stieltjes_recurrence`),
 * tensor products of 1D rules, one per coordinate, for the
   ring-of-sites measure.
 
@@ -26,15 +23,15 @@ first use, so the Hermite-only chain and cylinder run on numpy alone.
 A Lanczos run's first m coefficients do not depend on how many more
 are asked for, so each refinement level's run is resumable, and a
 small memo keeps the runs of the levels the latest Stieltjes call
-compared (normally two), for that call's weight (a, b, c) alone; a
-call on another weight replaces them.  A call that climbs m on the
-same weight, as a convergence ladder does, extends those runs instead
-of starting new ones.  The coefficients are the bits of a fresh run,
-whatever the history: a level's discrete measure is a function of
-(a, b, c) and its points per panel, which key the memo, and an
-extended run performs exactly the operations of one run to the larger
-m.  A lock guards the memo and each run has its own, since sweeps on
-several threads build rules concurrently.
+compared (normally two), for that call's s alone; a call on another s
+replaces them.  A call that climbs m on the same s, as a convergence
+ladder does, extends those runs instead of starting new ones.  The
+coefficients are the bits of a fresh run, whatever the history: a
+level's discrete measure is a function of s and its points per panel,
+which key the memo, and an extended run performs exactly the
+operations of one run to the larger m.  A lock guards the memo and
+each run has its own, since sweeps on several threads build rules
+concurrently.
 """
 
 import functools
@@ -61,7 +58,8 @@ __all__ = [
 ]
 
 # Gaussian tail beyond 12 standard deviations is < 1e-31, invisible in
-# double precision; used to truncate the half-line discretization grid.
+# double precision; the half-line grid ends where the DNLS density has
+# fallen to e^{-12^2/2} of its peak
 _TAIL_SIGMAS = 12.0
 
 # Legendre points per panel of the Stieltjes refinement levels.  A rule
@@ -72,7 +70,7 @@ _TAIL_SIGMAS = 12.0
 _PANEL_POINTS = (16, 24, 32, 48, 64, 96, 128)
 
 # the Lanczos runs of the levels the latest stieltjes_recurrence call
-# compared, keyed by (a, b, c, points per panel), and the lock that
+# compared, keyed by (s, points per panel), and the lock that
 # guards the dict (see the module docstring)
 _memo = {}
 _memo_lock = threading.Lock()
@@ -253,7 +251,9 @@ def truncated_gaussian_normalization(a, b):
     complementary form of 1 + erf(b sqrt(a/2)), which keeps full
     relative accuracy when the mode b sits far below the domain and
     the surviving mass is tiny.  When even that underflows, the input
-    is valid but a double cannot hold the mass: NumericError.
+    is valid but a double cannot hold the mass: NumericError.  No
+    production route calls it: the DNLS rule's weight is the
+    unnormalized one of `stieltjes_recurrence`.
     """
     if not (a > 0.0):
         raise DomainError(f"a must be positive, got {a!r}")
@@ -377,52 +377,51 @@ def _lanczos_recurrence(x, w, m):
     return _Lanczos(x, w, m).coefficients(m)
 
 
-def stieltjes_recurrence(a, b, m, c=None):
-    """Recurrence coefficients of the truncated Gaussian measure.
+def stieltjes_recurrence(s, m):
+    """Recurrence coefficients of the unit DNLS weight of parameter s.
 
-    The measure is c e^{-a(z-b)^2/2} dz on [0, inf); by default c is
-    the normalizing constant, so beta_0 = 1.  A caller that already
-    holds that constant passes it as c.
+    The measure is e^{-y^2/2 - s y - sigma(s)} dy on [0, inf), with
+    sigma(s) = s^2/2 for s < 0 and 0 otherwise, so the density peaks
+    at 1 and overflows at no s; beta_0 is its mass.  No normalizing
+    constant is formed.
 
     The coefficients are produced by a discretized Stieltjes procedure:
     the measure is replaced by a composite Gauss-Legendre discretization
-    on [0, max(b, 0) + 12/sqrt(a)] with panels about one standard
-    deviation wide, and the Jacobi coefficients of the discrete measure
-    are extracted by Lanczos with full reorthogonalization.  What comes
-    out is the recurrence of the measure cut at that upper end.  The
-    mass beyond 12 sigma is below 1e-31, so low-order coefficients and
-    the free energies built on them do not see the cut, but high orders
-    do.  The grid is refined through 16, 24, 32, 48, 64, 96 and 128
-    points per panel, starting at the first level with at least
-    min(m, 32) points, until two consecutive levels agree to 1e-14.
+    on [0, -s + sqrt(max(s, 0)^2 + 144)], where the density has fallen
+    to e^{-72} of its peak, with panels of width min(1, 1/s) for s > 0
+    and 1 otherwise, and the Jacobi coefficients of the discrete
+    measure are extracted by Lanczos with full reorthogonalization.
+    What comes out is the recurrence of the measure cut at that upper
+    end.  The mass beyond it is below 1e-31 of the peak, so low-order
+    coefficients and the free energies built on them do not see the
+    cut, but high orders do.  The grid is refined through 16, 24, 32,
+    48, 64, 96 and 128 points per panel, starting at the first level
+    with at least min(m, 32) points, until two consecutive levels agree
+    to 1e-14.
 
     Every call runs that check.  The Lanczos run of each level it
-    compares is kept in a memo keyed by (a, b, c) and the points per
-    panel, and only the latest call's levels, of its weight, are kept;
-    a later call on the same weight extends those runs to its m (or
-    reads its first m) instead of starting over.  An extended run gives
-    the bits of a fresh one, so the result does not depend on which
-    calls came before; a lock guards the memo for threaded sweeps.
+    compares is kept in a memo keyed by (s, points per panel), and only
+    the latest call's levels, of its s, are kept; a later call on the
+    same s extends those runs to its m (or reads its first m) instead
+    of starting over.  An extended run gives the bits of a fresh one,
+    so the result does not depend on which calls came before; a lock
+    guards the memo for threaded sweeps.
     """
-    if not (a > 0.0) or not math.isfinite(a):
-        raise DomainError(f"a must be positive, got {a!r}")
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
     _check_m(m)
     m = int(m)
-    a = float(a)
-    b = float(b)
-    sigma = 1.0 / math.sqrt(a)
-    hi = max(b, 0.0) + _TAIL_SIGMAS * sigma
-    if c is None:
-        c = truncated_gaussian_normalization(a, b)
-    density = lambda z: c * np.exp(-0.5 * a * (z - b) ** 2)
-
-    # enough panels that each spans about one standard deviation
-    panels = max(8, int(math.ceil(hi / sigma)))
-    weight = (a, b, float(c))
+    s = float(s)
+    # -y^2/2 - s y - sigma(s) = -(y + t)^2/2 - (s - t) y with t = min(s, 0);
+    # the support end -s + sqrt(r^2 + 144), r = max(s, 0), is written
+    # without cancellation
+    t, r = min(s, 0.0), max(s, 0.0)
+    hi = _TAIL_SIGMAS ** 2 / (r + math.hypot(r, _TAIL_SIGMAS)) - t
+    panels = math.ceil(hi * max(s, 1.0))
     with _memo_lock:
-        # this weight's runs by points per panel; another weight's are
-        # dropped now, so that this call's runs can reuse their memory
-        held = {key[3]: run for key, run in _memo.items() if key[:3] == weight}
+        # this s's runs by points per panel; another s's are dropped
+        # now, so that this call's runs can reuse their memory
+        held = {pts: run for (key, pts), run in _memo.items() if key == s}
         if len(held) < len(_memo):
             _memo.clear()
     used = {}
@@ -431,9 +430,10 @@ def stieltjes_recurrence(a, b, m, c=None):
         for pts in [n for n in _PANEL_POINTS if n >= min(m, 32)]:
             run = held.get(pts)
             if run is None:
-                x, wleg = _composite_legendre(0.0, hi, panels, pts)
-                run = _Lanczos(x, wleg * density(x), m)
-            used[weight + (pts,)] = run
+                y, wleg = _composite_legendre(0.0, hi, panels, pts)
+                run = _Lanczos(
+                    y, wleg * np.exp(-0.5 * (y + t) ** 2 - (s - t) * y), m)
+            used[s, pts] = run
             alpha, beta = run.coefficients(m)
             if prev is not None:
                 resid = max(abs(alpha - prev[0]).max(),
@@ -446,7 +446,7 @@ def stieltjes_recurrence(a, b, m, c=None):
             "Stieltjes discretization did not stabilize to 1e-14 "
             f"(last coefficient change {resid:.3e})", residual=float(resid))
     finally:
-        # the memo holds this call's levels, of this weight alone
+        # the memo holds this call's levels, of this s alone
         with _memo_lock:
             _memo.clear()
             _memo.update(used)

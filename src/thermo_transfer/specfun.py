@@ -1,9 +1,10 @@
 """Complementary error function and scaled modified Bessel functions I0 and I1.
 
-erfc gives the truncated-Gaussian mass on [0, inf), I0 the angular
-integral of the polar-coordinate kernel and I1 = I0' the DNLS hopping
-energy.  All come from `scipy.special`; these wrappers add the
-package's domain checks (a non-finite or out-of-domain argument raises
+erfc gives the truncated-Gaussian mass on [0, inf), which no
+production route needs since the DNLS rule's weight is unnormalized;
+I0 is the angular integral of the polar-coordinate kernel and I1 = I0'
+the DNLS hopping energy.  All come from `scipy.special`; these
+wrappers add the package's domain checks (a non-finite or out-of-domain argument raises
 DomainError) and its scalar-in, float-out contract.  The chain and
 cylinder call none of them, so `scipy.special` is imported on a
 wrapper's first call, not with this module.

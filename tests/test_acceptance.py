@@ -39,6 +39,7 @@ from thermo_transfer.models import (
 )
 from thermo_transfer.nystrom import assemble, dominant_eigenvalue, fredholm_det
 from thermo_transfer.quadrature import (
+    QuadratureRule,
     gauss_hermite_rescaled,
     golub_welsch,
     stieltjes_recurrence,
@@ -169,8 +170,11 @@ def _assembled_test_grid():
     for beta in (1.0, 15.0):
         for m in (10, 16):
             p = DnlsParams(g=1.0, mu_c=1.0)
-            a, b, _ = p.weight_parameters(beta)
-            rule = golub_welsch(stieltjes_recurrence(a, b, m))
+            # the unit rule of s = -mu sqrt(beta/g), nodes in rho
+            s = -p.mu_c * math.sqrt(beta / p.g)
+            unit = golub_welsch(stieltjes_recurrence(s, m))
+            rule = QuadratureRule(unit.nodes / math.sqrt(beta * p.g),
+                                  unit.weights)
             cells.append((f"dnls b={beta} m={m}", m,
                           assemble(dnls_log_kernel(beta), rule)))
     for beta in (1.0, 5.0):

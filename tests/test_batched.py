@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import thermo_transfer.nystrom as nystrom
-from thermo_transfer import models, thermo
+from thermo_transfer import models, quadrature, thermo
 from thermo_transfer.errors import (AssemblyError, ConvergenceError,
                                     DomainError, NumericError)
 from thermo_transfer.models import (
@@ -74,6 +74,34 @@ def test_sweep_rows_equal_one_point_routes(monkeypatch, model, rows, threads):
                               observables(params, beta, m)))
             for name, value in expect.items():
                 assert res.observables[name][i] == value, (name, beta)
+
+
+def test_mu0_sweep_builds_each_refinement_level_once(monkeypatch):
+    # at mu = 0 every beta has s = 0, so one Lanczos run per refinement
+    # level serves the whole sweep; its rows are the one-point routes'
+    real = quadrature._Lanczos
+    built = []
+
+    class Spy(real):
+        def __init__(self, x, w, m):
+            built.append(x.size)
+            super().__init__(x, w, m)
+
+    monkeypatch.setattr(quadrature, "_Lanczos", Spy)
+    monkeypatch.setattr(quadrature, "_memo", {})
+    p = DnlsParams(g=1.0, mu_c=0.0)
+    grid = np.geomspace(0.1, 30.0, 64)
+    res = free_energy_sweep(SweepSpec(params=p, beta_grid=grid, m=20,
+                                      observables=True))
+    # 12 one-wide panels at s = 0; levels 24 and 32 agree at m = 20
+    assert built == [12 * 24, 12 * 32]
+    for i, beta in enumerate(grid):
+        assert res.free_energy[i] == dnls_free_energy(p, beta, 20)
+        density, energy = dnls_observables(p, beta, 20)
+        assert res.observables["density"][i] == density
+        assert res.observables["energy"][i] == energy
+    # the one-point solves read the same two runs
+    assert len(built) == 2
 
 
 def test_block_size_caps_matrix_entries(monkeypatch):
@@ -197,12 +225,12 @@ def test_rule_failure_names_its_grid_point(monkeypatch):
     real = models.stieltjes_recurrence
     calls = []
 
-    def stieltjes_recurrence(a, b, m, c=None):
-        calls.append(a)
+    def stieltjes_recurrence(s, m):
+        calls.append(s)
         if len(calls) == 3:
             raise ConvergenceError("Stieltjes discretization did not stabilize",
                                    residual=1e-12)
-        return real(a, b, m, c=c)
+        return real(s, m)
 
     monkeypatch.setattr(models, "stieltjes_recurrence", stieltjes_recurrence)
     with pytest.raises(ConvergenceError) as exc:
@@ -221,24 +249,38 @@ def test_failure_without_a_stack_index_names_the_block(monkeypatch):
     assert exc.value.index is None
 
 
+def _failing_rule(s, m):
+    # a Stieltjes rule that does not stabilize, injected: no DNLS point
+    # of the map fails on its own
+    raise ConvergenceError("Stieltjes discretization did not stabilize "
+                           "to 1e-14 (last coefficient change 3.000e-13)",
+                           residual=3e-13)
+
+
 # one-point failures at the edges of the domain: the chain's overflowing
-# double well at deep quench, a DNLS rule that does not stabilize at
-# mu < 0, a cylinder ring mode above the eigen residual tolerance, and
-# the chain's nan Perron vector at beta = 638 (ROADMAP, Known defects)
+# double well at deep quench, a DNLS rule that does not stabilize
+# (injected), a cylinder ring mode above the eigen residual tolerance,
+# and the chain's nan Perron vector at beta = 638 (ROADMAP, Known
+# defects); the last entry is a rule builder to inject, or None
 EDGE_POINTS = {
     "chain-overflow": (particle_chain_free_energy,
-                       ParticleChainParams(0.01, 1.0, 1.0, 0.0), 1000.0, 30),
-    "dnls-rule": (dnls_free_energy, DnlsParams(1.0, -3.0), 60.0, 20),
+                       ParticleChainParams(0.01, 1.0, 1.0, 0.0), 1000.0, 30,
+                       None),
+    "dnls-rule": (dnls_free_energy, DnlsParams(1.0, -3.0), 60.0, 20,
+                  _failing_rule),
     "cylinder-mode": (cylinder_free_energy,
-                      CylinderParams(1e-3, 50.0, 0.2, 64), 2.0, 30),
+                      CylinderParams(1e-3, 50.0, 0.2, 64), 2.0, 30, None),
     "chain-nan-vector": (particle_chain_free_energy,
-                         ParticleChainParams(0.01, 1.0, 1.0, 0.0), 638.0, 30),
+                         ParticleChainParams(0.01, 1.0, 1.0, 0.0), 638.0, 30,
+                         None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_POINTS))
-def test_one_point_failure_is_the_one_row_sweep_failure(case):
-    route, params, beta, m = EDGE_POINTS[case]
+def test_one_point_failure_is_the_one_row_sweep_failure(monkeypatch, case):
+    route, params, beta, m, rule = EDGE_POINTS[case]
+    if rule is not None:
+        monkeypatch.setattr(models, "stieltjes_recurrence", rule)
     # a warning on the way (numpy's on a nan vector) fails the test
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -32,6 +32,7 @@ def _originals():
             tt.models.assemble, tt.models.dominant_eigenvalue,
             tt.models.gauss_hermite_rescaled, tt.models.golub_welsch,
             tt.models.stieltjes_recurrence, tt.models.log_i0,
+            tt.models.truncated_gaussian_normalization,
             tt.models.cylinder_free_energy, tt.quadrature.erfc)
 
 

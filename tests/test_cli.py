@@ -6,6 +6,7 @@ console script and the cold-start check of which modules a run loads.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -27,6 +28,7 @@ from thermo_transfer.cli import (
 from thermo_transfer.errors import (
     AssemblyError,
     ConvergenceError,
+    NumericError,
     ResourceLimitError,
 )
 from thermo_transfer.models import (
@@ -559,10 +561,14 @@ def test_bad_size_names_the_model_size_flag(tmp_path, capsys):
     assert "m0 must be a positive integer, got 0" in capsys.readouterr().err
 
 
-def test_dnls_mass_underflow_is_a_numeric_failure(tmp_path, capsys):
-    # at mu = -3 and beta >= 200 the weight's mode sits so far below zero
-    # that erfc underflows: valid input a double cannot evaluate, so it
-    # exits 1 and names the first beta of the block, not a usage error
+def test_dnls_rule_numeric_failure_names_beta(tmp_path, capsys, monkeypatch):
+    # a NumericError from the rule builder (injected: valid input a
+    # double cannot evaluate) exits 1 and names the beta of its rule,
+    # not a usage error
+    def builder(s, m):
+        raise NumericError(f"injected failure at s={s!r}")
+
+    monkeypatch.setattr(models, "stieltjes_recurrence", builder)
     rc = cli.main(["free-energy", "--model", "dnls", "--mu", "-3",
                    "--beta-start", "200", "--beta-stop", "400",
                    "--beta-count", "3", "--m", "20",
@@ -570,7 +576,7 @@ def test_dnls_mass_underflow_is_a_numeric_failure(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "numeric failure: at beta=200.0, m=20: rule 0 of the stack:" in err
-    assert "a=200.0, b=-3.0" in err
+    assert f"injected failure at s={3.0 * math.sqrt(200.0)!r}" in err
 
 
 def test_bad_config_file_path(tmp_path):

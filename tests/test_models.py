@@ -12,7 +12,9 @@ Dual-route checks in here, none of which share code with the library:
 * anharmonic gamma=0 chain: adaptive-quadrature factorized reference,
 * DNLS: a from-scratch matrix whose Bessel factor comes from mpmath's
   besseli (the library wraps scipy.special.i0e, so scipy would not be
-  independent), diagonalized by scipy.linalg.eigh,
+  independent), diagonalized by scipy.linalg.eigh, on the rule
+  normalized by erfc and with the prefactor beta mu^2/(2g) - log c;
+  and the benchmark's dense oracle (`bench/oracles.py`) at mu < 0,
 * cylinder at ax=0: closed-form ring determinant; at ax > 0: the
   closed form of the harmonic cylinder, one harmonic chain per ring
   Fourier mode, and the full m0^Ly-point Nystrom matrix the per-mode
@@ -21,6 +23,7 @@ Dual-route checks in here, none of which share code with the library:
 """
 
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -535,54 +538,26 @@ def test_one_point_routes_take_a_0d_array_beta(route):
 
 # --- DNLS free energy ---------------------------------------------------------------
 
-def test_dnls_weight_parameters():
-    p = DnlsParams(g=2.0, mu_c=1.0)
-    a, b, c = p.weight_parameters(3.0)
-    assert a == 6.0
-    assert b == 0.5
-    assert c == pytest.approx(truncated_gaussian_normalization(6.0, 0.5), rel=1e-15)
-
-
-def test_dnls_solve_normalizes_each_weight_once(monkeypatch):
-    # one erfc (one truncated-Gaussian normalization) per beta, shared by
-    # the prefactor and the Stieltjes rule, which gives the same bits as
-    # the rule computing its own
-    from thermo_transfer import quadrature
-
-    betas = np.array([0.5, 3.0, 15.0])
-    expect = models._dnls_solve(1.0, 1.0, betas, 8)[0]
-    real = quadrature.erfc
-    calls = []
-
-    def erfc(x):
-        calls.append(x)
-        return real(x)
-
-    monkeypatch.setattr(quadrature, "erfc", erfc)
-    f = models._dnls_solve(1.0, 1.0, betas, 8)[0]
-    assert len(calls) == 3 and np.array_equal(f, expect)
-    monkeypatch.undo()
-    for a in betas:
-        c = truncated_gaussian_normalization(a, 1.0)
-        own = stieltjes_recurrence(a, 1.0, 8)
-        given = stieltjes_recurrence(a, 1.0, 8, c=c)
-        assert np.array_equal(own.alpha, given.alpha)
-        assert np.array_equal(own.beta, given.beta)
-
-
 def dnls_independent_route(g, mu_c, beta, m):
-    # same math, disjoint implementation: mpmath's besseli for the
-    # Bessel factor, plain (non-log) assembly, dense scipy eigensolver
+    # same math, disjoint implementation: the rule of the normalized
+    # truncated Gaussian c e^{-a(z-b)^2/2}, a = beta g, b = mu/g, with c
+    # from erfc and -beta F = beta mu^2/(2g) + log lambda_1 - log c;
+    # mpmath's besseli for the Bessel factor, plain (non-log) assembly,
+    # dense scipy eigensolver.  In y = z sqrt(a) that measure is the
+    # unit rule of s = -b sqrt(a) times c e^{sigma(s) - s^2/2}/sqrt(a)
     a = beta * g
     b = mu_c / g
     c = truncated_gaussian_normalization(a, b)
-    rule = golub_welsch(stieltjes_recurrence(a, b, m))
-    r = rule.nodes
+    s = -b * math.sqrt(a)
+    unit = golub_welsch(stieltjes_recurrence(s, m))
+    r = unit.nodes / math.sqrt(a)
+    w = unit.weights * (c * math.exp(0.5 * min(s, 0.0) ** 2 - 0.5 * s * s)
+                        / math.sqrt(a))
     x = beta * np.sqrt(np.outer(r, r))
     log_i0 = np.vectorize(lambda t: float(mpmath.log(mpmath.besseli(0, t))))
     logk = math.log(2 * math.pi) + log_i0(x) \
         - 0.5 * beta * (r[:, None] + r[None, :])
-    T = np.exp(logk) * np.sqrt(np.outer(rule.weights, rule.weights))
+    T = np.exp(logk) * np.sqrt(np.outer(w, w))
     lam1 = scipy.linalg.eigh(T, eigvals_only=True)[-1]
     mbf = 0.5 * beta * mu_c ** 2 / g + math.log(lam1) - math.log(c)
     return -mbf / beta
@@ -598,6 +573,42 @@ def test_dnls_against_independent_assembly(g, mu_c, beta, m):
     got = dnls_free_energy(DnlsParams(g=g, mu_c=mu_c), beta, m)
     expect = dnls_independent_route(g, mu_c, beta, m)
     assert got == pytest.approx(expect, rel=5e-13)
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench")
+
+
+@pytest.mark.parametrize("beta", [60.0, 200.0])
+def test_dnls_below_zero_mu_against_the_dense_oracle(monkeypatch, beta):
+    # g = 1, mu = -3: the weight's mode sits far below zero.  Against the
+    # benchmark's dense Nystrom oracle on Lebesgue measure, whose 40- and
+    # 80-panel grids must agree first; bounds in beta F relative to
+    # max(1, |beta F|) (measured at most 3.0e-15)
+    monkeypatch.syspath_prepend(BENCH)
+    import oracles
+
+    coarse, fine = (beta * oracles.dnls_solution(1.0, -3.0, beta,
+                                                 panels=n).free_energy
+                    for n in (40, 80))
+    scale = max(1.0, abs(fine))
+    assert abs(coarse - fine) <= 1e-13 * scale
+    got = beta * dnls_free_energy(DnlsParams(g=1.0, mu_c=-3.0), beta, 20)
+    assert abs(got - fine) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("mu_c,beta,expect,rel", [
+    # s = 94.9: the dense oracle at 160 and 320 panels (its default
+    # 40-panel grid is 1.3e-7 off); measured 1.4e-15 relative
+    (-3.0, 1000.0, 6.44023475617515e-3, 1e-13),
+    # s = -100, where an unshifted density or the normalizer
+    # erfcx(s/sqrt 2) would overflow (from s ~ -37.7): the value of the
+    # erfc-normalized route the unit rule replaced
+    (1.0, 1e4, -0.499243933886236, 1e-14),
+])
+def test_dnls_deep_quench(mu_c, beta, expect, rel):
+    f = dnls_free_energy(DnlsParams(g=1.0, mu_c=mu_c), beta, 20)
+    assert f == pytest.approx(expect, rel=rel)
 
 
 @pytest.mark.parametrize("beta", [1.0, 30.0])

@@ -9,7 +9,8 @@ The main oracle is exact moment data:
       M_0 = 1,
       M_1 = b + c e^{-a b^2/2} / a,
       M_k = b M_{k-1} + (k-1)/a M_{k-2},
-  which never touches the code under test.
+  which never touches the code under test.  Its rule is the unit DNLS
+  rule of s = -b sqrt(a) in y = z sqrt(a) (`truncated_recurrence`).
 
 An m-point Gauss rule must reproduce moments up to degree 2m-1 at
 machine precision and must NOT be exact at degree 2m (sharpness).
@@ -63,6 +64,19 @@ def truncated_moments_oracle(a, b, c, kmax):
     for k in range(2, kmax + 1):
         m[k] = b * m[k - 1] + (k - 1) / a * m[k - 2]
     return m
+
+
+def truncated_recurrence(a, b, m):
+    # the recurrence of the normalized c e^{-a(z-b)^2/2} on [0, inf) from
+    # the unit rule of s = -b sqrt(a) in y = z sqrt(a): alpha/sqrt(a),
+    # beta_k/a, and beta_0 the unit rule's mass times
+    # c e^{sigma(s) - s^2/2}/sqrt(a), which is 1 when that mass is right
+    s = -b * math.sqrt(a)
+    rc = stieltjes_recurrence(s, m)
+    beta = rc.beta / a
+    beta[0] = (rc.beta[0] * truncated_gaussian_normalization(a, b)
+               * math.exp(0.5 * min(s, 0.0) ** 2 - 0.5 * s * s) / math.sqrt(a))
+    return RecurrenceCoefficients(rc.alpha / math.sqrt(a), beta)
 
 
 def rule_moment(rule, k):
@@ -122,7 +136,7 @@ def test_sizes_reject_bools():
     with pytest.raises(DomainError, match="m must be a positive integer, got True"):
         gauss_hermite_rescaled(True, 1.0)
     with pytest.raises(DomainError, match="got False"):
-        stieltjes_recurrence(1.0, 0.0, False)
+        stieltjes_recurrence(0.0, False)
 
 
 def test_hermite_rejects_bad_arguments():
@@ -183,7 +197,7 @@ def test_golub_welsch_bits_equal_scipy_stev_wrapper(m):
 
     hermite = RecurrenceCoefficients(
         np.zeros(m), np.concatenate(([1.0], np.arange(1.0, m))))
-    for rc in (hermite, stieltjes_recurrence(2.0, 0.5, min(m, 40))):
+    for rc in (hermite, truncated_recurrence(2.0, 0.5, min(m, 40))):
         vals, vecs = eigh_tridiagonal(rc.alpha, np.sqrt(rc.beta[1:]),
                                       lapack_driver="stev")
         r = golub_welsch(rc)
@@ -264,7 +278,7 @@ def test_normalization_half_gaussian():
 ])
 def test_truncated_rule_reproduces_moment_recursion(a, b, m, tol):
     c = truncated_gaussian_normalization(a, b)
-    rule = golub_welsch(stieltjes_recurrence(a, b, m))
+    rule = golub_welsch(truncated_recurrence(a, b, m))
     oracle = truncated_moments_oracle(a, b, c, 2 * m - 1)
     for k in range(2 * m):
         scale = max(1.0, abs(oracle[k]))
@@ -275,14 +289,14 @@ def test_truncated_rule_reproduces_moment_recursion(a, b, m, tol):
 def test_truncated_rule_sharpness():
     a, b, m = 2.0, 1.0, 5
     c = truncated_gaussian_normalization(a, b)
-    rule = golub_welsch(stieltjes_recurrence(a, b, m))
+    rule = golub_welsch(truncated_recurrence(a, b, m))
     oracle = truncated_moments_oracle(a, b, c, 2 * m)
     err = abs(rule_moment(rule, 2 * m) - oracle[2 * m])
     assert err > 1e-8 * abs(oracle[2 * m])
 
 
 def test_truncated_rule_nodes_inside_domain():
-    rule = golub_welsch(stieltjes_recurrence(3.0, 0.5, 20))
+    rule = golub_welsch(truncated_recurrence(3.0, 0.5, 20))
     assert np.all(rule.nodes > 0.0)
     assert np.all(rule.weights > 0.0)
     assert rule.weights.sum() == pytest.approx(1.0, rel=1e-13)
@@ -302,22 +316,30 @@ def test_full_line_variant_recovers_hermite():
     assert np.allclose(rc.beta[1:], np.arange(1, m) / a, rtol=1e-12)
 
 
-def test_stieltjes_custom_mass():
-    # c twice the normalizer doubles beta_0 and leaves the nodes alone
-    a, b, m = 1.5, 0.8, 6
-    c = truncated_gaussian_normalization(a, b)
-    rc1 = stieltjes_recurrence(a, b, m)
-    rc2 = stieltjes_recurrence(a, b, m, c=2.0 * c)
-    assert rc2.beta[0] == pytest.approx(2.0 * rc1.beta[0], rel=1e-13)
-    assert np.allclose(rc1.alpha, rc2.alpha, atol=1e-13)
-    assert np.allclose(rc1.beta[1:], rc2.beta[1:], rtol=1e-12)
-
-
 def test_stieltjes_rejects_bad_arguments():
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="s must be finite"):
+            stieltjes_recurrence(s, 5)
     with pytest.raises(DomainError):
-        stieltjes_recurrence(-1.0, 0.0, 5)
-    with pytest.raises(DomainError):
-        stieltjes_recurrence(1.0, 0.0, 0)
+        stieltjes_recurrence(0.0, 0)
+
+
+@pytest.mark.parametrize("s", [-1e4, -100.0, -3.0, 0.0, 2.0, 100.0, 1e4])
+def test_unit_rule_mass_and_mean_at_the_edges_of_s(s):
+    # beta_0 is the discrete mass of e^{-y^2/2 - s y - sigma(s)} and
+    # alpha_0 its mean; with the density's peak at 1 neither overflows
+    # at any s.  Against closed forms at 40 digits: the mass is
+    # sqrt(pi/2) e^{s^2/2 - sigma} erfc(s/sqrt 2), and integrating
+    # (y + s) times the density gives the mean e^{-sigma}/mass - s
+    rc = stieltjes_recurrence(s, 4)
+    with mpmath.workdps(40):
+        S = mpmath.mpf(s)
+        sigma = S * S / 2 if s < 0 else 0
+        mass = (mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(S * S / 2 - sigma)
+                * mpmath.erfc(S / mpmath.sqrt(2)))
+        mean = mpmath.exp(-sigma) / mass - S
+    assert rc.beta[0] == pytest.approx(float(mass), rel=1e-14)
+    assert rc.alpha[0] == pytest.approx(float(mean), rel=1e-14)
 
 
 def three_term_lanczos(x, w, m):
@@ -375,18 +397,18 @@ def test_refinement_starts_at_a_level_sized_by_m(monkeypatch, m, first):
     monkeypatch.setattr(quadrature, "_composite_legendre", spy)
     # an empty memo, so that every level of this call is built
     monkeypatch.setattr(quadrature, "_memo", {})
-    stieltjes_recurrence(15.0, 1.0, m)
+    stieltjes_recurrence(-math.sqrt(15.0), m)
     schedule = [16, 24, 32, 48, 64, 96, 128]
     start = schedule.index(first)
     assert len(levels) >= 2
     assert levels == schedule[start:start + len(levels)]
 
 
-def fresh_recurrence(a, b, m):
+def fresh_recurrence(s, m):
     # the coefficients of a call that finds no Lanczos run to extend
     with quadrature._memo_lock:
         quadrature._memo.clear()
-    return stieltjes_recurrence(a, b, m)
+    return stieltjes_recurrence(s, m)
 
 
 def measure(a, b, pts=24):
@@ -420,18 +442,18 @@ def test_extended_lanczos_run_equals_a_fresh_run(order):
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_memo_does_not_change_the_coefficients(order):
-    # stieltjes_recurrence through the memo, with the weight
-    # alternating at every call, against calls that find it empty
-    weights = [(15.0, 1.0), (1.0, 1.0), (100.0, -0.3)]
+    # stieltjes_recurrence through the memo, with s alternating at
+    # every call, against calls that find it empty
+    weights = [-math.sqrt(15.0), -1.0, 3.0]
     ms = list(range(1, 41))
-    fresh = {(w, m): fresh_recurrence(*w, m) for w in weights for m in ms}
+    fresh = {(w, m): fresh_recurrence(w, m) for w in weights for m in ms}
     if order == "descending":
         ms.reverse()
     elif order == "shuffled":
         np.random.default_rng(7).shuffle(ms)
     for m in ms:
         for w in weights + weights[::-1]:
-            rc = stieltjes_recurrence(*w, m)
+            rc = stieltjes_recurrence(w, m)
             assert np.array_equal(rc.alpha, fresh[w, m].alpha)
             assert np.array_equal(rc.beta, fresh[w, m].beta)
 
@@ -454,14 +476,15 @@ def test_lanczos_breakdown_is_raised_where_a_request_reaches_it():
 
 
 def test_memo_holds_one_weight():
-    stieltjes_recurrence(15.0, 1.0, 10)
+    # the memo is keyed by (s, points per panel)
+    s = -math.sqrt(15.0)
+    stieltjes_recurrence(s, 10)
     held = set(quadrature._memo)
-    assert {key[:3] for key in held} == {
-        (15.0, 1.0, truncated_gaussian_normalization(15.0, 1.0))}
+    assert {key[0] for key in held} == {s}
     # the two levels the call compared
-    assert sorted(key[3] for key in held) == [16, 24]
-    stieltjes_recurrence(1.0, -0.3, 30, c=2.0)
-    assert {key[:3] for key in quadrature._memo} == {(1.0, -0.3, 2.0)}
+    assert sorted(key[1] for key in held) == [16, 24]
+    stieltjes_recurrence(0.3, 30)
+    assert {key[0] for key in quadrature._memo} == {0.3}
     assert not held & set(quadrature._memo)
 
 
@@ -469,9 +492,9 @@ def test_threaded_calls_on_one_weight_give_the_serial_bits():
     # more threads than cores share one weight's Lanczos runs, with
     # thread switches forced often; each thread works through the m
     # values in its own order until a deadline
-    a, b = 15.0, 1.0
+    s = -math.sqrt(15.0)
     ms = [3, 40, 12, 25, 7, 33, 18, 1, 40, 16, 24, 9]
-    serial = {m: fresh_recurrence(a, b, m) for m in set(ms)}
+    serial = {m: fresh_recurrence(s, m) for m in set(ms)}
     threads = (os.cpu_count() or 1) + 2
     deadline = time.monotonic() + 2.0
     failures, calls = [], []
@@ -482,14 +505,14 @@ def test_threaded_calls_on_one_weight_give_the_serial_bits():
         try:
             while time.monotonic() < deadline:
                 for m in order:
-                    rc = stieltjes_recurrence(a, b, m)
+                    rc = stieltjes_recurrence(s, m)
                     calls.append(m)
                     if not (np.array_equal(rc.alpha, serial[m].alpha)
                             and np.array_equal(rc.beta, serial[m].beta)):
                         failures.append(m)
                 # a call on another weight empties the memo under the
                 # others' feet
-                stieltjes_recurrence(1.0, float(seed), 6)
+                stieltjes_recurrence(float(seed), 6)
         except Exception as exc:  # reported by the main thread
             failures.append(exc)
 
@@ -531,7 +554,7 @@ def test_composite_legendre_matches_linspace_bits():
        b=st.floats(min_value=-2.0, max_value=6.0),
        m=st.integers(min_value=1, max_value=18))
 def test_truncated_rule_wellformed_random(a, b, m):
-    rule = golub_welsch(stieltjes_recurrence(a, b, m))
+    rule = golub_welsch(truncated_recurrence(a, b, m))
     assert len(rule) == m
     assert np.all(rule.nodes >= 0.0)
     assert np.all(np.diff(rule.nodes) > 0.0)

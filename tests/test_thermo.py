@@ -32,6 +32,7 @@ from thermo_transfer.models import (
 )
 from thermo_transfer.nystrom import LogKernel, assemble, dominant_eigenvalue
 from thermo_transfer.quadrature import (
+    QuadratureRule,
     gauss_hermite_rescaled,
     golub_welsch,
     stieltjes_recurrence,
@@ -279,8 +280,10 @@ def test_dnls_density_matches_spectral_route():
     p = DnlsParams(g=1.0, mu_c=1.0)
     for beta in (1.0, 2.0):
         rho_fd, _ = dnls_observables(p, beta, 20)
-        a, b, _c = p.weight_parameters(beta)
-        rule = golub_welsch(stieltjes_recurrence(a, b, 20))
+        # the unit rule of s = -mu sqrt(beta/g), nodes in rho
+        s = -p.mu_c * math.sqrt(beta / p.g)
+        unit = golub_welsch(stieltjes_recurrence(s, 20))
+        rule = QuadratureRule(unit.nodes / math.sqrt(beta * p.g), unit.weights)
         T = assemble(dnls_log_kernel(beta), rule)
         eig = dominant_eigenvalue(T)
         v = eig.vector / np.linalg.norm(eig.vector)
