@@ -22,7 +22,7 @@ from .models import (CylinderParams, DnlsParams, ParticleChainParams,
                      cylinder_free_energy, cylinder_log_kernel,
                      dnls_free_energy, dnls_log_kernel,
                      particle_chain_free_energy, particle_chain_log_kernel,
-                     reference_cylinder_ax0, reference_particle_chain_gamma0)
+                     reference_cylinder, reference_particle_chain_gamma0)
 from .nystrom import (DominantEig, LogKernel, NystromMatrix, assemble,
                       dominant_eigenvalue, fredholm_det)
 from .quadrature import (QuadratureRule, RecurrenceCoefficients, TensorRule,
@@ -41,7 +41,7 @@ __all__ = [
     "cylinder_free_energy", "cylinder_log_kernel",
     "dnls_free_energy", "dnls_log_kernel",
     "particle_chain_free_energy", "particle_chain_log_kernel",
-    "reference_cylinder_ax0", "reference_particle_chain_gamma0",
+    "reference_cylinder", "reference_particle_chain_gamma0",
     "DominantEig", "LogKernel", "NystromMatrix",
     "assemble", "dominant_eigenvalue", "fredholm_det",
     "QuadratureRule", "RecurrenceCoefficients", "TensorRule",

@@ -33,8 +33,8 @@ from . import selftest as _selftest
 from .errors import DomainError, NumericError
 from .thermo import MODELS, SweepSpec, free_energy_sweep
 
-__all__ = ["RunConfig", "UsageError", "build_config", "config_text", "main",
-           "run_convergence", "run_selftest"]
+__all__ = ["RunConfig", "UsageError", "build_config", "main",
+           "run_convergence"]
 
 SUBCOMMANDS = ("free-energy", "convergence", "observables", "selftest")
 REFERENCES = ("auto", "factorized", "largest-m")
@@ -158,29 +158,6 @@ def parse_config_text(text):
             _check_choice(key, value)
         values[key] = value
     return values
-
-
-def config_text(cfg):
-    """Serialize a RunConfig back to the flat config format.
-
-    parse -> serialize -> parse is idempotent; floats use %.17g so the
-    round trip is exact.
-    """
-    lines = []
-    for name in _SETTINGS:
-        v = getattr(cfg, name)
-        if v is None:
-            continue
-        if isinstance(v, bool):
-            s = "true" if v else "false"
-        elif isinstance(v, float):
-            s = "%.17g" % v
-        elif isinstance(v, tuple):
-            s = ",".join(str(int(x)) for x in v)
-        else:
-            s = str(v)
-        lines.append(f"{name} = {s}")
-    return "\n".join(lines) + "\n"
 
 
 def _parser():
@@ -345,11 +322,6 @@ def run_convergence(cfg):
     return rows
 
 
-def run_selftest():
-    """Invariant suites of every module; True when all pass."""
-    return _selftest.run()
-
-
 def main(argv=None):
     try:
         cfg = build_config(argv)
@@ -358,7 +330,7 @@ def main(argv=None):
         return 2
     try:
         if cfg.subcommand == "selftest":
-            return 0 if run_selftest() else 1
+            return 0 if _selftest.run() else 1
         if cfg.subcommand == "convergence":
             rows = len(run_convergence(cfg))
         else:

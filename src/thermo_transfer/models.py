@@ -130,7 +130,7 @@ __all__ = [
     "particle_chain_log_kernel", "particle_chain_free_energy",
     "dnls_log_kernel", "dnls_free_energy",
     "cylinder_log_kernel", "cylinder_free_energy",
-    "reference_particle_chain_gamma0", "reference_cylinder_ax0",
+    "reference_particle_chain_gamma0", "reference_cylinder",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -347,7 +347,7 @@ class CylinderParams:
         """The ax = 0 closed-form F, or None at ax != 0."""
         if self.ax != 0.0:
             return None
-        return reference_cylinder_ax0(self, beta)
+        return reference_cylinder(self, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -593,19 +593,23 @@ def cylinder_free_energy(p, beta, m0):
     return _point(p, beta, m0)[0]
 
 
-def reference_cylinder_ax0(p, beta):
-    """Closed-form per-site free energy for ax = 0 (columns decouple).
+def reference_cylinder(p, beta):
+    """Closed-form per-site free energy of the harmonic cylinder, any ax.
 
-    The ring partition function is Gaussian; with ring-Laplacian
-    eigenvalues 2 - 2 cos(2 pi k / L_y),
+    Each ring Fourier mode is a harmonic chain with on-site
+    eta_k = eta + ay Lambda_k (`_ring_spectrum`) and coupling ax, whose
+    transfer operator is Gaussian:
 
         -beta F = log(2 pi / beta)
-                  - (1/(2 L_y)) sum_k log(eta + ay (2 - 2 cos(2 pi k/L_y))).
+                  - (1/(2 L_y)) sum_k log((eta_k + 2 ax + c_k) / 2),
+        c_k = sqrt(eta_k (eta_k + 4 ax)).
+
+    At ax = 0 this is the ring determinant, sum_k log(eta_k); at
+    L_y = 1, ay = 0 it is the harmonic chain with coupling ax.
     """
     _check_beta(beta)
-    if p.ax != 0.0:
-        raise DomainError("closed-form cylinder reference requires ax = 0")
-    k = np.arange(p.ly)
-    spec = p.eta + p.ay * (2.0 - 2.0 * np.cos(2.0 * math.pi * k / p.ly))
-    mbf = _LOG_2PI - math.log(beta) - 0.5 * float(np.mean(np.log(spec)))
+    eta = _ring_spectrum(p)
+    c = np.sqrt(eta * (eta + 4.0 * p.ax))
+    mbf = (_LOG_2PI - math.log(beta)
+           - 0.5 * float(np.mean(np.log(0.5 * (eta + 2.0 * p.ax + c)))))
     return -mbf / beta

@@ -10,8 +10,8 @@ terms plus optional per-node site terms, broadcast over the rule's
 nodes) and a `QuadratureRule` or `TensorRule`, which cannot be empty.
 No production route goes through `assemble`: every model builds its
 stack as a bounded product d_i K_ij d_j (see `models`), and
-`assemble` with the `*_log_kernel` functions is the independent
-reference the tests and `selftest` compare against.  The chain's log
+`assemble` with the `*_log_kernel` functions is the tests'
+independent reference only.  The chain's log
 entries go through `assemble`'s check only when a bound says an entry
 may overflow.  Each model's matrix has m rows (m0 for the cylinder,
 solved as one chain per ring Fourier mode), a few dozen in practice,

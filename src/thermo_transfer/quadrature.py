@@ -58,8 +58,8 @@ __all__ = [
 ]
 
 # Gaussian tail beyond 12 standard deviations is < 1e-31, invisible in
-# double precision; the half-line grid ends where the DNLS density has
-# fallen to e^{-12^2/2} of its peak
+# double precision; each end of the half-line grid other than 0 sits
+# where the DNLS density has fallen to e^{-12^2/2} of its peak
 _TAIL_SIGMAS = 12.0
 
 # Legendre points per panel of the Stieltjes refinement levels.  A rule
@@ -113,10 +113,6 @@ class QuadratureRule:
 
     def __len__(self):
         return self.nodes.shape[-1]
-
-    def integrate(self, f):
-        """Apply a single (m,) rule to a vectorized function f."""
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 @dataclass(frozen=True)
@@ -372,11 +368,6 @@ class _Lanczos:
             return alpha[:m].copy(), beta[:m].copy()
 
 
-def _lanczos_recurrence(x, w, m):
-    # one run of the discretized Stieltjes procedure to m coefficients
-    return _Lanczos(x, w, m).coefficients(m)
-
-
 def stieltjes_recurrence(s, m):
     """Recurrence coefficients of the unit DNLS weight of parameter s.
 
@@ -387,14 +378,16 @@ def stieltjes_recurrence(s, m):
 
     The coefficients are produced by a discretized Stieltjes procedure:
     the measure is replaced by a composite Gauss-Legendre discretization
-    on [0, -s + sqrt(max(s, 0)^2 + 144)], where the density has fallen
-    to e^{-72} of its peak, with panels of width min(1, 1/s) for s > 0
-    and 1 otherwise, and the Jacobi coefficients of the discrete
-    measure are extracted by Lanczos with full reorthogonalization.
-    What comes out is the recurrence of the measure cut at that upper
-    end.  The mass beyond it is below 1e-31 of the peak, so low-order
+    on [max(0, -s - 12), -s + sqrt(max(s, 0)^2 + 144)], where the
+    density has fallen to e^{-72} of its peak at each end that is not
+    0, with panels of width min(1, 1/s) for s > 0 and 1 otherwise, and
+    the Jacobi coefficients of the discrete measure are extracted by
+    Lanczos with full reorthogonalization.  For s <= 0 the grid spans
+    at most 24 (up to rounding), so its cost does not grow with |s|.
+    What comes out is the recurrence of the measure cut at those ends.
+    The mass beyond them is below 1e-31 of the peak, so low-order
     coefficients and the free energies built on them do not see the
-    cut, but high orders do.  The grid is refined through 16, 24, 32,
+    cuts, but high orders do.  The grid is refined through 16, 24, 32,
     48, 64, 96 and 128 points per panel, starting at the first level
     with at least min(m, 32) points, until two consecutive levels agree
     to 1e-14.
@@ -414,10 +407,12 @@ def stieltjes_recurrence(s, m):
     s = float(s)
     # -y^2/2 - s y - sigma(s) = -(y + t)^2/2 - (s - t) y with t = min(s, 0);
     # the support end -s + sqrt(r^2 + 144), r = max(s, 0), is written
-    # without cancellation
+    # without cancellation, and for s < -12 the grid starts 12 below
+    # the mode -t as well
     t, r = min(s, 0.0), max(s, 0.0)
     hi = _TAIL_SIGMAS ** 2 / (r + math.hypot(r, _TAIL_SIGMAS)) - t
-    panels = math.ceil(hi * max(s, 1.0))
+    lo = max(0.0, -t - _TAIL_SIGMAS)
+    panels = math.ceil((hi - lo) * max(s, 1.0))
     with _memo_lock:
         # this s's runs by points per panel; another s's are dropped
         # now, so that this call's runs can reuse their memory
@@ -430,7 +425,7 @@ def stieltjes_recurrence(s, m):
         for pts in [n for n in _PANEL_POINTS if n >= min(m, 32)]:
             run = held.get(pts)
             if run is None:
-                y, wleg = _composite_legendre(0.0, hi, panels, pts)
+                y, wleg = _composite_legendre(lo, hi, panels, pts)
                 run = _Lanczos(
                     y, wleg * np.exp(-0.5 * (y + t) ** 2 - (s - t) * y), m)
             used[s, pts] = run

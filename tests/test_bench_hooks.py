@@ -80,3 +80,16 @@ def test_row_timer_installs_and_comes_off(bench):
         untime()
     assert tt.thermo._sweep_row is original
     assert [k for k, _ in times] == [0]
+
+
+def test_config_workloads_run_through_the_cli(bench, monkeypatch, tmp_path):
+    # the benchmark's worker replays each config workload with exactly
+    # these arguments, from the repository root
+    import workloads
+
+    monkeypatch.chdir(os.path.dirname(BENCH))
+    specs = [w for w in workloads.WORKLOADS.values()
+             if isinstance(w, workloads.ConfigWorkload)]
+    assert specs
+    for spec in specs:
+        assert tt.cli.main(spec.cli_args(str(tmp_path / "w.csv"))) == 0

@@ -20,3 +20,16 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in getattr(module, "__all__", ())
                if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module, attr", [
+    ("thermo_transfer", "reference_cylinder_ax0"),
+    ("thermo_transfer.models", "reference_cylinder_ax0"),
+    ("thermo_transfer.cli", "config_text"),
+    ("thermo_transfer.cli", "run_selftest"),
+    ("thermo_transfer.quadrature", "_lanczos_recurrence"),
+])
+def test_replaced_names_are_gone(module, attr):
+    # reference_cylinder covers every ax; the others had no caller but
+    # the old selftest suites
+    assert not hasattr(importlib.import_module(module), attr)

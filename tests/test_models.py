@@ -47,7 +47,7 @@ from thermo_transfer.models import (
     dnls_log_kernel,
     particle_chain_free_energy,
     particle_chain_log_kernel,
-    reference_cylinder_ax0,
+    reference_cylinder,
     reference_particle_chain_gamma0,
 )
 from thermo_transfer.thermo import dnls_observables, particle_chain_observables
@@ -675,7 +675,7 @@ def test_cylinder_ax0_against_ring_determinant():
     # Gauss weights absorb the whole ring potential, so the integrand
     # is constant and every m0 gives the determinant to round-off
     p = CylinderParams(eta=1.0, ax=0.0, ay=0.2, ly=3)
-    ref = reference_cylinder_ax0(p, 5.0)
+    ref = reference_cylinder(p, 5.0)
     for m0 in (1, 2, 8, 12):
         err = abs(cylinder_free_energy(p, 5.0, m0) - ref) / abs(ref)
         assert err <= 1e-13, f"m0={m0}: rel error {err:.3e}"
@@ -721,8 +721,10 @@ def test_coupled_cylinder_against_closed_form(ly):
         big_a = eta + 2.0 * ax + ay * (2.0 - 2.0 * math.cos(2.0 * math.pi * k / ly))
         mbf -= math.log(0.5 * (big_a + math.sqrt(big_a ** 2 - 4.0 * ax ** 2))) / (2 * ly)
     expect = -mbf / beta
-    got = cylinder_free_energy(CylinderParams(eta=eta, ax=ax, ay=ay, ly=ly), beta, 8)
-    assert got == pytest.approx(expect, rel=1e-12)
+    p = CylinderParams(eta=eta, ax=ax, ay=ay, ly=ly)
+    assert cylinder_free_energy(p, beta, 8) == pytest.approx(expect, rel=1e-12)
+    # the library's closed form, written in eta_k and c_k
+    assert reference_cylinder(p, beta) == pytest.approx(expect, rel=1e-14)
 
 
 @pytest.mark.parametrize("ly,solves", [(1, 1), (2, 2), (3, 2), (8, 5)])
@@ -778,18 +780,12 @@ def test_failing_ring_mode_is_named_in_a_later_chunk(monkeypatch):
         assert exc.value.index is None and exc.value.residual > 1e-14
 
 
-def test_cylinder_reference_requires_ax0():
-    p = CylinderParams(eta=1.0, ax=0.5, ay=0.2, ly=3)
-    with pytest.raises(DomainError):
-        reference_cylinder_ax0(p, 1.0)
-
-
 def test_cylinder_reference_ay0_closed_form():
     # ay = 0 kills the ring couplings: plain uncoupled-site value
     p = CylinderParams(eta=2.0, ax=0.0, ay=0.0, ly=4)
     beta = 3.0
     expect = -(math.log(2 * math.pi / beta) - 0.5 * math.log(2.0)) / beta
-    assert reference_cylinder_ax0(p, beta) == pytest.approx(expect, rel=1e-15)
+    assert reference_cylinder(p, beta) == pytest.approx(expect, rel=1e-15)
 
 
 def test_cylinder_swap_anisotropy_stays_small():

@@ -310,7 +310,7 @@ def test_full_line_variant_recovers_hermite():
     cut = quadrature._TAIL_SIGMAS / math.sqrt(a)
     x, w = quadrature._composite_legendre(b - cut, b + cut, 24, 16)
     w = w * math.sqrt(a / (2 * math.pi)) * np.exp(-0.5 * a * (x - b) ** 2)
-    rc = RecurrenceCoefficients(*quadrature._lanczos_recurrence(x, w, m))
+    rc = RecurrenceCoefficients(*quadrature._Lanczos(x, w, m).coefficients(m))
     assert np.allclose(rc.alpha, b, atol=5e-14)
     assert rc.beta[0] == pytest.approx(1.0, rel=1e-13)
     assert np.allclose(rc.beta[1:], np.arange(1, m) / a, rtol=1e-12)
@@ -340,6 +340,30 @@ def test_unit_rule_mass_and_mean_at_the_edges_of_s(s):
         mean = mpmath.exp(-sigma) / mass - S
     assert rc.beta[0] == pytest.approx(float(mass), rel=1e-14)
     assert rc.alpha[0] == pytest.approx(float(mean), rel=1e-14)
+
+
+@pytest.mark.parametrize("s", [-100.0, -1e4, -1e6])
+def test_grid_far_below_zero_is_a_translate(monkeypatch, s):
+    # for s <= -12 the weight is e^{-(y + s)^2/2} on [0, inf), whose mass
+    # below 0 is under e^{-72}: the measure is the s = -13 one moved by
+    # -s - 13, so alpha_k + s and beta_k keep their values, and the grid
+    # spans [-s - 12, -s + 12] in 24 panels whatever |s|.  The spy stops
+    # a grid that grows with |s| before it is built (at s = -1e6 a
+    # level-32 Lanczos basis on [0, -s + 12] would be about 5 GB)
+    real = quadrature._composite_legendre
+
+    def bounded(lo, hi, panels, pts):
+        assert panels <= 25, f"{panels} panels at s={s}"
+        return real(lo, hi, panels, pts)
+
+    monkeypatch.setattr(quadrature, "_composite_legendre", bounded)
+    m = 16
+    ref = stieltjes_recurrence(-13.0, m)
+    rc = stieltjes_recurrence(s, m)
+    # the nodes near -s keep about 16 - log10|s| digits: measured 4.7e-10
+    # in alpha_k + s and 6.4e-11 relative in beta_k at s = -1e6
+    assert np.max(np.abs((rc.alpha + s) - (ref.alpha - 13.0))) <= 4e-15 * abs(s)
+    assert np.allclose(rc.beta, ref.beta, rtol=1e-15 * abs(s), atol=0.0)
 
 
 def three_term_lanczos(x, w, m):
@@ -376,7 +400,7 @@ def test_fused_lanczos_step_matches_three_term_reference(a, b, m):
     hi = max(b, 0.0) + 12.0 * sigma
     x, wleg = quadrature._composite_legendre(0.0, hi, math.ceil(hi / sigma), 32)
     w = wleg * np.exp(-0.5 * a * (x - b) ** 2)
-    alpha, beta = quadrature._lanczos_recurrence(x, w, m)
+    alpha, beta = quadrature._Lanczos(x, w, m).coefficients(m)
     ref_alpha, ref_beta = three_term_lanczos(x, w, m)
     scale = max(1.0, np.max(np.abs(ref_alpha)), np.max(ref_beta))
     assert np.max(np.abs(alpha - ref_alpha)) <= 1e-14 * scale
@@ -435,7 +459,7 @@ def test_extended_lanczos_run_equals_a_fresh_run(order):
     for m in ms:
         for (x, w), run in zip(measures, runs):
             alpha, beta = run.coefficients(m)
-            ref_alpha, ref_beta = quadrature._lanczos_recurrence(x, w, m)
+            ref_alpha, ref_beta = quadrature._Lanczos(x, w, m).coefficients(m)
             assert np.array_equal(alpha, ref_alpha)
             assert np.array_equal(beta, ref_beta)
 
@@ -471,8 +495,8 @@ def test_lanczos_breakdown_is_raised_where_a_request_reaches_it():
     assert alpha.tolist() == [0.5, 0.5]
     assert beta.tolist() == [4.0, 0.25]
     with pytest.raises(ConvergenceError, match=r"broke down at k=1\)"):
-        quadrature._lanczos_recurrence(np.array([0.5, 2.0]),
-                                       np.array([1.0, 0.0]), 2)
+        quadrature._Lanczos(np.array([0.5, 2.0]),
+                            np.array([1.0, 0.0]), 2).coefficients(2)
 
 
 def test_memo_holds_one_weight():
@@ -698,4 +722,5 @@ def test_recurrence_rejects_nan_beta():
 def test_rule_integrate_method():
     r = gauss_hermite_rescaled(12, 1.0)
     # E[cos z] = e^{-1/2} for a standard Gaussian
-    assert r.integrate(np.cos) == pytest.approx(math.exp(-0.5), rel=1e-12)
+    assert np.dot(r.weights, np.cos(r.nodes)) == pytest.approx(math.exp(-0.5),
+                                                                rel=1e-12)
