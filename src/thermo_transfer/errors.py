@@ -17,9 +17,9 @@ class NumericError(RuntimeError):
     """Valid input whose numeric evaluation failed.
 
     ``residual`` is the last achieved residual, so callers can decide
-    whether the partial result is still usable, and ``index`` the
-    position of the first failing problem in a stacked solve (each None
-    where it does not apply).
+    whether the partial result is still usable, and ``index`` the grid
+    row of the failing beta of a sweep or one-point route, set by
+    `models._solve_block` alone (each None where it does not apply).
     """
 
     def __init__(self, message, residual=None, index=None):

@@ -80,8 +80,9 @@ observable columns, in order) and `reference_zero`, the field that is
 F and {column: values} at each beta of a 1-D array from one stacked
 solve (`_chain_solve`, `_dnls_solve`; the `_raw` routes give F alone).
 A sweep's block and every one-point route go through `_solve_block`,
-which names a failing beta and m; a point is a block of one, so it
-gives the same bits and errors alone as inside a sweep.
+which names a failing beta and m by solving a failed block again one
+beta at a time; a point is a block of one, so it gives the same bits
+and errors alone as inside a sweep.
 `factorized(beta)` is the reference F of the factorized limit, or None
 away from it: the gamma=0 chain and the a_x=0 cylinder factorize into
 independent single-site (single-ring) problems with closed-form or
@@ -156,11 +157,17 @@ def _check_beta(beta):
 
 
 def _check_finite(p):
-    # each float field of a params class: nan fails every comparison of
-    # the domain checks after this one, and inf passes their signs
+    # each float field of a params class: a real number (a bool is an
+    # int to Python but not a coefficient), and finite, since nan fails
+    # every comparison of the domain checks after this one and inf
+    # passes their signs
     for f in fields(p):
         value = getattr(p, f.name)
-        if f.type is float and not math.isfinite(value):
+        if f.type is not float:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{f.name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
             raise DomainError(f"{f.name} must be finite, got {value!r}")
 
 
@@ -170,25 +177,34 @@ def _per_beta(solve, beta):
     return f if np.ndim(beta) else float(f[0])
 
 
-def _grid_point(betas, exc):
-    # the beta a failure belongs to: the stack index the error carries,
-    # or the only beta of a block of one
-    index = exc.index
-    if index is None and len(betas) > 1:
-        return f"beta in [{float(betas[0])!r}, {float(betas[-1])!r}]"
-    return f"beta={float(betas[index or 0])!r}"
+def _first_failure(solve, values, exc):
+    """(k, error) of the first of `values` whose solve fails alone, after
+    `exc` failed the stack of them all; a stack of one is its own first
+    failure.  A value gives the same bits and errors alone as inside any
+    stack, so one of them fails alone."""
+    if len(values) == 1:
+        return 0, exc
+    for k in range(len(values)):
+        try:
+            solve(values[k:k + 1])
+        except NumericError as alone:
+            return k, alone
+    raise exc
 
 
 def _solve_block(p, betas, m, observables, start=0):
-    """p.block on a block whose first row is grid row `start`; a numeric
-    failure keeps its type and residual and gains its beta, m and index
-    in the whole grid."""
+    """p.block on a block whose first row is grid row `start`.  A numeric
+    failure, and only that, solves the block again one beta at a time:
+    the first beta that fails alone is named, and its error keeps its
+    type and residual and gains that beta, m and its row in the whole
+    grid as `index`."""
     try:
         return p.block(betas, m, observables)
     except NumericError as exc:
-        index = None if exc.index is None else start + exc.index
-        raise type(exc)(f"at {_grid_point(betas, exc)}, m={m}: {exc}",
-                        residual=exc.residual, index=index) from exc
+        k, exc = _first_failure(lambda b: p.block(b, m, observables),
+                                betas, exc)
+        raise type(exc)(f"at beta={float(betas[k])!r}, m={m}: {exc}",
+                        residual=exc.residual, index=start + k) from exc
 
 
 def _point(p, beta, m, observables=False):
@@ -489,11 +505,7 @@ def _dnls_solve(g, mu_c, betas, m):
     nodes = np.empty((betas.size, m))
     weights = np.empty((betas.size, m))
     for k in range(betas.size):
-        try:
-            rule = golub_welsch(stieltjes_recurrence(float(s[k]), m))
-        except NumericError as exc:
-            raise type(exc)(f"rule {k} of the stack: {exc}",
-                            residual=exc.residual, index=k) from exc
+        rule = golub_welsch(stieltjes_recurrence(float(s[k]), m))
         nodes[k], weights[k] = rule.nodes, rule.weights
     nodes /= np.sqrt(betas * g)[:, None]
     # with u = sqrt(rho), beta (rho + rho')/2 = beta (u - u')^2/2 + x and
@@ -520,9 +532,9 @@ def dnls_free_energy(p, beta, m):
     """Free energy per site of the defocusing DNLS chain.
 
     The quadrature rule depends on (g, mu, beta) only through
-    s = -mu sqrt(beta/g), so it is rebuilt on every call; after a call
-    at the same s, its recurrence extends that call's Lanczos runs to
-    the new m (see `quadrature`).
+    s = -mu sqrt(beta/g), so it is rebuilt on every call; after a
+    recent call at the same s, its recurrence extends that call's cached
+    Lanczos runs to the new m (see `quadrature`).
     """
     return _point(p, beta, m)[0]
 
@@ -556,15 +568,15 @@ def cylinder_log_kernel(p, beta):
 
 def _ring_modes(etas, ax, m0):
     """F at beta = 1 of the harmonic chain of each ring mode eta_k, as
-    one stack."""
+    one stack.  A numeric failure solves the modes again one at a time
+    and names the first that fails alone; it holds at every beta of the
+    block, so `_solve_block` names the block's first beta."""
+    solve = lambda e: _chain_solve(e, 0.0, 0.0, ax, np.ones(e.size), m0)[0]
     try:
-        return _chain_solve(etas, 0.0, 0.0, ax, np.ones(etas.size), m0)[0]
+        return solve(etas)
     except NumericError as exc:
-        # the index is a ring mode, not a beta row: the failure holds at
-        # every beta of the block
-        mode = (f"eta_k in [{float(etas[0])!r}, {float(etas[-1])!r}]"
-                if exc.index is None else f"eta_k={float(etas[exc.index])!r}")
-        raise type(exc)(f"ring mode {mode}: {exc}",
+        k, exc = _first_failure(solve, etas, exc)
+        raise type(exc)(f"ring mode eta_k={float(etas[k])!r}: {exc}",
                         residual=exc.residual) from exc
 
 

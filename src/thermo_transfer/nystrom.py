@@ -30,7 +30,9 @@ entries of shape (B, m, m), and `dominant_eigenvalue` solves the whole
 stack with one `np.linalg.eigvalsh` and one `np.linalg.solve` call,
 giving lambda_1 of shape (B,) and Perron vectors of shape (B, m).  A
 single matrix is a stack of one inside, so a matrix gives the same
-bits alone as inside any stack.
+bits alone as inside any stack, and the same error: no error here
+says which matrix of a stack failed (`models._solve_block` finds it
+by solving the matrices alone).
 """
 
 import functools
@@ -137,7 +139,7 @@ def assemble(kernel, rule):
     lower, so every matrix is exactly symmetric regardless of
     floating-point non-associativity in the kernel.  A log entry that
     is not finite, or so large that its exp overflows a double, raises
-    AssemblyError naming the node pair and, for a stack, the matrix.
+    AssemblyError naming the node pair.
     """
     nodes = rule.nodes
     weights = rule.weights
@@ -165,39 +167,16 @@ def assemble(kernel, rule):
 
 def _check_log_entries(logT, nodes):
     # raise AssemblyError at the first log entry that is not finite or
-    # whose exp overflows a double, naming its node pair and, for a
-    # stack, its matrix
+    # whose exp overflows a double, naming its node pair
     bad = ~np.isfinite(logT) | (logT > _LOG_MAX)
     if bad.any():
         *stack, i, j = (int(k) for k in np.argwhere(bad)[0])
-        index = stack[0] if stack else None
-        where = "" if index is None else f" of matrix {index} in the stack"
         entry = logT[(*stack, i, j)]
         what = "non-finite" if not np.isfinite(entry) else "overflowing"
         raise AssemblyError(
-            f"{what} kernel value at node pair ({i}, {j}){where}: "
+            f"{what} kernel value at node pair ({i}, {j}): "
             f"z_i={nodes[(*stack, i)]!r}, z_j={nodes[(*stack, j)]!r}, "
-            f"log entry={entry!r}", index=index)
-
-
-def _lapack_step(step, stacked, *stacks):
-    # step(*stacks) for stacks of B matrices (or right-hand sides).
-    # numpy does not say which matrix of a stack made LAPACK fail, so
-    # after a failure, and only then, the step is re-run one matrix at a
-    # time, and the ConvergenceError names the first that fails alone
-    try:
-        return step(*stacks)
-    except np.linalg.LinAlgError as exc:
-        index = None
-        for k in range(len(stacks[0]) if stacked else 0):
-            try:
-                step(*(s[k:k + 1] for s in stacks))
-            except np.linalg.LinAlgError:
-                index = k
-                break
-        where = "" if index is None else f" of matrix {index} in the stack"
-        raise ConvergenceError(f"dense eigensolve failed{where}: {exc}",
-                               index=index) from exc
+            f"log entry={entry!r}")
 
 
 def dominant_eigenvalue(T):
@@ -214,20 +193,21 @@ def dominant_eigenvalue(T):
     at a few 1e-15 despite the shift; its scale follows T's, so x
     stays near 1 / (16 eps) at any lambda_1.  The residual is
     ||T v / lambda_1 - v||, checked for every matrix; ConvergenceError
-    carries the first one above 1e-14, or not finite, and for a stack its
-    index; a LAPACK failure of either step is a ConvergenceError too,
-    with the index of the first matrix that fails that step alone.  A
-    single matrix gives scalar lambda1 and a vector of shape (m,).
+    carries the first one above 1e-14, or not finite; a LAPACK failure
+    of either step is a ConvergenceError too.  A single matrix gives
+    scalar lambda1 and a vector of shape (m,).
     """
     A = T.entries if isinstance(T, NystromMatrix) else np.asarray(T, dtype=float)
     stack = A.reshape((-1,) + A.shape[-2:])
     B, m = stack.shape[0], stack.shape[-1]
-    lam = _lapack_step(np.linalg.eigvalsh, A.ndim == 3, stack)[:, -1]
-    sigma = lam + _SHIFT_ULPS * np.spacing(lam)
-    shifted = np.negative(stack, order="C")
-    shifted.reshape(B, m * m)[:, ::m + 1] += sigma[:, None]
-    x = _lapack_step(np.linalg.solve, A.ndim == 3, shifted,
-                     np.matmul(stack, _ones(m)))
+    try:
+        lam = np.linalg.eigvalsh(stack)[:, -1]
+        sigma = lam + _SHIFT_ULPS * np.spacing(lam)
+        shifted = np.negative(stack, order="C")
+        shifted.reshape(B, m * m)[:, ::m + 1] += sigma[:, None]
+        x = np.linalg.solve(shifted, np.matmul(stack, _ones(m)))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
     # a non-finite or zero x leaves nan in v, without a warning, so its
     # residual is nan and fails the test below
     with np.errstate(invalid="ignore"):
@@ -241,12 +221,9 @@ def dominant_eigenvalue(T):
     ok = res <= _TOL
     if not ok.all():
         k = int(np.argmin(ok))
-        index = k if A.ndim == 3 else None
-        where = "" if index is None else f" of matrix {k} in the stack"
         raise ConvergenceError(
             f"eigenvalue residual {res[k]:.3e} above tolerance {_TOL:.1e} "
-            f"after the dense solve{where}",
-            residual=float(res[k]), index=index)
+            f"after the dense solve", residual=float(res[k]))
     if A.ndim == 2:
         return DominantEig(lambda1=float(lam[0]), vector=v[0],
                            residual=float(res[0]), iterations=1)

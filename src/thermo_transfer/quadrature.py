@@ -21,16 +21,15 @@ w_i = beta_0 * (first eigenvector component)^2.  Only that construction needs Sc
 first use, so the Hermite-only chain and cylinder run on numpy alone.
 
 A Lanczos run's first m coefficients do not depend on how many more
-are asked for, so each refinement level's run is resumable, and a
-small memo keeps the runs of the levels the latest Stieltjes call
-compared (normally two), for that call's s alone; a call on another s
-replaces them.  A call that climbs m on the same s, as a convergence
-ladder does, extends those runs instead of starting new ones.  The
-coefficients are the bits of a fresh run, whatever the history: a
-level's discrete measure is a function of s and its points per panel,
-which key the memo, and an extended run performs exactly the
-operations of one run to the larger m.  A lock guards the memo and
-each run has its own, since sweeps on several threads build rules
+are asked for, so each refinement level's run is resumable, and
+`functools.lru_cache` keeps the runs of the last 7 levels used, of
+any s (one call compares at most 7).  A call that climbs m on the
+same s, as a convergence ladder does, extends those runs instead of
+starting new ones.  The coefficients are the bits of a fresh run,
+whatever the history: a level's discrete measure is a function of s
+and its points per panel, which key the cache, and an extended run
+performs exactly the operations of one run to the larger m.  Each run
+has its own lock, since sweeps on several threads build rules
 concurrently.
 """
 
@@ -68,12 +67,6 @@ _TAIL_SIGMAS = 12.0
 # min(m, 32) points; from m = 25 on that is 32, and a larger m climbs
 # on through the two-level agreement check.
 _PANEL_POINTS = (16, 24, 32, 48, 64, 96, 128)
-
-# the Lanczos runs of the levels the latest stieltjes_recurrence call
-# compared, keyed by (s, points per panel), and the lock that
-# guards the dict (see the module docstring)
-_memo = {}
-_memo_lock = threading.Lock()
 
 # the most points a tensor rule may have: a dense matrix on the product
 # grid holds the square of this many entries (8192^2 doubles = 512 MiB)
@@ -309,7 +302,7 @@ class _Lanczos:
     extended from m to m' gives the bits of one run to m'.
     """
 
-    def __init__(self, x, w, m):
+    def __init__(self, x, w, m=1):
         # room for m coefficients; a request for more grows the arrays
         mass = w.sum()
         self._x = x
@@ -368,6 +361,23 @@ class _Lanczos:
             return alpha[:m].copy(), beta[:m].copy()
 
 
+@functools.lru_cache(maxsize=len(_PANEL_POINTS))
+def _level(s, pts):
+    # the resumable Lanczos run of one refinement level: the unit DNLS
+    # weight of parameter s on its composite grid of pts Legendre points
+    # per panel (see stieltjes_recurrence).
+    # -y^2/2 - s y - sigma(s) = -(y + t)^2/2 - (s - t) y with t = min(s, 0);
+    # the support end -s + sqrt(r^2 + 144), r = max(s, 0), is written
+    # without cancellation, and for s < -12 the grid starts 12 below
+    # the mode -t as well
+    t, r = min(s, 0.0), max(s, 0.0)
+    hi = _TAIL_SIGMAS ** 2 / (r + math.hypot(r, _TAIL_SIGMAS)) - t
+    lo = max(0.0, -t - _TAIL_SIGMAS)
+    panels = math.ceil((hi - lo) * max(s, 1.0))
+    y, wleg = _composite_legendre(lo, hi, panels, pts)
+    return _Lanczos(y, wleg * np.exp(-0.5 * (y + t) ** 2 - (s - t) * y))
+
+
 def stieltjes_recurrence(s, m):
     """Recurrence coefficients of the unit DNLS weight of parameter s.
 
@@ -392,59 +402,34 @@ def stieltjes_recurrence(s, m):
     with at least min(m, 32) points, until two consecutive levels agree
     to 1e-14.
 
-    Every call runs that check.  The Lanczos run of each level it
-    compares is kept in a memo keyed by (s, points per panel), and only
-    the latest call's levels, of its s, are kept; a later call on the
+    Every call runs that check.  The Lanczos run of each level is
+    cached by (s, points per panel), least recently used first out,
+    and the cache holds 7 runs, as many as there are levels, so every
+    level a call compared is still held after it.  A later call on the
     same s extends those runs to its m (or reads its first m) instead
-    of starting over.  An extended run gives the bits of a fresh one,
-    so the result does not depend on which calls came before; a lock
-    guards the memo for threaded sweeps.
+    of starting over; an extended run gives the bits of a fresh one,
+    so the result does not depend on which calls came before.  A run's
+    memory is its basis, fewer than 2 m' x 72 pts doubles for the
+    largest m' asked of it, since no grid has more than 72 panels.
     """
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s!r}")
     _check_m(m)
     m = int(m)
     s = float(s)
-    # -y^2/2 - s y - sigma(s) = -(y + t)^2/2 - (s - t) y with t = min(s, 0);
-    # the support end -s + sqrt(r^2 + 144), r = max(s, 0), is written
-    # without cancellation, and for s < -12 the grid starts 12 below
-    # the mode -t as well
-    t, r = min(s, 0.0), max(s, 0.0)
-    hi = _TAIL_SIGMAS ** 2 / (r + math.hypot(r, _TAIL_SIGMAS)) - t
-    lo = max(0.0, -t - _TAIL_SIGMAS)
-    panels = math.ceil((hi - lo) * max(s, 1.0))
-    with _memo_lock:
-        # this s's runs by points per panel; another s's are dropped
-        # now, so that this call's runs can reuse their memory
-        held = {pts: run for (key, pts), run in _memo.items() if key == s}
-        if len(held) < len(_memo):
-            _memo.clear()
-    used = {}
-    try:
-        prev = None
-        for pts in [n for n in _PANEL_POINTS if n >= min(m, 32)]:
-            run = held.get(pts)
-            if run is None:
-                y, wleg = _composite_legendre(lo, hi, panels, pts)
-                run = _Lanczos(
-                    y, wleg * np.exp(-0.5 * (y + t) ** 2 - (s - t) * y), m)
-            used[s, pts] = run
-            alpha, beta = run.coefficients(m)
-            if prev is not None:
-                resid = max(abs(alpha - prev[0]).max(),
-                            abs(beta - prev[1]).max())
-                scale = max(1.0, abs(alpha).max(), beta.max())
-                if resid <= 1e-14 * scale:
-                    return RecurrenceCoefficients(alpha, beta)
-            prev = (alpha, beta)
-        raise ConvergenceError(
-            "Stieltjes discretization did not stabilize to 1e-14 "
-            f"(last coefficient change {resid:.3e})", residual=float(resid))
-    finally:
-        # the memo holds this call's levels, of this s alone
-        with _memo_lock:
-            _memo.clear()
-            _memo.update(used)
+    prev = None
+    for pts in [n for n in _PANEL_POINTS if n >= min(m, 32)]:
+        alpha, beta = _level(s, pts).coefficients(m)
+        if prev is not None:
+            resid = max(abs(alpha - prev[0]).max(),
+                        abs(beta - prev[1]).max())
+            scale = max(1.0, abs(alpha).max(), beta.max())
+            if resid <= 1e-14 * scale:
+                return RecurrenceCoefficients(alpha, beta)
+        prev = (alpha, beta)
+    raise ConvergenceError(
+        "Stieltjes discretization did not stabilize to 1e-14 "
+        f"(last coefficient change {resid:.3e})", residual=float(resid))
 
 
 def tensor_product(base, dimension):

@@ -132,7 +132,9 @@ def _sweep_row(spec, betas, start):
 def free_energy_sweep(spec, threads=None):
     """Evaluate the sweep one block of grid rows at a time, each block
     one stacked solve, on a thread pool over blocks when threads > 1
-    (LAPACK releases the GIL)."""
+    (LAPACK releases the GIL); threads is None or a positive integer."""
+    if threads is not None:
+        _check_m(threads, "threads")
     grid = spec.beta_grid
     rows = _block_rows(spec.m)
     starts = range(0, grid.size, rows)
@@ -141,7 +143,7 @@ def free_energy_sweep(spec, threads=None):
     # and tracer) sees every block
     block = lambda i: _sweep_row(spec, grid[i:i + rows], i)
     if threads is not None and threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             solved = list(pool.map(block, starts))
     else:
         solved = [block(i) for i in starts]

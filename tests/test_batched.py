@@ -3,8 +3,9 @@
 Oracles: the public one-point routes, which solve a block of one, must
 give the same bits (==) as the sweep's rows whatever the block split or
 thread count; stacked rules and eigensolves against the same objects
-built one beta at a time; failures injected at one grid point of a
-block must name that beta.
+built one beta at a time; a failure injected at one grid point, keyed
+on its matrix or its s, must name that beta, m and grid row in one
+block, in a later block and on two threads.
 """
 
 import warnings
@@ -83,12 +84,12 @@ def test_mu0_sweep_builds_each_refinement_level_once(monkeypatch):
     built = []
 
     class Spy(real):
-        def __init__(self, x, w, m):
+        def __init__(self, x, w):
             built.append(x.size)
-            super().__init__(x, w, m)
+            super().__init__(x, w)
 
     monkeypatch.setattr(quadrature, "_Lanczos", Spy)
-    monkeypatch.setattr(quadrature, "_memo", {})
+    quadrature._level.cache_clear()
     p = DnlsParams(g=1.0, mu_c=0.0)
     grid = np.geomspace(0.1, 30.0, 64)
     res = free_energy_sweep(SweepSpec(params=p, beta_grid=grid, m=20,
@@ -125,128 +126,127 @@ def test_block_size_caps_matrix_entries(monkeypatch):
 
 # --- a failure inside a block names its own beta ------------------------------
 
-def _vector_spoiling(monkeypatch, spoil):
-    """np.linalg.solve (the Perron-vector step) that hands back all ones,
-    not an eigenvector, for stack index spoil(call number), if that is
-    not None."""
-    real = np.linalg.solve
-    calls = []
+# the failing grid row of an injected fault: the fourth matrix of one
+# block, the second of the later block [2, 3] in blocks of two rows
+K = 3
 
-    def solve(a, b):
-        x = real(a, b)
-        k = spoil(len(calls))
-        calls.append(k)
-        if k is not None and a.ndim == 3:
-            x[k] = 1.0
-        return x
 
-    monkeypatch.setattr(nystrom.np.linalg, "solve", solve)
-    return calls
+def _chain(betas, m):
+    return _chain_solve(CHAIN.eta, CHAIN.mu3, CHAIN.lam, CHAIN.gamma, betas, m)
+
+
+def _dnls(betas, m):
+    return _dnls_solve(DNLS.g, DNLS.mu_c, betas, m)
+
+
+def _t01(solve, m):
+    # entry (0, 1) of grid row K's matrix solved alone, which keys a
+    # fault on the matrix, never on a call count or a stack position
+    return solve(GRID[K:K + 1], m)[1].entries[0, 0, 1]
+
+
+def _assert_names_its_grid_point(monkeypatch, params, m, k, head):
+    """Sweep GRID, with a fault installed, in one block, with row k in a
+    later block of two rows, and with two threads over those blocks:
+    each names row k's beta, m and grid row before `head`, keeps the
+    type and residual of row k's error alone, and is the error of the
+    one-point route at row k's beta."""
+    obs = bool(params.observables)
+    with pytest.raises(NumericError) as point:
+        models._point(params, GRID[k], m, obs)
+    one_block = models._BLOCK_ENTRIES
+    for rows, threads in [(None, None), (2, None), (2, 2)]:
+        monkeypatch.setattr(models, "_BLOCK_ENTRIES",
+                            one_block if rows is None else rows * m * m)
+        with pytest.raises(NumericError) as exc:
+            free_energy_sweep(SweepSpec(params=params, beta_grid=GRID, m=m,
+                                        observables=obs), threads=threads)
+        error, cause = exc.value, exc.value.__cause__
+        assert str(error).startswith(f"at beta={float(GRID[k])!r}, m={m}: {head}")
+        assert error.index == k
+        assert type(error) is type(cause) and error.residual == cause.residual
+        assert str(error) == str(point.value)
+    return error
 
 
 @pytest.mark.parametrize("model", ["chain", "dnls"])
 def test_eigensolve_failure_names_its_grid_point(monkeypatch, model):
-    params, m, obs, _, _ = CASES[model]
-    _vector_spoiling(monkeypatch, lambda call: 3)
-    spec = SweepSpec(params=params, beta_grid=GRID, m=m, observables=obs)
-    with pytest.raises(ConvergenceError) as exc:
-        free_energy_sweep(spec)
-    msg = str(exc.value)
-    assert f"at beta={float(GRID[3])!r}, m={m}:" in msg
-    assert "of matrix 3 in the stack" in msg
-    # the re-raised error keeps the residual the eigensolve measured
-    cause = exc.value.__cause__
-    assert isinstance(cause, ConvergenceError) and cause.residual > 1e-14
-    assert exc.value.residual == cause.residual
+    # the Perron-vector step hands back all ones, not an eigenvector,
+    # for row K's matrix, told by its (0, 1) entry negated
+    params, m = CASES[model][:2]
+    marker = -_t01({"chain": _chain, "dnls": _dnls}[model], m)
+    real = np.linalg.solve
+
+    def solve(a, b):
+        x = real(a, b)
+        x[a[:, 0, 1] == marker] = 1.0
+        return x
+
+    monkeypatch.setattr(nystrom.np.linalg, "solve", solve)
+    error = _assert_names_its_grid_point(monkeypatch, params, m, K,
+                                         "eigenvalue residual ")
+    assert isinstance(error, ConvergenceError) and error.residual > 1e-14
 
 
 @pytest.mark.parametrize("step", ["eigvalsh", "solve"])
 def test_lapack_failure_names_its_grid_point(monkeypatch, step):
-    # LAPACK fails on the matrix of grid point 1 alone, in the stack of
-    # three and by itself; that matrix is told by its (0, 1) entry, which
-    # the shifted solve sees negated
-    betas = GRID[:3]
-    t01 = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 12)[1].entries[1, 0, 1]
-    marker = t01 if step == "eigvalsh" else -t01
+    # LAPACK fails on row K's chain matrix, told by its (0, 1) entry,
+    # which the shifted solve sees negated
+    marker = (1.0 if step == "eigvalsh" else -1.0) * _t01(_chain, 12)
     real = getattr(np.linalg, step)
-    calls = []
 
     def fake(a, *args):
-        calls.append(len(a))
         if np.any(a[:, 0, 1] == marker):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real(a, *args)
 
     monkeypatch.setattr(nystrom.np.linalg, step, fake)
-    with pytest.raises(ConvergenceError) as exc:
-        free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=betas, m=12))
-    msg = str(exc.value)
-    assert f"at beta={float(betas[1])!r}, m=12:" in msg
-    assert "of matrix 1 in the stack" in msg
-    assert exc.value.index == 1
-    assert isinstance(exc.value.__cause__.__cause__, np.linalg.LinAlgError)
-    # the stack, then its matrices one at a time up to the failing one
-    assert calls == [3, 1, 1]
-
-
-def test_eigensolve_failure_in_a_later_block(monkeypatch):
-    # blocks of two rows; the second block's second matrix is grid point 3
-    _blocks_of(monkeypatch, 2, 12)
-    _vector_spoiling(monkeypatch, lambda call: 1 if call == 1 else None)
-    with pytest.raises(ConvergenceError) as exc:
-        free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=GRID, m=12))
-    assert f"at beta={float(GRID[3])!r}, m=12:" in str(exc.value)
-    # the re-raised error gives the grid row, not the row in its block
-    assert exc.value.index == 3
+    error = _assert_names_its_grid_point(
+        monkeypatch, CHAIN, 12, K,
+        "dense eigensolve failed: Eigenvalues did not converge")
+    assert isinstance(error, ConvergenceError) and error.residual is None
+    assert isinstance(error.__cause__.__cause__, np.linalg.LinAlgError)
 
 
 def test_non_finite_assembly_names_beta_and_node_pair(monkeypatch):
-    # poison the site term of node 5 of stack matrix 4 (grid point 4) of
-    # the chain, the route whose log entries are scanned; node 5's row
-    # and column go non-finite, and the scan meets (0, 5) first
+    # every log entry of row K's chain matrix overflows
     real = models._anharmonic_site
-
-    def anharmonic_site(mu3, lam, beta, q):
-        out = np.array(real(mu3, lam, beta, q), dtype=float)
-        if out.ndim == 2:
-            out[4, 5] = np.nan
-        return out
-
-    monkeypatch.setattr(models, "_anharmonic_site", anharmonic_site)
-    with pytest.raises(AssemblyError) as exc:
-        free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=GRID, m=10))
-    msg = str(exc.value)
-    assert f"at beta={float(GRID[4])!r}, m=10:" in msg
-    assert "node pair (0, 5) of matrix 4 in the stack" in msg
+    monkeypatch.setattr(models, "_anharmonic_site",
+                        lambda mu3, lam, beta, q: np.where(
+                            beta == GRID[K], 1e3, real(mu3, lam, beta, q)))
+    error = _assert_names_its_grid_point(
+        monkeypatch, CHAIN, 12, K,
+        "overflowing kernel value at node pair (0, 0): ")
+    assert isinstance(error, AssemblyError) and error.residual is None
 
 
 def test_rule_failure_names_its_grid_point(monkeypatch):
-    # the DNLS rules are built one beta at a time; the third one fails
+    # the Stieltjes rule of row K's s does not stabilize
+    s_k = float(-DNLS.mu_c * np.sqrt(GRID[K:K + 1] / DNLS.g)[0])
     real = models.stieltjes_recurrence
-    calls = []
 
     def stieltjes_recurrence(s, m):
-        calls.append(s)
-        if len(calls) == 3:
+        if s == s_k:
             raise ConvergenceError("Stieltjes discretization did not stabilize",
-                                   residual=1e-12)
+                                   residual=3e-13)
         return real(s, m)
 
     monkeypatch.setattr(models, "stieltjes_recurrence", stieltjes_recurrence)
-    with pytest.raises(ConvergenceError) as exc:
-        free_energy_sweep(SweepSpec(params=DNLS, beta_grid=GRID, m=10))
-    assert f"at beta={float(GRID[2])!r}, m=10:" in str(exc.value)
+    error = _assert_names_its_grid_point(
+        monkeypatch, DNLS, 10, K, "Stieltjes discretization did not stabilize")
+    assert isinstance(error, ConvergenceError) and error.residual == 3e-13
 
 
-def test_failure_without_a_stack_index_names_the_block(monkeypatch):
-    def failing(p, betas, m0, observables):
-        raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10)
-
-    monkeypatch.setattr(CylinderParams, "block", failing)
-    with pytest.raises(ConvergenceError) as exc:
-        free_energy_sweep(SweepSpec(params=CYLINDER, beta_grid=GRID, m=6))
-    assert "at beta in [0.5, 6.5], m=6:" in str(exc.value)
-    assert exc.value.index is None
+def test_cylinder_ring_mode_failure_names_the_first_beta_and_mode(monkeypatch):
+    # no injection: a ring mode above the eigen residual tolerance fails
+    # every beta, so the block's first beta is named, with the first
+    # mode that fails alone
+    cyl = CylinderParams(eta=1e-3, ax=50.0, ay=0.2, ly=64)
+    eta_k = float(np.unique(models._ring_spectrum(cyl))[4])
+    error = _assert_names_its_grid_point(
+        monkeypatch, cyl, 30, 0,
+        f"ring mode eta_k={eta_k!r}: eigenvalue residual ")
+    assert isinstance(error, ConvergenceError) and error.residual > 1e-14
 
 
 def _failing_rule(s, m):
@@ -329,25 +329,6 @@ def test_stacked_solve_equals_each_beta_alone():
 def test_single_matrix_gives_scalars():
     eig = dominant_eigenvalue(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert isinstance(eig.lambda1, float) and eig.vector.shape == (2,)
-
-
-def test_stacked_residual_check_carries_the_failing_index(monkeypatch):
-    # the diagonal matrix solves exactly, the dense one to round-off;
-    # one nonzero entry, since the shifted solve leaves every other
-    # diagonal direction with a part of order eps in the vector.  A
-    # tolerance of 1e-300 fails every residual that is not exactly 0
-    monkeypatch.setattr(nystrom, "_TOL", 1e-300)
-    rng = np.random.default_rng(3)
-    B = rng.uniform(0.1, 1.0, size=(6, 6))
-    stack = np.stack([np.diag([3.0, 0.0, 0.0, 0.0, 0.0, 0.0]), B + B.T])
-    assert dominant_eigenvalue(stack[0]).residual == 0.0
-    with pytest.raises(ConvergenceError) as exc:
-        dominant_eigenvalue(stack)
-    assert exc.value.index == 1
-    assert "of matrix 1 in the stack" in str(exc.value)
-    with pytest.raises(ConvergenceError) as exc:
-        dominant_eigenvalue(stack[1])
-    assert exc.value.index is None
 
 
 def test_hermite_rule_stack_matches_one_rule_per_precision():

@@ -286,8 +286,7 @@ def test_convergence_rows_do_not_depend_on_the_m_list_order(tmp_path):
     ms = list(range(4, 17, 2))
     rows = []
     for order in (ms, ms[::-1]):
-        with quadrature._memo_lock:
-            quadrature._memo.clear()
+        quadrature._level.cache_clear()
         out = tmp_path / f"conv_{order[0]}.csv"
         rc = cli.main(["convergence", "--model", "dnls", "--beta-start", "15",
                        "--beta-count", "1", "--mu", "1",
@@ -548,8 +547,8 @@ def test_bad_size_names_the_model_size_flag(tmp_path, capsys):
 
 def test_dnls_rule_numeric_failure_names_beta(tmp_path, capsys, monkeypatch):
     # a NumericError from the rule builder (injected: valid input a
-    # double cannot evaluate) exits 1 and names the beta of its rule,
-    # not a usage error
+    # double cannot evaluate) exits 1 and names the first beta whose
+    # rule fails, not a usage error
     def builder(s, m):
         raise NumericError(f"injected failure at s={s!r}")
 
@@ -560,8 +559,8 @@ def test_dnls_rule_numeric_failure_names_beta(tmp_path, capsys, monkeypatch):
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "numeric failure: at beta=200.0, m=20: rule 0 of the stack:" in err
-    assert f"injected failure at s={3.0 * math.sqrt(200.0)!r}" in err
+    assert (f"numeric failure: at beta=200.0, m=20: "
+            f"injected failure at s={3.0 * math.sqrt(200.0)!r}") in err
 
 
 def test_bad_config_file_path(tmp_path):

@@ -96,3 +96,18 @@ def test_free_energy_ignores_settings_it_does_not_read(tmp_path, extra):
     assert cli.main(argv + [str(plain)]) == 0
     assert cli.main(argv + [str(with_extra)] + extra) == 0
     assert plain.read_bytes() == with_extra.read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_a_thread_count_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    # the sweep checks it, so a subcommand that does not read --threads
+    # keeps ignoring it
+    sweep = ["free-energy", "--model", "chain", "--beta-start", "1",
+             "--beta-stop", "2", "--beta-count", "2", "--m", "6",
+             "--threads", threads, "--out", str(tmp_path / "a.csv")]
+    assert cli.main(sweep) == 2
+    assert capsys.readouterr().err == (
+        f"error: threads must be a positive integer, got {threads}\n")
+    assert cli.main(["convergence", "--model", "chain", "--beta-start", "1",
+                     "--m-list", "4,6", "--threads", threads,
+                     "--out", str(tmp_path / "b.csv")]) == 0

@@ -108,6 +108,20 @@ def test_params_reject_non_finite_fields(model, field, bad):
         model(**{**VALID_FIELDS[model], field: bad})
 
 
+@pytest.mark.parametrize("bad", ["1", None, True, 1j],
+                         ids=["str", "None", "bool", "complex"])
+@pytest.mark.parametrize("model, field", [
+    pytest.param(model, field, id=f"{model.name}-{field}")
+    for model, fields in VALID_FIELDS.items() for field in fields
+    if field != "ly"])
+def test_params_reject_a_field_that_is_not_a_real_number(model, field, bad):
+    # a string or None once raised TypeError in the finiteness check,
+    # and True was taken as 1
+    with pytest.raises(DomainError,
+                       match=f"^{field} must be a real number, got {bad!r}$"):
+        model(**{**VALID_FIELDS[model], field: bad})
+
+
 def test_cylinder_params_validation():
     CylinderParams(eta=1.0, ax=0.0, ay=0.0, ly=1)
     with pytest.raises(DomainError):
@@ -405,11 +419,12 @@ def test_overflowing_chain_stack_names_the_node_pair_and_matrix():
     with pytest.raises(AssemblyError) as alone:
         log_space_chain_matrix(p, 1000.0, 30)
     assert "node pair (0, 0):" in str(alone.value)
+    # in a stack, the matrix is named by its beta and grid row
     with pytest.raises(AssemblyError) as exc:
-        p.block(np.array([5.0, 1000.0]), 30)
+        models._solve_block(p, np.array([5.0, 1000.0]), 30, False)
     assert exc.value.index == 1
-    assert ("overflowing kernel value at node pair (0, 0) of matrix 1 "
-            "in the stack") in str(exc.value)
+    assert str(exc.value).startswith(
+        "at beta=1000.0, m=30: overflowing kernel value at node pair (0, 0): ")
 
 
 def test_raw_chain_route_names_eta_and_gamma_outside_the_weight_domain():

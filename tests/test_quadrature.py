@@ -419,8 +419,8 @@ def test_refinement_starts_at_a_level_sized_by_m(monkeypatch, m, first):
         return real(lo, hi, panels, pts)
 
     monkeypatch.setattr(quadrature, "_composite_legendre", spy)
-    # an empty memo, so that every level of this call is built
-    monkeypatch.setattr(quadrature, "_memo", {})
+    # an empty cache, so that every level of this call is built
+    quadrature._level.cache_clear()
     stieltjes_recurrence(-math.sqrt(15.0), m)
     schedule = [16, 24, 32, 48, 64, 96, 128]
     start = schedule.index(first)
@@ -430,8 +430,7 @@ def test_refinement_starts_at_a_level_sized_by_m(monkeypatch, m, first):
 
 def fresh_recurrence(s, m):
     # the coefficients of a call that finds no Lanczos run to extend
-    with quadrature._memo_lock:
-        quadrature._memo.clear()
+    quadrature._level.cache_clear()
     return stieltjes_recurrence(s, m)
 
 
@@ -466,7 +465,7 @@ def test_extended_lanczos_run_equals_a_fresh_run(order):
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_memo_does_not_change_the_coefficients(order):
-    # stieltjes_recurrence through the memo, with s alternating at
+    # stieltjes_recurrence through the cache, with s alternating at
     # every call, against calls that find it empty
     weights = [-math.sqrt(15.0), -1.0, 3.0]
     ms = list(range(1, 41))
@@ -499,17 +498,28 @@ def test_lanczos_breakdown_is_raised_where_a_request_reaches_it():
                             np.array([1.0, 0.0]), 2).coefficients(2)
 
 
-def test_memo_holds_one_weight():
-    # the memo is keyed by (s, points per panel)
+def test_a_climb_in_m_builds_each_level_once(monkeypatch):
+    # the cache is keyed by (s, points per panel); a spy on _level
+    # records the levels each call compares
+    level = quadrature._level
+    level.cache_clear()
+    compared = []
+    monkeypatch.setattr(quadrature, "_level",
+                        lambda s, pts: compared.append((s, pts)) or level(s, pts))
     s = -math.sqrt(15.0)
-    stieltjes_recurrence(s, 10)
-    held = set(quadrature._memo)
-    assert {key[0] for key in held} == {s}
-    # the two levels the call compared
-    assert sorted(key[1] for key in held) == [16, 24]
-    stieltjes_recurrence(0.3, 30)
-    assert {key[0] for key in quadrature._memo} == {0.3}
-    assert not held & set(quadrature._memo)
+    seen = set()
+    for m in range(1, 41):
+        compared.clear()
+        stieltjes_recurrence(s, m)
+        seen.update(compared)
+        # every level this call compared is still held after it
+        misses = level.cache_info().misses
+        for key in compared:
+            level(*key)
+        assert level.cache_info().misses == misses
+    # levels 16, 24 and 32 up to m = 24, then 32 and 48
+    assert sorted(pts for _, pts in seen) == [16, 24, 32, 48]
+    assert misses == len(seen)
 
 
 def test_threaded_calls_on_one_weight_give_the_serial_bits():
@@ -534,8 +544,8 @@ def test_threaded_calls_on_one_weight_give_the_serial_bits():
                     if not (np.array_equal(rc.alpha, serial[m].alpha)
                             and np.array_equal(rc.beta, serial[m].beta)):
                         failures.append(m)
-                # a call on another weight empties the memo under the
-                # others' feet
+                # a call on another weight evicts runs from the cache
+                # under the others' feet
                 stieltjes_recurrence(float(seed), 6)
         except Exception as exc:  # reported by the main thread
             failures.append(exc)

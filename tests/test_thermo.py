@@ -336,6 +336,16 @@ def test_sweep_spec_validation():
         SweepSpec(params="not params", beta_grid=[1.0], m=5)
 
 
+@pytest.mark.parametrize("threads", [0, -2, 2.5, True, "2"])
+def test_sweep_rejects_a_thread_count_that_is_not_a_positive_integer(threads):
+    spec = SweepSpec(params=ParticleChainParams(eta=1.0), beta_grid=[1.0], m=5)
+    with pytest.raises(DomainError,
+                       match=f"^threads must be a positive integer, got {threads!r}$"):
+        free_energy_sweep(spec, threads=threads)
+    for ok in (None, 1, np.int64(2)):
+        assert free_energy_sweep(spec, threads=ok).free_energy.size == 1
+
+
 def test_sweep_spec_rejects_a_grid_that_is_not_1d():
     # a 2-D grid once failed deep in the Hermite builder
     p = ParticleChainParams(eta=1.0)
@@ -441,35 +451,17 @@ def test_sweep_rerun_bit_identical():
 
 def test_sweep_error_names_grid_point(monkeypatch):
     # a numeric failure in the model's block solve keeps its type and
-    # gains the grid point its stack index names
+    # gains the first grid point that fails alone
     def failing(p, betas, m0, observables):
-        raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10,
-                               index=0)
+        raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10)
 
     monkeypatch.setattr(CylinderParams, "block", failing)
     cyl = CylinderParams(eta=1.0, ax=0.1, ay=0.1, ly=3)
     spec = SweepSpec(params=cyl, beta_grid=[1.0, 2.0], m=30)
     with pytest.raises(ConvergenceError) as exc:
         free_energy_sweep(spec)
-    msg = str(exc.value)
-    assert "at beta=1.0, m=30" in msg
-    assert "residual 3.000e-10" in msg
-
-
-@pytest.mark.parametrize("grid, where", [
-    ([2.0], "at beta=2.0, m=30"),
-    ([0.5, 1.0, 2.0], "at beta in [0.5, 2.0], m=30"),
-], ids=["one-beta", "three-beta"])
-def test_cylinder_ring_mode_failure_names_the_mode_not_a_row(grid, where):
-    # the cylinder's stack axis is its ring modes: a failing mode fails
-    # every beta of the block, so the error carries no row index
-    cyl = CylinderParams(eta=1e-3, ax=50.0, ay=0.2, ly=64)
-    with pytest.raises(ConvergenceError) as exc:
-        free_energy_sweep(SweepSpec(params=cyl, beta_grid=grid, m=30))
-    assert exc.value.index is None
-    assert exc.value.residual > 1e-14
-    assert where in str(exc.value)
-    assert "ring mode eta_k=" in str(exc.value)
+    assert str(exc.value) == "at beta=1.0, m=30: eigenvalue residual 3.000e-10"
+    assert exc.value.index == 0 and exc.value.residual == 3e-10
 
 
 def test_sweep_spec_rejects_a_non_model_params_object():
