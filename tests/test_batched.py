@@ -208,6 +208,26 @@ def test_lapack_failure_names_its_grid_point(monkeypatch, step):
     assert isinstance(error.__cause__.__cause__, np.linalg.LinAlgError)
 
 
+def test_eigensolve_failure_in_a_later_block(monkeypatch):
+    # blocks of two rows; row K is the second matrix of the later block
+    # [2, 3], and its Perron-vector step hands back all ones
+    _blocks_of(monkeypatch, 2, 12)
+    marker = -_t01(_chain, 12)
+    real = np.linalg.solve
+
+    def solve(a, b):
+        x = real(a, b)
+        x[a[:, 0, 1] == marker] = 1.0
+        return x
+
+    monkeypatch.setattr(nystrom.np.linalg, "solve", solve)
+    with pytest.raises(ConvergenceError) as exc:
+        free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=GRID, m=12))
+    assert str(exc.value).startswith(f"at beta={float(GRID[K])!r}, m=12: ")
+    # the error gives the grid row, not the row in its block
+    assert exc.value.index == K
+
+
 def test_non_finite_assembly_names_beta_and_node_pair(monkeypatch):
     # every log entry of row K's chain matrix overflows
     real = models._anharmonic_site

@@ -464,6 +464,21 @@ def test_sweep_error_names_grid_point(monkeypatch):
     assert exc.value.index == 0 and exc.value.residual == 3e-10
 
 
+@pytest.mark.parametrize("grid", [[2.0], [0.5, 1.0, 2.0]],
+                         ids=["one-beta", "three-beta"])
+def test_cylinder_ring_mode_failure_names_the_mode_not_a_row(grid):
+    # the cylinder's stack axis is its ring modes: a failing mode fails
+    # every beta of the block, so the error names the mode and the
+    # block's first beta, never a beta range over its rows
+    cyl = CylinderParams(eta=1e-3, ax=50.0, ay=0.2, ly=64)
+    with pytest.raises(ConvergenceError) as exc:
+        free_energy_sweep(SweepSpec(params=cyl, beta_grid=grid, m=30))
+    assert exc.value.index == 0
+    assert exc.value.residual > 1e-14
+    assert str(exc.value).startswith(f"at beta={grid[0]!r}, m=30: ring mode eta_k=")
+    assert "beta in [" not in str(exc.value)
+
+
 def test_sweep_spec_rejects_a_non_model_params_object():
     @dataclass(frozen=True)
     class IsingParams:
