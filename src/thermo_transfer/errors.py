@@ -4,8 +4,8 @@ Bad input raises DomainError.  Valid input whose evaluation fails
 raises a NumericError: ConvergenceError for an iteration that missed
 its tolerance, AssemblyError for a non-finite kernel entry,
 ResourceLimitError for a problem size beyond the budget, and
-NumericError itself for a quantity a double cannot hold.  Sweeps and
-the CLI (exit code 1) catch NumericError.
+NumericError itself for a quantity a double cannot hold or a computed
+value outside a function's domain.  The CLI exits 1 on a NumericError.
 """
 
 

@@ -177,6 +177,11 @@ def _per_beta(solve, beta):
     return f if np.ndim(beta) else float(f[0])
 
 
+# every input is checked before a block is solved, so a DomainError
+# raised inside one comes from a value the solve computed
+_FAILURES = (NumericError, DomainError)
+
+
 def _first_failure(solve, values, exc):
     """(k, error) of the first of `values` whose solve fails alone, after
     `exc` failed the stack of them all; a stack of one is its own first
@@ -187,24 +192,30 @@ def _first_failure(solve, values, exc):
     for k in range(len(values)):
         try:
             solve(values[k:k + 1])
-        except NumericError as alone:
+        except _FAILURES as alone:
             return k, alone
     raise exc
+
+
+def _named(exc, where, index=None):
+    kind = type(exc) if isinstance(exc, NumericError) else NumericError
+    return kind(f"{where}: {exc}", residual=getattr(exc, "residual", None),
+                index=index)
 
 
 def _solve_block(p, betas, m, observables, start=0):
     """p.block on a block whose first row is grid row `start`.  A numeric
     failure, and only that, solves the block again one beta at a time:
     the first beta that fails alone is named, and its error keeps its
-    type and residual and gains that beta, m and its row in the whole
-    grid as `index`."""
+    type (a DomainError becomes a NumericError) and residual and gains
+    that beta, m and its row in the whole grid as `index`."""
     try:
         return p.block(betas, m, observables)
-    except NumericError as exc:
+    except _FAILURES as exc:
         k, exc = _first_failure(lambda b: p.block(b, m, observables),
                                 betas, exc)
-        raise type(exc)(f"at beta={float(betas[k])!r}, m={m}: {exc}",
-                        residual=exc.residual, index=start + k) from exc
+        raise _named(exc, f"at beta={float(betas[k])!r}, m={m}",
+                     start + k) from exc
 
 
 def _point(p, beta, m, observables=False):
@@ -532,9 +543,8 @@ def dnls_free_energy(p, beta, m):
     """Free energy per site of the defocusing DNLS chain.
 
     The quadrature rule depends on (g, mu, beta) only through
-    s = -mu sqrt(beta/g), so it is rebuilt on every call; after a
-    recent call at the same s, its recurrence extends that call's cached
-    Lanczos runs to the new m (see `quadrature`).
+    s = -mu sqrt(beta/g); a recent call at the same s and m left its
+    recurrence in a cache (see `quadrature`).
     """
     return _point(p, beta, m)[0]
 
@@ -574,10 +584,9 @@ def _ring_modes(etas, ax, m0):
     solve = lambda e: _chain_solve(e, 0.0, 0.0, ax, np.ones(e.size), m0)[0]
     try:
         return solve(etas)
-    except NumericError as exc:
+    except _FAILURES as exc:
         k, exc = _first_failure(solve, etas, exc)
-        raise type(exc)(f"ring mode eta_k={float(etas[k])!r}: {exc}",
-                        residual=exc.residual) from exc
+        raise _named(exc, f"ring mode eta_k={float(etas[k])!r}") from exc
 
 
 def _ring_spectrum(p):

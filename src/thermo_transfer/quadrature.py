@@ -20,22 +20,14 @@ recurrence of the monic orthogonal polynomials, and
 w_i = beta_0 * (first eigenvector component)^2.  Only that construction needs SciPy, which it imports on
 first use, so the Hermite-only chain and cylinder run on numpy alone.
 
-A Lanczos run's first m coefficients do not depend on how many more
-are asked for, so each refinement level's run is resumable, and
-`functools.lru_cache` keeps the runs of the last 7 levels used, of
-any s (one call compares at most 7).  A call that climbs m on the
-same s, as a convergence ladder does, extends those runs instead of
-starting new ones.  The coefficients are the bits of a fresh run,
-whatever the history: a level's discrete measure is a function of s
-and its points per panel, which key the cache, and an extended run
-performs exactly the operations of one run to the larger m.  Each run
-has its own lock, since sweeps on several threads build rules
-concurrently.
+A DNLS rule is a pure function of (s, m), built anew on a miss of one
+`functools.lru_cache` of finished rules that `stieltjes_recurrence`
+reads after checking s and m; its bits do not depend on the calls
+before it, and its arrays are read-only because its callers share them.
 """
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +57,12 @@ _TAIL_SIGMAS = 12.0
 # of order m needs about m points on a one-sigma panel (12 already
 # reach round-off at m <= 13), so the first level is the smallest with
 # min(m, 32) points; from m = 25 on that is 32, and a larger m climbs
-# on through the two-level agreement check.
+# on through the two-level agreement check, building each level anew.
 _PANEL_POINTS = (16, 24, 32, 48, 64, 96, 128)
+
+# finished DNLS rules held, each 2m doubles: the accuracy ladder climbs
+# 18 (s, m) pairs per pass and the shipped DNLS sweep has 64 rows
+_RULE_CACHE = 128
 
 # the most points a tensor rule may have: a dense matrix on the product
 # grid holds the square of this many entries (8192^2 doubles = 512 MiB)
@@ -285,9 +281,9 @@ def _composite_legendre(lo, hi, panels, pts):
     return x, w
 
 
-class _Lanczos:
-    """Discretized Stieltjes procedure on one discrete measure (x, w),
-    resumable in the number of coefficients.
+def _lanczos(x, w, m):
+    """alpha_0..alpha_{m-1}, beta_0..beta_{m-1} of the discrete measure
+    (x, w) by the discretized Stieltjes procedure.
 
     This is Lanczos, the numerically stable guise of the procedure, on
     the diagonal "multiplication by x" operator in the discrete inner
@@ -295,75 +291,38 @@ class _Lanczos:
     the whole basis B = q_0..q_k at once: h = B r holds alpha_k = h[k],
     and r - h B removes alpha_k q_k and sqrt(beta_k) q_{k-1} together
     with the rounding drift towards the older vectors; the second pass
-    is the "twice" of classical Gram-Schmidt.  Coefficient k depends on
-    (x, w) and k alone, so the state holds the basis rows, alpha and
-    beta computed so far, and the projection (r, h) of its last step,
-    which is finished only when a further alpha is asked for: a run
-    extended from m to m' gives the bits of one run to m'.
+    is the "twice" of classical Gram-Schmidt.  A measure with fewer
+    than m support points breaks down at the k where beta_k <= 0.
     """
-
-    def __init__(self, x, w, m=1):
-        # room for m coefficients; a request for more grows the arrays
-        mass = w.sum()
-        self._x = x
-        self._lock = threading.Lock()
-        self._basis = np.empty((m, x.size))
-        self._basis[0] = np.sqrt(w) / math.sqrt(mass)
-        self._alpha = np.empty(m)
-        self._beta = np.empty(m)
-        self._beta[0] = mass
-        # coefficients held, the pending (r, h), and the k at which the
-        # measure broke down with the beta_k it gave
-        self._size = 0
-        self._r = np.empty(x.size)
-        self._h = None
-        self._breakdown = (math.inf, None)
-
-    def coefficients(self, m):
-        """Copies of alpha_0..alpha_{m-1} and beta_0..beta_{m-1}."""
-        with self._lock:
-            if m > len(self._alpha):
-                # grow geometrically, so a climb in m copies little
-                cap = max(m, 2 * len(self._alpha))
-                for name in ("_basis", "_alpha", "_beta"):
-                    old = getattr(self, name)
-                    new = np.empty((cap,) + old.shape[1:])
-                    new[:len(old)] = old
-                    setattr(self, name, new)
-            x, basis, alpha, beta = self._x, self._basis, self._alpha, self._beta
-            r, h, size = self._r, self._h, self._size
-            B = basis[:size]
-            # ndarray.dot, not @: the same BLAS calls and bits, with
-            # less dispatch per call at these sizes
-            for k in range(size, min(m, self._breakdown[0])):
-                if k:
-                    # finish step k - 1
-                    r -= h.dot(B)
-                    r -= B.dot(r).dot(B)
-                    b2 = r.dot(r)
-                    if b2 <= 0.0:
-                        self._breakdown = (k, b2)
-                        break
-                    beta[k] = b2
-                    np.divide(r, math.sqrt(b2), out=basis[k])
-                B = basis[:k + 1]
-                np.multiply(x, basis[k], out=r)
-                h = B.dot(r)
-                alpha[k] = h[k]
-                size = k + 1
-            self._h, self._size = h, size
-            k, b2 = self._breakdown
-            if m > k:
+    mass = w.sum()
+    basis = np.empty((m, x.size))
+    basis[0] = np.sqrt(w) / math.sqrt(mass)
+    alpha, beta = np.empty(m), np.empty(m)
+    beta[0] = mass
+    # ndarray.dot, not @: the same BLAS calls and bits, with less
+    # dispatch per call at these sizes; the basis rows are C-contiguous
+    for k in range(m):
+        if k:
+            # finish step k - 1
+            r -= h.dot(B)
+            r -= B.dot(r).dot(B)
+            b2 = r.dot(r)
+            if b2 <= 0.0:
                 raise ConvergenceError(
                     "discretized measure has fewer support points than "
                     f"requested coefficients (broke down at k={k})",
                     residual=b2)
-            return alpha[:m].copy(), beta[:m].copy()
+            beta[k] = b2
+            np.divide(r, math.sqrt(b2), out=basis[k])
+        B = basis[:k + 1]
+        r = x * basis[k]
+        h = B.dot(r)
+        alpha[k] = h[k]
+    return alpha, beta
 
 
-@functools.lru_cache(maxsize=len(_PANEL_POINTS))
-def _level(s, pts):
-    # the resumable Lanczos run of one refinement level: the unit DNLS
+def _level(s, pts, m):
+    # the first m coefficients of one refinement level: the unit DNLS
     # weight of parameter s on its composite grid of pts Legendre points
     # per panel (see stieltjes_recurrence).
     # -y^2/2 - s y - sigma(s) = -(y + t)^2/2 - (s - t) y with t = min(s, 0);
@@ -373,9 +332,32 @@ def _level(s, pts):
     t, r = min(s, 0.0), max(s, 0.0)
     hi = _TAIL_SIGMAS ** 2 / (r + math.hypot(r, _TAIL_SIGMAS)) - t
     lo = max(0.0, -t - _TAIL_SIGMAS)
+    if not hi > lo:
+        raise ConvergenceError(
+            f"Stieltjes grid at s={s!r} has no width: "
+            f"-s - 12 and -s + 12 round to one double")
     panels = math.ceil((hi - lo) * max(s, 1.0))
     y, wleg = _composite_legendre(lo, hi, panels, pts)
-    return _Lanczos(y, wleg * np.exp(-0.5 * (y + t) ** 2 - (s - t) * y))
+    return _lanczos(y, wleg * np.exp(-0.5 * (y + t) ** 2 - (s - t) * y), m)
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE)
+def _recurrence(s, m):
+    # the refinement of stieltjes_recurrence on checked (float s, int m)
+    prev = None
+    for pts in [n for n in _PANEL_POINTS if n >= min(m, 32)]:
+        alpha, beta = _level(s, pts, m)
+        if prev is not None:
+            resid = max(abs(alpha - prev[0]).max(),
+                        abs(beta - prev[1]).max())
+            scale = max(1.0, abs(alpha).max(), beta.max())
+            if resid <= 1e-14 * scale:
+                alpha.flags.writeable = beta.flags.writeable = False
+                return RecurrenceCoefficients(alpha, beta)
+        prev = (alpha, beta)
+    raise ConvergenceError(
+        "Stieltjes discretization did not stabilize to 1e-14 "
+        f"(last coefficient change {resid:.3e})", residual=float(resid))
 
 
 def stieltjes_recurrence(s, m):
@@ -393,7 +375,8 @@ def stieltjes_recurrence(s, m):
     0, with panels of width min(1, 1/s) for s > 0 and 1 otherwise, and
     the Jacobi coefficients of the discrete measure are extracted by
     Lanczos with full reorthogonalization.  For s <= 0 the grid spans
-    at most 24 (up to rounding), so its cost does not grow with |s|.
+    at most 24 (up to rounding), so its cost does not grow with |s|;
+    below s ~ -1e17 its ends round to one double, a ConvergenceError.
     What comes out is the recurrence of the measure cut at those ends.
     The mass beyond them is below 1e-31 of the peak, so low-order
     coefficients and the free energies built on them do not see the
@@ -402,34 +385,14 @@ def stieltjes_recurrence(s, m):
     with at least min(m, 32) points, until two consecutive levels agree
     to 1e-14.
 
-    Every call runs that check.  The Lanczos run of each level is
-    cached by (s, points per panel), least recently used first out,
-    and the cache holds 7 runs, as many as there are levels, so every
-    level a call compared is still held after it.  A later call on the
-    same s extends those runs to its m (or reads its first m) instead
-    of starting over; an extended run gives the bits of a fresh one,
-    so the result does not depend on which calls came before.  A run's
-    memory is its basis, fewer than 2 m' x 72 pts doubles for the
-    largest m' asked of it, since no grid has more than 72 panels.
+    s and m are checked first; then the rule is looked up by
+    (float(s), int(m)) in a cache of the last 128 finished rules, whose
+    read-only arrays its callers share, or built with every level anew.
     """
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s!r}")
     _check_m(m)
-    m = int(m)
-    s = float(s)
-    prev = None
-    for pts in [n for n in _PANEL_POINTS if n >= min(m, 32)]:
-        alpha, beta = _level(s, pts).coefficients(m)
-        if prev is not None:
-            resid = max(abs(alpha - prev[0]).max(),
-                        abs(beta - prev[1]).max())
-            scale = max(1.0, abs(alpha).max(), beta.max())
-            if resid <= 1e-14 * scale:
-                return RecurrenceCoefficients(alpha, beta)
-        prev = (alpha, beta)
-    raise ConvergenceError(
-        "Stieltjes discretization did not stabilize to 1e-14 "
-        f"(last coefficient change {resid:.3e})", residual=float(resid))
+    return _recurrence(float(s), int(m))
 
 
 def tensor_product(base, dimension):

@@ -78,18 +78,18 @@ def test_sweep_rows_equal_one_point_routes(monkeypatch, model, rows, threads):
 
 
 def test_mu0_sweep_builds_each_refinement_level_once(monkeypatch):
-    # at mu = 0 every beta has s = 0, so one Lanczos run per refinement
-    # level serves the whole sweep; its rows are the one-point routes'
-    real = quadrature._Lanczos
+    # at mu = 0 every beta has s = 0, so one rule, built from one Lanczos
+    # run per refinement level it compares, serves the whole sweep; its
+    # rows are the one-point routes'
+    real = quadrature._lanczos
     built = []
 
-    class Spy(real):
-        def __init__(self, x, w):
-            built.append(x.size)
-            super().__init__(x, w)
+    def spy(x, w, m):
+        built.append(x.size)
+        return real(x, w, m)
 
-    monkeypatch.setattr(quadrature, "_Lanczos", Spy)
-    quadrature._level.cache_clear()
+    monkeypatch.setattr(quadrature, "_lanczos", spy)
+    quadrature._recurrence.cache_clear()
     p = DnlsParams(g=1.0, mu_c=0.0)
     grid = np.geomspace(0.1, 30.0, 64)
     res = free_energy_sweep(SweepSpec(params=p, beta_grid=grid, m=20,
@@ -101,7 +101,7 @@ def test_mu0_sweep_builds_each_refinement_level_once(monkeypatch):
         density, energy = dnls_observables(p, beta, 20)
         assert res.observables["density"][i] == density
         assert res.observables["energy"][i] == energy
-    # the one-point solves read the same two runs
+    # the one-point solves read the same cached rule
     assert len(built) == 2
 
 
@@ -312,6 +312,51 @@ def test_one_point_failure_is_the_one_row_sweep_failure(monkeypatch, case):
     assert str(point.value) == str(row.value)
     assert str(point.value).startswith(f"at beta={beta!r}, m={m}: ")
     assert point.value.index == row.value.index
+
+
+# valid params and beta whose solve computes a value outside the domain
+# of a function below the checks (a precision of inf or 0, s = -inf,
+# nodes that round together, an I0 argument of nan) or a DNLS grid whose
+# ends round to one double: (route, params, beta, m, the cause's text)
+COMPUTED_EDGES = {
+    "chain-precision-inf": (particle_chain_free_energy,
+                            ParticleChainParams(1e-8, 0.0, 1e-8, 1e300),
+                            1e300, 30, "precision parameter a must be positive"),
+    "chain-precision-0": (particle_chain_free_energy,
+                          ParticleChainParams(1e-300, 0.0, 1e-8, 0.0),
+                          1e-300, 30, "precision parameter a must be positive"),
+    "cylinder-precision-inf": (cylinder_free_energy,
+                               CylinderParams(1e8, 1e300, 0.0, 1), 1.0, 8,
+                               "precision parameter a must be positive"),
+    "cylinder-precision-0": (cylinder_free_energy,
+                             CylinderParams(1e-300, 0.0, 0.0, 3), 1.0, 8,
+                             "precision parameter a must be positive"),
+    "dnls-s-inf": (dnls_free_energy, DnlsParams(1e-300, 1e-300), 1e20, 20,
+                   "s must be finite"),
+    "dnls-nodes": (dnls_free_energy, DnlsParams(1e300, -1e300), 1e20, 20,
+                   "nodes must be strictly increasing"),
+    "dnls-i0": (dnls_free_energy, DnlsParams(1e-300, -1e300), 1e-300, 1,
+                "i0_scaled expects finite arguments"),
+    "dnls-grid-beta": (dnls_free_energy, DnlsParams(1.0, 1.0), 1e40, 20,
+                       "grid at s=-1e\\+20 has no width"),
+    "dnls-grid-g": (dnls_free_energy, DnlsParams(1e-300, 1.0), 1.0, 20,
+                    "grid at s=-1e\\+150 has no width"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(COMPUTED_EDGES))
+def test_a_failure_below_the_checks_is_named_by_its_grid_point(case):
+    route, params, beta, m, cause = COMPUTED_EDGES[case]
+    with pytest.raises(NumericError, match=cause) as point:
+        route(params, beta, m)
+    with pytest.raises(NumericError) as row:
+        free_energy_sweep(SweepSpec(params=params, beta_grid=[beta], m=m))
+    assert str(point.value).startswith(f"at beta={beta!r}, m={m}: ")
+    assert point.value.index == 0
+    assert type(point.value) is type(row.value)
+    assert str(point.value) == str(row.value)
+    assert row.value.index == 0
 
 
 # --- the stacked layers ------------------------------------------------------

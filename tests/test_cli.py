@@ -280,13 +280,30 @@ def test_convergence_needs_two_sizes_for_largest_m(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flags, cause", [
+    (["--model", "dnls", "--mu", "1", "--beta-start", "1e40", "--m", "20"],
+     "at beta=1e+40, m=20: Stieltjes grid at s=-1e+20 has no width"),
+    (["--model", "chain", "--eta", "1e-300", "--lambda", "1e-8",
+      "--beta-start", "1e-300", "--m", "30"],
+     "at beta=1e-300, m=30: precision parameter a must be positive"),
+], ids=["dnls-grid", "chain-precision"])
+def test_a_failure_below_the_checks_exits_1(tmp_path, capsys, flags, cause):
+    # a collapsed DNLS grid (was a ZeroDivisionError) and a computed
+    # precision of 0 (was a usage error) at valid params and beta
+    rc = cli.main(["free-energy", *flags, "--beta-count", "1",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert f"numeric failure: {cause}" in capsys.readouterr().err
+
+
 def test_convergence_rows_do_not_depend_on_the_m_list_order(tmp_path):
-    # each size extends the Lanczos runs the previous one left, so the
-    # climb down starts from runs the climb up never had
+    # each order builds its rules after a different history in the
+    # rule cache, and the rows must not see it
     ms = list(range(4, 17, 2))
     rows = []
     for order in (ms, ms[::-1]):
-        quadrature._level.cache_clear()
+        quadrature._recurrence.cache_clear()
         out = tmp_path / f"conv_{order[0]}.csv"
         rc = cli.main(["convergence", "--model", "dnls", "--beta-start", "15",
                        "--beta-count", "1", "--mu", "1",
@@ -608,19 +625,29 @@ def test_selftest_reports_all_suites(capsys):
 
 # --- installed entry points ------------------------------------------------------------------
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _src_env():
+    # the environment of a child interpreter that imports the package
+    # from this checkout's src/, ahead of any PYTHONPATH it inherits
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "m.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "thermo_transfer.cli", "free-energy",
          "--model", "chain", "--beta-start", "1", "--beta-count", "1",
          "--m", "8", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert "wrote" in proc.stdout
 
-
-_ROOT = Path(__file__).resolve().parents[1]
 
 _COLD_START = """
 import json, sys
@@ -640,13 +667,10 @@ print(json.dumps({"scipy": loaded, "dnls_f": f}))
 def test_chain_and_cylinder_configs_run_without_scipy(tmp_path):
     # the chain and cylinder need numpy only; a DNLS call in the same
     # process must still find SciPy when it first needs it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START, str(_ROOT / "scripts" / "configs"),
          str(tmp_path / "out.csv")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["scipy"] == []

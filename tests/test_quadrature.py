@@ -310,7 +310,7 @@ def test_full_line_variant_recovers_hermite():
     cut = quadrature._TAIL_SIGMAS / math.sqrt(a)
     x, w = quadrature._composite_legendre(b - cut, b + cut, 24, 16)
     w = w * math.sqrt(a / (2 * math.pi)) * np.exp(-0.5 * a * (x - b) ** 2)
-    rc = RecurrenceCoefficients(*quadrature._Lanczos(x, w, m).coefficients(m))
+    rc = RecurrenceCoefficients(*quadrature._lanczos(x, w, m))
     assert np.allclose(rc.alpha, b, atol=5e-14)
     assert rc.beta[0] == pytest.approx(1.0, rel=1e-13)
     assert np.allclose(rc.beta[1:], np.arange(1, m) / a, rtol=1e-12)
@@ -400,7 +400,7 @@ def test_fused_lanczos_step_matches_three_term_reference(a, b, m):
     hi = max(b, 0.0) + 12.0 * sigma
     x, wleg = quadrature._composite_legendre(0.0, hi, math.ceil(hi / sigma), 32)
     w = wleg * np.exp(-0.5 * a * (x - b) ** 2)
-    alpha, beta = quadrature._Lanczos(x, w, m).coefficients(m)
+    alpha, beta = quadrature._lanczos(x, w, m)
     ref_alpha, ref_beta = three_term_lanczos(x, w, m)
     scale = max(1.0, np.max(np.abs(ref_alpha)), np.max(ref_beta))
     assert np.max(np.abs(alpha - ref_alpha)) <= 1e-14 * scale
@@ -420,7 +420,7 @@ def test_refinement_starts_at_a_level_sized_by_m(monkeypatch, m, first):
 
     monkeypatch.setattr(quadrature, "_composite_legendre", spy)
     # an empty cache, so that every level of this call is built
-    quadrature._level.cache_clear()
+    quadrature._recurrence.cache_clear()
     stieltjes_recurrence(-math.sqrt(15.0), m)
     schedule = [16, 24, 32, 48, 64, 96, 128]
     start = schedule.index(first)
@@ -429,38 +429,9 @@ def test_refinement_starts_at_a_level_sized_by_m(monkeypatch, m, first):
 
 
 def fresh_recurrence(s, m):
-    # the coefficients of a call that finds no Lanczos run to extend
-    quadrature._level.cache_clear()
+    # the coefficients of a call that finds no cached rule
+    quadrature._recurrence.cache_clear()
     return stieltjes_recurrence(s, m)
-
-
-def measure(a, b, pts=24):
-    # the discretized truncated Gaussian of one refinement level
-    sigma = 1.0 / math.sqrt(a)
-    hi = max(b, 0.0) + 12.0 * sigma
-    x, wleg = quadrature._composite_legendre(0.0, hi, math.ceil(hi / sigma), pts)
-    return x, wleg * np.exp(-0.5 * a * (x - b) ** 2)
-
-
-@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_extended_lanczos_run_equals_a_fresh_run(order):
-    # one run per measure, asked for m in the given order and
-    # alternating between two measures, gives the bits of a fresh run
-    # to each m; a descending order first grows the basis past every
-    # later request, an ascending one grows it many times
-    ms = list(range(1, 41))
-    if order == "descending":
-        ms.reverse()
-    elif order == "shuffled":
-        np.random.default_rng(20261019).shuffle(ms)
-    measures = [measure(15.0, 1.0), measure(0.5, -3.0)]
-    runs = [quadrature._Lanczos(x, w, 1) for x, w in measures]
-    for m in ms:
-        for (x, w), run in zip(measures, runs):
-            alpha, beta = run.coefficients(m)
-            ref_alpha, ref_beta = quadrature._Lanczos(x, w, m).coefficients(m)
-            assert np.array_equal(alpha, ref_alpha)
-            assert np.array_equal(beta, ref_beta)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
@@ -484,46 +455,45 @@ def test_memo_does_not_change_the_coefficients(order):
 def test_lanczos_breakdown_is_raised_where_a_request_reaches_it():
     # unit weights on the support points 0 and 1, twice each (dyadic,
     # so the arithmetic is exact): beta_2 is exactly 0, and only a
-    # request for three coefficients meets it, every time it is made
-    run = quadrature._Lanczos(np.array([0.0, 0.0, 1.0, 1.0]), np.ones(4), 1)
-    assert run.coefficients(2)[1].tolist() == [4.0, 0.25]
-    for _ in range(2):
-        with pytest.raises(ConvergenceError, match=r"broke down at k=2\)"):
-            run.coefficients(3)
-    alpha, beta = run.coefficients(2)
+    # request for three coefficients meets it
+    x, w = np.array([0.0, 0.0, 1.0, 1.0]), np.ones(4)
+    alpha, beta = quadrature._lanczos(x, w, 2)
     assert alpha.tolist() == [0.5, 0.5]
     assert beta.tolist() == [4.0, 0.25]
-    with pytest.raises(ConvergenceError, match=r"broke down at k=1\)"):
-        quadrature._Lanczos(np.array([0.5, 2.0]),
-                            np.array([1.0, 0.0]), 2).coefficients(2)
+    with pytest.raises(ConvergenceError, match=r"broke down at k=2\)") as info:
+        quadrature._lanczos(x, w, 3)
+    assert info.value.residual == 0.0
+    with pytest.raises(ConvergenceError, match=r"broke down at k=1\)") as info:
+        quadrature._lanczos(np.array([0.5, 2.0]), np.array([1.0, 0.0]), 2)
+    assert info.value.residual == 0.0
 
 
-def test_a_climb_in_m_builds_each_level_once(monkeypatch):
-    # the cache is keyed by (s, points per panel); a spy on _level
-    # records the levels each call compares
-    level = quadrature._level
-    level.cache_clear()
-    compared = []
-    monkeypatch.setattr(quadrature, "_level",
-                        lambda s, pts: compared.append((s, pts)) or level(s, pts))
+def test_a_repeated_rule_runs_no_lanczos(monkeypatch):
+    # finished rules are cached by (float(s), int(m)) after the checks;
+    # a spy on _lanczos records the (grid size, m) of each level built
+    real = quadrature._lanczos
+    runs = []
+    monkeypatch.setattr(quadrature, "_lanczos",
+                        lambda x, w, m: runs.append((x.size, m)) or real(x, w, m))
+    quadrature._recurrence.cache_clear()
     s = -math.sqrt(15.0)
-    seen = set()
-    for m in range(1, 41):
-        compared.clear()
-        stieltjes_recurrence(s, m)
-        seen.update(compared)
-        # every level this call compared is still held after it
-        misses = level.cache_info().misses
-        for key in compared:
-            level(*key)
-        assert level.cache_info().misses == misses
-    # levels 16, 24 and 32 up to m = 24, then 32 and 48
-    assert sorted(pts for _, pts in seen) == [16, 24, 32, 48]
-    assert misses == len(seen)
+    rc = stieltjes_recurrence(s, 13)
+    # 16 panels at levels 16 and 24, which agree at m = 13
+    assert runs == [(16 * 16, 13), (16 * 24, 13)]
+    runs.clear()
+    assert stieltjes_recurrence(np.float64(s), np.int64(13)) is rc
+    assert runs == []
+    with pytest.raises(ValueError, match="read-only"):
+        rc.alpha[0] = 0.0
+    # a bool m is not the size 1, though True == 1 and the two hash alike
+    stieltjes_recurrence(s, 1)
+    with pytest.raises(DomainError, match="m must be a positive integer"):
+        stieltjes_recurrence(s, True)
+    assert runs == [(16 * 16, 1), (16 * 24, 1)]
 
 
 def test_threaded_calls_on_one_weight_give_the_serial_bits():
-    # more threads than cores share one weight's Lanczos runs, with
+    # more threads than cores share one weight's cached rules, with
     # thread switches forced often; each thread works through the m
     # values in its own order until a deadline
     s = -math.sqrt(15.0)
@@ -544,9 +514,9 @@ def test_threaded_calls_on_one_weight_give_the_serial_bits():
                     if not (np.array_equal(rc.alpha, serial[m].alpha)
                             and np.array_equal(rc.beta, serial[m].beta)):
                         failures.append(m)
-                # a call on another weight evicts runs from the cache
-                # under the others' feet
-                stieltjes_recurrence(float(seed), 6)
+                # a cache cleared under the others' feet makes them
+                # build rules concurrently
+                quadrature._recurrence.cache_clear()
         except Exception as exc:  # reported by the main thread
             failures.append(exc)
 
