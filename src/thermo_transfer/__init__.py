@@ -27,7 +27,8 @@ from .nystrom import (DominantEig, LogKernel, NystromMatrix, assemble,
                       dominant_eigenvalue, fredholm_det)
 from .quadrature import (QuadratureRule, RecurrenceCoefficients, TensorRule,
                          gauss_hermite_rescaled, golub_welsch,
-                         stieltjes_recurrence, tensor_product)
+                         stieltjes_recurrence, stieltjes_rule,
+                         tensor_product)
 from .specfun import erfc, i0_scaled, i1_scaled, log_i0
 from .thermo import (SweepResult, SweepSpec, dnls_observables, fd_derivative,
                      free_energy_sweep, particle_chain_observables)
@@ -46,7 +47,7 @@ __all__ = [
     "assemble", "dominant_eigenvalue", "fredholm_det",
     "QuadratureRule", "RecurrenceCoefficients", "TensorRule",
     "gauss_hermite_rescaled", "golub_welsch", "stieltjes_recurrence",
-    "tensor_product",
+    "stieltjes_rule", "tensor_product",
     "erfc", "i0_scaled", "i1_scaled", "log_i0",
     "SweepResult", "SweepSpec", "dnls_observables", "fd_derivative",
     "free_energy_sweep", "particle_chain_observables",

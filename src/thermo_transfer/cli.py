@@ -160,6 +160,34 @@ def parse_config_text(text):
     return values
 
 
+def _flag(name):
+    return "--" + _SPELLING.get(name, name).replace("_", "-")
+
+
+# argparse takes a token such as -1e-3 or -inf for an option, not a
+# value, unless it is joined to its flag; a float flag's next token
+# that float() reads is joined as --flag=value
+_FLOAT_FLAGS = {_flag(n) for n, f in _SETTINGS.items() if f.type is float}
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv):
+    joined = []
+    for tok in argv:
+        if joined and joined[-1] in _FLOAT_FLAGS and _is_float(tok):
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    return joined
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="thermo-transfer",
@@ -170,8 +198,7 @@ def _parser():
     for name, f in _SETTINGS.items():
         # a bool flag alone means true
         switch = {"nargs": "?", "const": True} if f.type is bool else {}
-        parser.add_argument("--" + _SPELLING.get(name, name).replace("_", "-"),
-                            dest=name, type=_converter(name),
+        parser.add_argument(_flag(name), dest=name, type=_converter(name),
                             choices=_CHOICES.get(name), help=_HELP.get(name),
                             **switch)
     return parser
@@ -182,7 +209,8 @@ def build_config(argv=None, config_file_text=None):
 
     Precedence: explicit flag > config file entry > RunConfig default.
     """
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_join_float_values(
+        sys.argv[1:] if argv is None else argv))
     if config_file_text is None and args.config:
         try:
             with open(args.config) as fh:

@@ -35,7 +35,7 @@ defocusing DNLS chain in polar coordinates (amplitudes rho >= 0):
             y = rho sqrt(beta g) is e^{sigma(s)} / sqrt(beta g) times
             e^{-y^2/2 - s y - sigma(s)} dy, s = -mu sqrt(beta/g),
             sigma(s) = s^2/2 for s < 0 and 0 otherwise: the rule at
-            (g, mu, beta) is the unit rule of s (`stieltjes_recurrence`)
+            (g, mu, beta) is the unit rule of s (`stieltjes_rule`)
             with its nodes divided by sqrt(beta g)
     log k(rho, rho') = log 2pi + log I0(beta sqrt(rho rho'))
                         - beta (rho+rho')/2
@@ -118,11 +118,12 @@ from .nystrom import (_LOG_MAX, LogKernel, NystromMatrix, _check_log_entries,
                       dominant_eigenvalue)
 from .specfun import i0_scaled, i1_scaled, log_i0
 from .quadrature import (QuadratureRule, _check_m, _unit_hermite,
-                         gauss_hermite_rescaled, golub_welsch,
-                         stieltjes_recurrence)
+                         gauss_hermite_rescaled, stieltjes_rule)
 # unused here; kept because the benchmark tracer wraps models.assemble,
-# models.tensor_product and models.truncated_gaussian_normalization
+# models.golub_welsch, models.stieltjes_recurrence, models.tensor_product
+# and models.truncated_gaussian_normalization
 from .nystrom import assemble  # noqa: F401
+from .quadrature import golub_welsch, stieltjes_recurrence  # noqa: F401
 from .quadrature import tensor_product  # noqa: F401
 from .quadrature import truncated_gaussian_normalization  # noqa: F401
 
@@ -412,8 +413,11 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
         raise DomainError(
             f"the chain's Gauss weight needs eta + 4 gamma > 0, "
             f"got eta={eta!r}, gamma={gamma!r}")
-    c = np.sqrt(eta * (eta + 4.0 * gamma))
-    rule = gauss_hermite_rescaled(m, betas * c)
+    with np.errstate(over="ignore"):
+        # a precision a double cannot hold is named by the rule's check
+        c = np.sqrt(eta * (eta + 4.0 * gamma))
+        prec = betas * c
+    rule = gauss_hermite_rescaled(m, prec)
     # in the unit nodes x = q sqrt(beta c) the coupling has no beta in it:
     # log K0 = -gamma (x - x')^2 / (2c); log d holds the half log-weight,
     # the site shift (c - eta) x^2 / (4c) and the anharmonic terms
@@ -509,26 +513,34 @@ def _dnls_solve(g, mu_c, betas, m):
     """(F, T, its DominantEig, (k, x, d)) of the m-point DNLS chain at each
     beta of a 1-D array: T_ij = d_i k_ij e^{-x_ij} I0(x_ij) d_j, one
     (B, m, m) stack and one stacked eigensolve.  The Stieltjes rule is
-    the unit rule of s = -mu sqrt(beta/g), built per beta, with its
+    the cached unit rule of s = -mu sqrt(beta/g), one per beta, with its
     nodes divided by sqrt(beta g); the rules are stacked as T.rule."""
     DnlsParams(g, mu_c)  # the domain check of the raw route
-    s = -mu_c * np.sqrt(betas / g)
+    # valid params and beta may still give an s, nodes or kernel values
+    # a double cannot hold; each is named by the typed check below it
+    # (stieltjes_rule's, i0_scaled's or the rule's), with no numpy
+    # warning first: s is formed in Python floats, which do not warn
+    g, mu_c = float(g), float(mu_c)
+    s = np.empty(betas.size)
     nodes = np.empty((betas.size, m))
     weights = np.empty((betas.size, m))
-    for k in range(betas.size):
-        rule = golub_welsch(stieltjes_recurrence(float(s[k]), m))
-        nodes[k], weights[k] = rule.nodes, rule.weights
-    nodes /= np.sqrt(betas * g)[:, None]
-    # with u = sqrt(rho), beta (rho + rho')/2 = beta (u - u')^2/2 + x and
-    # x = beta u u', so k = 2 pi e^{-beta (u - u')^2/2}, e^{-x} I0(x) and
-    # d = sqrt(w) are each at most 2 pi: no entry overflows, and every
-    # factor, so T, is exactly symmetric
-    u, d = np.sqrt(nodes), np.sqrt(weights)
-    beta = betas[:, None, None]
-    x = beta * (u[:, :, None] * u[:, None, :])
-    k = 2.0 * math.pi * np.exp(-0.5 * beta * (u[:, :, None] - u[:, None, :]) ** 2)
-    T = NystromMatrix(d[:, :, None] * d[:, None, :] * (k * i0_scaled(x)),
-                      QuadratureRule(nodes, weights))
+    for i, b in enumerate(betas.tolist()):
+        s[i] = s_i = -mu_c * math.sqrt(b / g)
+        rule = stieltjes_rule(s_i, m)
+        nodes[i], weights[i] = rule.nodes, rule.weights
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        nodes /= np.sqrt(betas * g)[:, None]
+        # with u = sqrt(rho), beta (rho + rho')/2 = beta (u - u')^2/2 + x
+        # and x = beta u u', so k = 2 pi e^{-beta (u - u')^2/2},
+        # e^{-x} I0(x) and d = sqrt(w) are each at most 2 pi: no entry
+        # overflows, and every factor, so T, is exactly symmetric
+        u, d = np.sqrt(nodes), np.sqrt(weights)
+        beta = betas[:, None, None]
+        x = beta * (u[:, :, None] * u[:, None, :])
+        k = 2.0 * math.pi * np.exp(
+            -0.5 * beta * (u[:, :, None] - u[:, None, :]) ** 2)
+        entries = d[:, :, None] * d[:, None, :] * (k * i0_scaled(x))
+    T = NystromMatrix(entries, QuadratureRule(nodes, weights))
     eig = dominant_eigenvalue(T)
     mbf = (np.log(eig.lambda1) + 0.5 * np.minimum(s, 0.0) ** 2
            - 0.5 * np.log(betas * g))
@@ -544,7 +556,8 @@ def dnls_free_energy(p, beta, m):
 
     The quadrature rule depends on (g, mu, beta) only through
     s = -mu sqrt(beta/g); a recent call at the same s and m left its
-    recurrence in a cache (see `quadrature`).
+    finished Gauss rule in a cache (see `quadrature`), so this call
+    builds no rule.
     """
     return _point(p, beta, m)[0]
 

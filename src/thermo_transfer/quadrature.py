@@ -20,10 +20,13 @@ recurrence of the monic orthogonal polynomials, and
 w_i = beta_0 * (first eigenvector component)^2.  Only that construction needs SciPy, which it imports on
 first use, so the Hermite-only chain and cylinder run on numpy alone.
 
-A DNLS rule is a pure function of (s, m), built anew on a miss of one
-`functools.lru_cache` of finished rules that `stieltjes_recurrence`
-reads after checking s and m; its bits do not depend on the calls
-before it, and its arrays are read-only because its callers share them.
+A DNLS rule is a pure function of (s, m).  One `functools.lru_cache`,
+read by `stieltjes_recurrence` and `stieltjes_rule` after they check s
+and m, holds the finished Gauss rules: each entry is the recurrence and
+its Golub-Welsch nodes and weights, built together on a miss, so a hit
+runs neither Lanczos nor Golub-Welsch.  The bits of an entry do not
+depend on the calls before it, and its arrays are read-only because
+its callers share them.
 """
 
 import functools
@@ -43,6 +46,7 @@ __all__ = [
     "TensorRule",
     "gauss_hermite_rescaled",
     "stieltjes_recurrence",
+    "stieltjes_rule",
     "golub_welsch",
     "tensor_product",
     "truncated_gaussian_normalization",
@@ -60,8 +64,9 @@ _TAIL_SIGMAS = 12.0
 # on through the two-level agreement check, building each level anew.
 _PANEL_POINTS = (16, 24, 32, 48, 64, 96, 128)
 
-# finished DNLS rules held, each 2m doubles: the accuracy ladder climbs
-# 18 (s, m) pairs per pass and the shipped DNLS sweep has 64 rows
+# finished DNLS rules held, each 4m doubles (the recurrence, the nodes
+# and the weights): the accuracy ladder climbs 18 (s, m) pairs per pass
+# and the shipped DNLS sweep has 64 rows
 _RULE_CACHE = 128
 
 # the most points a tensor rule may have: a dense matrix on the product
@@ -342,8 +347,9 @@ def _level(s, pts, m):
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE)
-def _recurrence(s, m):
-    # the refinement of stieltjes_recurrence on checked (float s, int m)
+def _stieltjes(s, m):
+    # (recurrence, Gauss rule) of the refinement of stieltjes_recurrence
+    # on checked (float s, int m); both hold read-only arrays
     prev = None
     for pts in [n for n in _PANEL_POINTS if n >= min(m, 32)]:
         alpha, beta = _level(s, pts, m)
@@ -353,11 +359,22 @@ def _recurrence(s, m):
             scale = max(1.0, abs(alpha).max(), beta.max())
             if resid <= 1e-14 * scale:
                 alpha.flags.writeable = beta.flags.writeable = False
-                return RecurrenceCoefficients(alpha, beta)
+                rc = RecurrenceCoefficients(alpha, beta)
+                rule = golub_welsch(rc)
+                rule.nodes.flags.writeable = False
+                rule.weights.flags.writeable = False
+                return rc, rule
         prev = (alpha, beta)
     raise ConvergenceError(
         "Stieltjes discretization did not stabilize to 1e-14 "
         f"(last coefficient change {resid:.3e})", residual=float(resid))
+
+
+def _stieltjes_key(s, m):
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
+    _check_m(m)
+    return float(s), int(m)
 
 
 def stieltjes_recurrence(s, m):
@@ -385,14 +402,24 @@ def stieltjes_recurrence(s, m):
     with at least min(m, 32) points, until two consecutive levels agree
     to 1e-14.
 
-    s and m are checked first; then the rule is looked up by
-    (float(s), int(m)) in a cache of the last 128 finished rules, whose
-    read-only arrays its callers share, or built with every level anew.
+    s and m are checked first; then the recurrence is looked up by
+    (float(s), int(m)) in a cache of the last 128 finished Gauss rules
+    (`stieltjes_rule`), whose read-only arrays its callers share, or
+    built with every level anew, together with its rule.
     """
-    if not math.isfinite(s):
-        raise DomainError(f"s must be finite, got {s!r}")
-    _check_m(m)
-    return _recurrence(float(s), int(m))
+    return _stieltjes(*_stieltjes_key(s, m))[0]
+
+
+def stieltjes_rule(s, m):
+    """The m-point Gauss rule of the unit DNLS weight of parameter s.
+
+    golub_welsch of `stieltjes_recurrence(s, m)`, bit for bit, built
+    once per cache entry: s and m are checked first, and the rule comes
+    from the same cache of the last 128 (s, m) pairs as the recurrence,
+    so a hit runs no Lanczos and no Golub-Welsch.  Its nodes and
+    weights are read-only, since its callers share them.
+    """
+    return _stieltjes(*_stieltjes_key(s, m))[1]
 
 
 def tensor_product(base, dimension):

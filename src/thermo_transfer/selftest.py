@@ -45,7 +45,7 @@ def suite_quadrature():
         if not (_close(rc.beta[0], mass, 1e-13)
                 and _close(rc.alpha[0], math.exp(-sigma) / mass - s, 1e-13)):
             fails.append(f"DNLS unit rule mass or mean off at s={s:g}")
-        if np.any(quadrature.golub_welsch(rc).nodes <= 0.0):
+        if np.any(quadrature.stieltjes_rule(s, 8).nodes <= 0.0):
             fails.append(f"DNLS unit rule has nodes outside (0, inf) at s={s:g}")
     # far below zero the weight is a Gaussian centred at -s, so the grid,
     # Lanczos and refinement must give the Hermite recurrence shifted by -s
@@ -122,7 +122,7 @@ def suite_thermo():
         fails.append("DNLS energy disagrees with d(beta F)/dbeta + mu density")
     # a cleared rule cache between the solves, so the second rebuilds it
     first = models.dnls_free_energy(dp, 1.0, 10)
-    quadrature._recurrence.cache_clear()
+    quadrature._stieltjes.cache_clear()
     if models.dnls_free_energy(dp, 1.0, 10) != first:
         fails.append("rebuilt DNLS rule not bit-identical")
     # concavity of beta*F on a coarse grid, all three models; the grid

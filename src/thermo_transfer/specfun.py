@@ -40,9 +40,11 @@ def erfc(x):
 
 def _scaled_bessel(fn, name, x):
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} expects finite arguments")
-    if np.any(arr < 0.0):
+    # one test, written so that nan and +-inf fail; the message is
+    # worked out only on failure
+    if not ((arr >= 0.0) & (arr < math.inf)).all():
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} expects finite arguments")
         raise DomainError(f"{name} is defined for x >= 0")
     out = fn(arr)
     return float(out) if np.ndim(x) == 0 else out

@@ -77,10 +77,20 @@ def test_sweep_rows_equal_one_point_routes(monkeypatch, model, rows, threads):
                 assert res.observables[name][i] == value, (name, beta)
 
 
+def _count_golub_welsch(monkeypatch):
+    # the mass beta_0 of each recurrence Golub-Welsch turns into a rule;
+    # it is a strictly monotone function of s
+    real = quadrature.golub_welsch
+    masses = []
+    monkeypatch.setattr(quadrature, "golub_welsch",
+                        lambda rc: masses.append(rc.beta[0]) or real(rc))
+    return masses
+
+
 def test_mu0_sweep_builds_each_refinement_level_once(monkeypatch):
     # at mu = 0 every beta has s = 0, so one rule, built from one Lanczos
-    # run per refinement level it compares, serves the whole sweep; its
-    # rows are the one-point routes'
+    # run per refinement level it compares and one Golub-Welsch, serves
+    # the whole sweep; its rows are the one-point routes'
     real = quadrature._lanczos
     built = []
 
@@ -89,7 +99,8 @@ def test_mu0_sweep_builds_each_refinement_level_once(monkeypatch):
         return real(x, w, m)
 
     monkeypatch.setattr(quadrature, "_lanczos", spy)
-    quadrature._recurrence.cache_clear()
+    rules = _count_golub_welsch(monkeypatch)
+    quadrature._stieltjes.cache_clear()
     p = DnlsParams(g=1.0, mu_c=0.0)
     grid = np.geomspace(0.1, 30.0, 64)
     res = free_energy_sweep(SweepSpec(params=p, beta_grid=grid, m=20,
@@ -103,6 +114,22 @@ def test_mu0_sweep_builds_each_refinement_level_once(monkeypatch):
         assert res.observables["energy"][i] == energy
     # the one-point solves read the same cached rule
     assert len(built) == 2
+    assert len(rules) == 1
+
+
+def test_two_dnls_sweeps_build_each_rule_once(monkeypatch):
+    # the (s, m) cache holds the finished Gauss rules: across two sweeps
+    # whose grids share four betas, Golub-Welsch runs once per (s, m)
+    masses = _count_golub_welsch(monkeypatch)
+    quadrature._stieltjes.cache_clear()
+    first = free_energy_sweep(SweepSpec(params=DNLS, beta_grid=GRID, m=10,
+                                        observables=True))
+    assert len(masses) == GRID.size
+    grid = np.append(GRID[::2], 7.5)
+    second = free_energy_sweep(SweepSpec(params=DNLS, beta_grid=grid, m=10))
+    assert len(masses) == GRID.size + 1
+    assert len(set(masses)) == len(masses)
+    assert np.array_equal(second.free_energy[:-1], first.free_energy[::2])
 
 
 def test_block_size_caps_matrix_entries(monkeypatch):
@@ -243,15 +270,15 @@ def test_non_finite_assembly_names_beta_and_node_pair(monkeypatch):
 def test_rule_failure_names_its_grid_point(monkeypatch):
     # the Stieltjes rule of row K's s does not stabilize
     s_k = float(-DNLS.mu_c * np.sqrt(GRID[K:K + 1] / DNLS.g)[0])
-    real = models.stieltjes_recurrence
+    real = models.stieltjes_rule
 
-    def stieltjes_recurrence(s, m):
+    def stieltjes_rule(s, m):
         if s == s_k:
             raise ConvergenceError("Stieltjes discretization did not stabilize",
                                    residual=3e-13)
         return real(s, m)
 
-    monkeypatch.setattr(models, "stieltjes_recurrence", stieltjes_recurrence)
+    monkeypatch.setattr(models, "stieltjes_rule", stieltjes_rule)
     error = _assert_names_its_grid_point(
         monkeypatch, DNLS, 10, K, "Stieltjes discretization did not stabilize")
     assert isinstance(error, ConvergenceError) and error.residual == 3e-13
@@ -300,7 +327,7 @@ EDGE_POINTS = {
 def test_one_point_failure_is_the_one_row_sweep_failure(monkeypatch, case):
     route, params, beta, m, rule = EDGE_POINTS[case]
     if rule is not None:
-        monkeypatch.setattr(models, "stieltjes_recurrence", rule)
+        monkeypatch.setattr(models, "stieltjes_rule", rule)
     # a warning on the way (numpy's on a nan vector) fails the test
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -344,7 +371,6 @@ COMPUTED_EDGES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(COMPUTED_EDGES))
 def test_a_failure_below_the_checks_is_named_by_its_grid_point(case):
     route, params, beta, m, cause = COMPUTED_EDGES[case]

@@ -5,6 +5,7 @@ tests that need a fresh interpreter: two smoke tests for the installed
 console script and the cold-start check of which modules a run loads.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -113,6 +114,44 @@ def test_flag_overrides_config_file():
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+# every float setting and its flag
+FLOAT_FLAGS = {"beta_start": "--beta-start", "beta_stop": "--beta-stop",
+               "eta": "--eta", "mu3": "--mu3", "lam": "--lambda",
+               "gamma": "--gamma", "g": "--g", "mu": "--mu", "ax": "--ax",
+               "ay": "--ay"}
+
+
+def test_float_flags_are_every_float_setting():
+    assert set(FLOAT_FLAGS) == {f.name for f in dataclasses.fields(RunConfig)
+                                if f.type is float}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_FLAGS))
+def test_float_flag_takes_any_signed_spelling(name):
+    # argparse alone reads -1e-3 or -inf after a flag as an option
+    flag = FLOAT_FLAGS[name]
+    for text in ("-1e-3", "-2E-1", "-3", "-.5", "-inf", "+1e2", "-1_0.5"):
+        for argv in ([flag, text], [f"{flag}={text}"]):
+            cfg = build_config(["free-energy", *argv])
+            assert getattr(cfg, name) == float(text), argv
+
+
+def test_negative_scientific_value_runs_as_its_joined_form(tmp_path, capsys):
+    outs = []
+    for flags in (["--mu", "-1e-3", "--mu3", "-2E-1"],
+                  ["--mu=-1e-3", "--mu3=-2E-1"]):
+        outs.append(tmp_path / f"{len(outs)}.csv")
+        assert cli.main(["free-energy", "--model", "dnls", "--beta-start", "1",
+                         "--beta-count", "1", "--m", "8", *flags,
+                         "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    # a token float() does not read is still no value
+    with pytest.raises(SystemExit) as exc:
+        build_config(["free-energy", "--mu", "-x"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_free_energy_csv_values(tmp_path):
@@ -280,7 +319,6 @@ def test_convergence_needs_two_sizes_for_largest_m(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("flags, cause", [
     (["--model", "dnls", "--mu", "1", "--beta-start", "1e40", "--m", "20"],
      "at beta=1e+40, m=20: Stieltjes grid at s=-1e+20 has no width"),
@@ -297,13 +335,57 @@ def test_a_failure_below_the_checks_exits_1(tmp_path, capsys, flags, cause):
     assert f"numeric failure: {cause}" in capsys.readouterr().err
 
 
+_EDGE_RUNS = """
+import json, sys
+from thermo_transfer import cli
+for flags in json.loads(sys.argv[1]):
+    rc = cli.main(["free-energy", *flags, "--beta-count", "1",
+                   "--out", sys.argv[2]])
+    assert rc == 1, flags
+"""
+
+
+def test_a_failure_below_the_checks_writes_one_stderr_line(tmp_path):
+    # valid settings whose s, nodes, kernel or precision a double cannot
+    # hold: each run's typed error is its one line on stderr, with no
+    # numpy warning (shown by default outside pytest) printed before it
+    runs = [
+        ["--model", "chain", "--eta", "1e-8", "--lambda", "1e-8",
+         "--gamma", "1e300", "--beta-start", "1e300", "--m", "30"],
+        ["--model", "cylinder", "--eta", "1e8", "--ax", "1e300",
+         "--beta-start", "1", "--m0", "8"],
+        ["--model", "dnls", "--g", "1e-300", "--mu", "1e-300",
+         "--beta-start", "1e20", "--m", "20"],
+        ["--model", "dnls", "--g", "1e300", "--mu", "-1e300",
+         "--beta-start", "1e20", "--m", "20"],
+        ["--model", "dnls", "--g", "1e-300", "--mu", "-1e300",
+         "--beta-start", "1e-300", "--m", "1"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _EDGE_RUNS, json.dumps(runs),
+         str(tmp_path / "x.csv")],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "numeric failure: at beta=1e+300, m=30: precision parameter a "
+        "must be positive, got array([inf])",
+        "numeric failure: at beta=1.0, m=8: ring mode eta_k=100000000.0: "
+        "precision parameter a must be positive, got array([inf])",
+        "numeric failure: at beta=1e+20, m=20: s must be finite, got -inf",
+        "numeric failure: at beta=1e+20, m=20: quadrature nodes must be "
+        "strictly increasing",
+        "numeric failure: at beta=1e-300, m=1: i0_scaled expects finite "
+        "arguments",
+    ]
+
+
 def test_convergence_rows_do_not_depend_on_the_m_list_order(tmp_path):
     # each order builds its rules after a different history in the
     # rule cache, and the rows must not see it
     ms = list(range(4, 17, 2))
     rows = []
     for order in (ms, ms[::-1]):
-        quadrature._recurrence.cache_clear()
+        quadrature._stieltjes.cache_clear()
         out = tmp_path / f"conv_{order[0]}.csv"
         rc = cli.main(["convergence", "--model", "dnls", "--beta-start", "15",
                        "--beta-count", "1", "--mu", "1",
@@ -569,7 +651,7 @@ def test_dnls_rule_numeric_failure_names_beta(tmp_path, capsys, monkeypatch):
     def builder(s, m):
         raise NumericError(f"injected failure at s={s!r}")
 
-    monkeypatch.setattr(models, "stieltjes_recurrence", builder)
+    monkeypatch.setattr(models, "stieltjes_rule", builder)
     rc = cli.main(["free-energy", "--model", "dnls", "--mu", "-3",
                    "--beta-start", "200", "--beta-stop", "400",
                    "--beta-count", "3", "--m", "20",

@@ -39,6 +39,7 @@ from thermo_transfer.quadrature import (
     gauss_hermite_rescaled,
     golub_welsch,
     stieltjes_recurrence,
+    stieltjes_rule,
     tensor_product,
     truncated_gaussian_normalization,
 )
@@ -420,7 +421,7 @@ def test_refinement_starts_at_a_level_sized_by_m(monkeypatch, m, first):
 
     monkeypatch.setattr(quadrature, "_composite_legendre", spy)
     # an empty cache, so that every level of this call is built
-    quadrature._recurrence.cache_clear()
+    quadrature._stieltjes.cache_clear()
     stieltjes_recurrence(-math.sqrt(15.0), m)
     schedule = [16, 24, 32, 48, 64, 96, 128]
     start = schedule.index(first)
@@ -430,7 +431,7 @@ def test_refinement_starts_at_a_level_sized_by_m(monkeypatch, m, first):
 
 def fresh_recurrence(s, m):
     # the coefficients of a call that finds no cached rule
-    quadrature._recurrence.cache_clear()
+    quadrature._stieltjes.cache_clear()
     return stieltjes_recurrence(s, m)
 
 
@@ -475,7 +476,7 @@ def test_a_repeated_rule_runs_no_lanczos(monkeypatch):
     runs = []
     monkeypatch.setattr(quadrature, "_lanczos",
                         lambda x, w, m: runs.append((x.size, m)) or real(x, w, m))
-    quadrature._recurrence.cache_clear()
+    quadrature._stieltjes.cache_clear()
     s = -math.sqrt(15.0)
     rc = stieltjes_recurrence(s, 13)
     # 16 panels at levels 16 and 24, which agree at m = 13
@@ -492,6 +493,39 @@ def test_a_repeated_rule_runs_no_lanczos(monkeypatch):
     assert runs == [(16 * 16, 1), (16 * 24, 1)]
 
 
+@pytest.mark.parametrize("m", [1, 13])
+def test_a_cached_rule_is_golub_welsch_of_its_recurrence(monkeypatch, m):
+    # the (s, m) cache holds the Gauss rule: Golub-Welsch runs once on a
+    # miss and not on a hit, the arrays are read-only, and a cleared
+    # cache rebuilds the same bits
+    real = quadrature.golub_welsch
+    built = []
+    monkeypatch.setattr(quadrature, "golub_welsch",
+                        lambda rc: built.append(len(rc)) or real(rc))
+    quadrature._stieltjes.cache_clear()
+    s = -math.sqrt(15.0)
+    rule = stieltjes_rule(s, m)
+    rc = stieltjes_recurrence(s, m)
+    assert stieltjes_rule(np.float64(s), np.int64(m)) is rule
+    assert built == [m]
+    expect = real(rc)
+    assert rule.nodes.tobytes() == expect.nodes.tobytes()
+    assert rule.weights.tobytes() == expect.weights.tobytes()
+    for values in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+    quadrature._stieltjes.cache_clear()
+    again = stieltjes_rule(s, m)
+    assert again is not rule and built == [m, m]
+    assert again.nodes.tobytes() == rule.nodes.tobytes()
+    assert again.weights.tobytes() == rule.weights.tobytes()
+    # checked before the cache, as stieltjes_recurrence is
+    with pytest.raises(DomainError, match="s must be finite"):
+        stieltjes_rule(math.nan, m)
+    with pytest.raises(DomainError, match="m must be a positive integer"):
+        stieltjes_rule(s, True)
+
+
 def test_threaded_calls_on_one_weight_give_the_serial_bits():
     # more threads than cores share one weight's cached rules, with
     # thread switches forced often; each thread works through the m
@@ -499,6 +533,7 @@ def test_threaded_calls_on_one_weight_give_the_serial_bits():
     s = -math.sqrt(15.0)
     ms = [3, 40, 12, 25, 7, 33, 18, 1, 40, 16, 24, 9]
     serial = {m: fresh_recurrence(s, m) for m in set(ms)}
+    rules = {m: stieltjes_rule(s, m) for m in set(ms)}
     threads = (os.cpu_count() or 1) + 2
     deadline = time.monotonic() + 2.0
     failures, calls = [], []
@@ -510,13 +545,17 @@ def test_threaded_calls_on_one_weight_give_the_serial_bits():
             while time.monotonic() < deadline:
                 for m in order:
                     rc = stieltjes_recurrence(s, m)
+                    rule = stieltjes_rule(s, m)
                     calls.append(m)
                     if not (np.array_equal(rc.alpha, serial[m].alpha)
-                            and np.array_equal(rc.beta, serial[m].beta)):
+                            and np.array_equal(rc.beta, serial[m].beta)
+                            and np.array_equal(rule.nodes, rules[m].nodes)
+                            and np.array_equal(rule.weights,
+                                               rules[m].weights)):
                         failures.append(m)
                 # a cache cleared under the others' feet makes them
                 # build rules concurrently
-                quadrature._recurrence.cache_clear()
+                quadrature._stieltjes.cache_clear()
         except Exception as exc:  # reported by the main thread
             failures.append(exc)
 
