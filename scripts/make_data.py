@@ -23,7 +23,6 @@ RUNS = [
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default="results")
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
 
     cfg_dir = pathlib.Path(__file__).parent / "configs"
@@ -33,8 +32,6 @@ def main():
     for subcommand, cfg, out in RUNS:
         cmd = [sys.executable, "-m", "thermo_transfer.cli", subcommand,
                "--config", str(cfg_dir / cfg), "--out", str(out_dir / out)]
-        if args.threads is not None:
-            cmd += ["--threads", str(args.threads)]
         print("+", " ".join(cmd))
         rc = subprocess.call(cmd)
         if rc != 0:

@@ -15,7 +15,9 @@ Each field of `RunConfig` is one setting, declared once: its type
 converts both its flag's text and its entry in a flat `key = value`
 config file (--config).  Every subcommand takes the same flags and keys
 and ignores those it does not read; explicit flags win over file
-entries.  Output is CSV with a header row, numbers printed as %.17g so
+entries.  --m is every model's quadrature size: m points per matrix,
+per ring mode for the cylinder (the paper's per-coordinate m0).
+Output is CSV with a header row, numbers printed as %.17g so
 identical configs give byte-identical files.
 Exit codes: 0 success, 1 numeric failure, 2 usage or config error.
 """
@@ -55,7 +57,6 @@ class RunConfig:
     beta_count: int = None
     log_beta: bool = False
     m: int = None
-    m0: int = None
     ly: int = 1
     eta: float = 1.0
     mu3: float = 0.0
@@ -85,8 +86,8 @@ _SPELLING = {"lam": "lambda"}
 _KEYS = {s: n for n, s in _SPELLING.items()}
 _HELP = {
     "log_beta": "geometric instead of linear beta grid",
-    "m": "quadrature points (chain, dnls)",
-    "m0": "per-coordinate quadrature points (cylinder)",
+    "m": "quadrature points per matrix, per ring mode for the cylinder "
+         "(the paper's per-coordinate m0)",
     "ly": "cylinder circumference (default 1)",
     "mu3": "cubic on-site coefficient (chain)",
     "lam": "quartic on-site coefficient (chain)",
@@ -189,9 +190,11 @@ def _join_float_values(argv):
 
 
 def _parser():
+    # full spellings only, each of which _join_float_values knows
     parser = argparse.ArgumentParser(
         prog="thermo-transfer",
-        description="Transfer-operator free energies of quasi-1D chains")
+        description="Transfer-operator free energies of quasi-1D chains",
+        allow_abbrev=False)
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", default=None,
                         help="flat `key = value` config file; flags override it")
@@ -290,11 +293,10 @@ def _run_sweep(cfg, observables):
     columns if asked for."""
     _require_out(cfg)
     model = _model(cfg)
-    size = getattr(cfg, model.size)
-    if size is None:
-        raise UsageError(f"--{model.size} is required for model {model.name!r}")
+    if cfg.m is None:
+        raise UsageError("--m is required")
     spec = SweepSpec(params=_params(cfg, model), beta_grid=_beta_grid(cfg),
-                     m=size, observables=observables)
+                     m=cfg.m, observables=observables)
     result = free_energy_sweep(spec, threads=cfg.threads)
     names, cols = result.columns()
     _write_csv(cfg.out, names, cols)
@@ -331,7 +333,7 @@ def run_convergence(cfg):
     if not cfg.m_list:
         raise UsageError("--m-list is required for the convergence subcommand")
     beta = cfg.beta_start
-    # quadrature sizes come from --m-list here, so --m/--m0 is not needed
+    # quadrature sizes come from --m-list here, so --m is not needed
     params = _params(cfg, _model(cfg))
     ms = list(cfg.m_list)
     repeated = sorted({m for m in ms if ms.count(m) > 1})

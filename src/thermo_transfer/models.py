@@ -63,7 +63,7 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
     bonds give -beta a_x |y - y'|^2 / 2.  Both factor over k, so the
     transfer operator is the tensor product of harmonic chains
     (on-site eta_k, coupling a_x), each solved as the chain above on
-    its own m0-point rule of precision beta sqrt(eta_k (eta_k + 4 a_x)),
+    its own m-point rule of precision beta sqrt(eta_k (eta_k + 4 a_x)),
     and lambda_1 = prod_k lambda_1(T_k):
     -beta F = (1/L_y) sum_k [log(2 pi / beta) - log(c_k)/2
                              + log lambda_1(T_k)],
@@ -74,9 +74,11 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
     most `_BLOCK_ENTRIES` entries, and beta F(beta) = F(1) + log beta.
 
 Each params class is its model.  Class attributes give its CLI
-`name`, its size flag `size` ("m" or "m0"), its `observables` (a row's
-observable columns, in order) and `reference_zero`, the field that is
-0 in its factorized limit.  `block(betas, m, observables=True)` returns
+`name`, its `observables` (a row's observable columns, in order) and
+`reference_zero`, the field that is 0 in its factorized limit.  Every
+model's quadrature size is m: m points per matrix, per ring mode for
+the cylinder (the paper's per-coordinate m0, whose m0^L_y-point
+tensor grid is never built).  `block(betas, m, observables=True)` returns
 F and {column: values} at each beta of a 1-D array from one stacked
 solve (`_chain_solve`, `_dnls_solve`; the `_raw` routes give F alone).
 A sweep's block and every one-point route go through `_solve_block`,
@@ -223,7 +225,7 @@ def _point(p, beta, m, observables=False):
     """F and {column: value} of p's model at one beta, solved as a block
     of one, so a point gives the same bits and errors as inside a sweep."""
     _check_beta(beta)
-    _check_m(m, p.size)
+    _check_m(m)
     f, values = _solve_block(p, np.array([beta], dtype=float), int(m),
                              observables)
     return float(f[0]), {k: float(v[0]) for k, v in values.items()}
@@ -239,7 +241,6 @@ class ParticleChainParams:
     """
 
     name = "chain"
-    size = "m"
     observables = ("stretch_sq", "energy")
     reference_zero = "gamma"
 
@@ -303,7 +304,6 @@ class DnlsParams:
     """g: defocusing coupling (> 0), mu_c: chemical potential."""
 
     name = "dnls"
-    size = "m"
     observables = ("energy", "density")
     reference_zero = None
 
@@ -343,7 +343,6 @@ class CylinderParams:
     """eta: on-site precision, ax/ay: couplings along/around, ly: circumference."""
 
     name = "cylinder"
-    size = "m0"
     observables = ()
     reference_zero = "ax"
 
@@ -361,13 +360,13 @@ class CylinderParams:
                 f"couplings must be >= 0, got ax={self.ax!r}, ay={self.ay!r}")
         _check_m(self.ly, "ly")
 
-    def block(self, betas, m0, observables=True):
+    def block(self, betas, m, observables=True):
         """F at each beta of a block from one stacked solve at beta = 1:
         one harmonic chain per distinct eta_k, the stack axis, and
         beta F = F(1) + log beta; no observables."""
         etas, counts = np.unique(_ring_spectrum(self), return_counts=True)
-        rows = _block_rows(m0)
-        f1 = np.concatenate([_ring_modes(etas[i:i + rows], self.ax, m0)
+        rows = _block_rows(m)
+        f1 = np.concatenate([_ring_modes(etas[i:i + rows], self.ax, m)
                              for i in range(0, etas.size, rows)])
         return (counts @ f1 / self.ly + np.log(betas)) / betas, {}
 
@@ -589,12 +588,12 @@ def cylinder_log_kernel(p, beta):
     return LogKernel(logk)
 
 
-def _ring_modes(etas, ax, m0):
+def _ring_modes(etas, ax, m):
     """F at beta = 1 of the harmonic chain of each ring mode eta_k, as
     one stack.  A numeric failure solves the modes again one at a time
     and names the first that fails alone; it holds at every beta of the
     block, so `_solve_block` names the block's first beta."""
-    solve = lambda e: _chain_solve(e, 0.0, 0.0, ax, np.ones(e.size), m0)[0]
+    solve = lambda e: _chain_solve(e, 0.0, 0.0, ax, np.ones(e.size), m)[0]
     try:
         return solve(etas)
     except _FAILURES as exc:
@@ -610,21 +609,21 @@ def _ring_spectrum(p):
     return p.eta + p.ay * (2.0 - 2.0 * np.cos(2.0 * math.pi * wave / p.ly))
 
 
-def cylinder_free_energy(p, beta, m0):
+def cylinder_free_energy(p, beta, m):
     """Per-site free energy of the cylinder, one harmonic chain per ring mode.
 
-    The mean over ring Fourier modes k of the m0-point harmonic-chain
+    The mean over ring Fourier modes k of the m-point harmonic-chain
     free energy with on-site eta + a_y Lambda_k and coupling a_x (see
-    the module docstring), solved at beta = 1 as one stack of m0 x m0
+    the module docstring), solved at beta = 1 as one stack of m x m
     matrices, one per distinct eta_k (modes k and ly - k share one),
-    and scaled by beta F(beta) = F(1) + log beta.  At ax = 0 the kernel
-    is constant and every m0 gives the ring determinant to round-off;
-    at ly = 1 this is the harmonic chain itself.  Each mode's weight is
-    its coupling-matched Gaussian, so at ax > 0 the error falls from
-    7.5e-6 at m0 = 3 to round-off by m0 = 8 (eta = 1, ax = 0.5,
-    ay = 0.2, ly = 3, beta = 1).
+    and scaled by beta F(beta) = F(1) + log beta.  m is the paper's
+    per-coordinate m0.  At ax = 0 the kernel is constant and every m
+    gives the ring determinant to round-off; at ly = 1 this is the
+    harmonic chain itself.  Each mode's weight is its coupling-matched
+    Gaussian, so at ax > 0 the error falls from 7.5e-6 at m = 3 to
+    round-off by m = 8 (eta = 1, ax = 0.5, ay = 0.2, ly = 3, beta = 1).
     """
-    return _point(p, beta, m0)[0]
+    return _point(p, beta, m)[0]
 
 
 def reference_cylinder(p, beta):

@@ -13,8 +13,8 @@ stack as a bounded product d_i K_ij d_j (see `models`), and
 `assemble` with the `*_log_kernel` functions is the tests'
 independent reference only.  The chain's log
 entries go through `assemble`'s check only when a bound says an entry
-may overflow.  Each model's matrix has m rows (m0 for the cylinder,
-solved as one chain per ring Fourier mode), a few dozen in practice,
+may overflow.  Each model's matrix has m rows (for the cylinder, one
+m-row chain per ring Fourier mode), a few dozen in practice,
 so the dominant pair comes from two dense steps: lambda_1 is the top
 of the eigenvalues, and the Perron vector is one step of inverse
 iteration, a solve of (sigma I - T) x = T 1 with sigma 16 ulps above

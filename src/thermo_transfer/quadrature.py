@@ -164,7 +164,7 @@ class TensorRule:
 
 
 def _check_m(m, name="m"):
-    # the one check of a size: m, the cylinder's m0 or its ly; a bool
+    # the one check of a size: m or the cylinder's ly; a bool
     # is an int to Python but not a size
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise DomainError(f"{name} must be a positive integer, got {m!r}")
@@ -426,7 +426,7 @@ def tensor_product(base, dimension):
     """Tensor-product rule over `dimension` coordinates.
 
     `base` is either one rule used for every coordinate or a sequence
-    of `dimension` rules, one per coordinate.  The flat size (m0^dimension
+    of `dimension` rules, one per coordinate.  The flat size (m^dimension
     for a shared rule) must not exceed 8192 points (a dense matrix on
     the product grid costs size^2 floats, which is the real constraint).
     """
@@ -440,7 +440,7 @@ def tensor_product(base, dimension):
     sizes = [len(b) for b in bases]
     size = math.prod(sizes)
     if size > _TENSOR_BUDGET:
-        shape = f"m0^Ly = {sizes[0]}^{dimension}" if len(set(sizes)) == 1 \
+        shape = f"{sizes[0]}^{dimension}" if len(set(sizes)) == 1 \
             else "*".join(map(str, sizes))
         raise ResourceLimitError(
             f"tensor rule size {shape} = {size} "

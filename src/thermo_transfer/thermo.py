@@ -96,7 +96,7 @@ class SweepSpec:
         if not isinstance(self.params, tuple(MODELS.values())):
             raise DomainError(
                 f"unknown model parameter type {type(self.params).__name__}")
-        _check_m(self.m, self.params.size)
+        _check_m(self.m)
         if not isinstance(self.observables, bool):
             raise DomainError(f"observables must be True or False, "
                               f"got {self.observables!r}")

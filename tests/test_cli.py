@@ -154,6 +154,18 @@ def test_negative_scientific_value_runs_as_its_joined_form(tmp_path, capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1", "-1e-3"])
+def test_an_abbreviated_flag_is_unrecognized(capsys, value):
+    # only full spellings are flags, so every flag that takes a float is
+    # one whose signed value the parser joins
+    with pytest.raises(SystemExit) as exc:
+        build_config(["free-energy", "--gam", value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gam" in capsys.readouterr().err
+    for argv in (["--gamma", "-1e-3"], ["--gamma=-1e-3"]):
+        assert build_config(["free-energy", *argv]).gamma == -1e-3
+
+
 def test_free_energy_csv_values(tmp_path):
     out = tmp_path / "fe.csv"
     rc = cli.main([
@@ -243,9 +255,29 @@ def test_observables_columns(tmp_path, model, flags, header, positive):
     assert float(rows[0][header.index(positive)]) > 0.0
 
 
+def test_cylinder_takes_its_size_as_m(tmp_path, capsys):
+    # one size setting for every model: m points per ring mode; the
+    # retired --m0 flag and m0 config key are usage errors
+    argv = ["free-energy", "--model", "cylinder", "--beta-start", "1",
+            "--beta-count", "1", "--ax", "0.5", "--ay", "0.2", "--ly", "3",
+            "--out", str(tmp_path / "x.csv")]
+    assert cli.main([*argv, "--m", "8"]) == 0
+    _, rows = read_csv(tmp_path / "x.csv")
+    p = CylinderParams(eta=1.0, ax=0.5, ay=0.2, ly=3)
+    assert float(rows[0][1]) == cylinder_free_energy(p, 1.0, 8)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--m0", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --m0 8" in capsys.readouterr().err
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("m0 = 8\n")
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    assert "unknown key 'm0'" in capsys.readouterr().err
+
+
 def test_observables_cylinder_rejected(tmp_path, capsys):
     rc = cli.main(["observables", "--model", "cylinder", "--beta-start", "1",
-                   "--beta-count", "1", "--m0", "4", "--ly", "2",
+                   "--beta-count", "1", "--m", "4", "--ly", "2",
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert ("error: observables are not defined for the cylinder model"
@@ -353,7 +385,7 @@ def test_a_failure_below_the_checks_writes_one_stderr_line(tmp_path):
         ["--model", "chain", "--eta", "1e-8", "--lambda", "1e-8",
          "--gamma", "1e300", "--beta-start", "1e300", "--m", "30"],
         ["--model", "cylinder", "--eta", "1e8", "--ax", "1e300",
-         "--beta-start", "1", "--m0", "8"],
+         "--beta-start", "1", "--m", "8"],
         ["--model", "dnls", "--g", "1e-300", "--mu", "1e-300",
          "--beta-start", "1e20", "--m", "20"],
         ["--model", "dnls", "--g", "1e300", "--mu", "-1e300",
@@ -418,11 +450,11 @@ def test_convergence_numeric_failure_names_beta_and_m(tmp_path, capsys,
                                                       monkeypatch):
     real = CylinderParams.block
 
-    def failing(p, betas, m0, observables):
-        if m0 == 3:
+    def failing(p, betas, m, observables):
+        if m == 3:
             raise ConvergenceError("eigenvalue residual 3.000e-10",
                                    residual=3e-10)
-        return real(p, betas, m0, observables)
+        return real(p, betas, m, observables)
 
     monkeypatch.setattr(CylinderParams, "block", failing)
     rc = cli.main(["convergence", "--model", "cylinder", "--beta-start", "2",
@@ -448,16 +480,15 @@ def test_convergence_past_the_reference_overflow_is_a_numeric_failure(
                           "overflowing kernel value")
 
 
-@pytest.mark.parametrize("model, size", [("chain", "--m"),
-                                         ("cylinder", "--m0")])
+@pytest.mark.parametrize("model", ["chain", "cylinder"])
 def test_hermite_rule_beyond_numpy_is_a_numeric_failure(tmp_path, capsys,
-                                                        model, size):
+                                                        model):
     # numpy's hermegauss overflows its weight normalization from m = 371:
     # a numeric failure naming beta and m, with no numpy warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.main(["free-energy", "--model", model, "--beta-start", "1",
-                       "--beta-count", "1", size, "380", "--ly", "3",
+                       "--beta-count", "1", "--m", "380", "--ly", "3",
                        "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     err = capsys.readouterr().err
@@ -513,10 +544,12 @@ def test_missing_out_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_missing_m_is_usage_error(tmp_path):
-    rc = cli.main(["free-energy", "--model", "chain", "--beta-start", "1",
-                   "--beta-count", "1", "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
+def test_missing_m_is_usage_error(tmp_path, capsys):
+    for model in ("chain", "cylinder"):
+        rc = cli.main(["free-energy", "--model", model, "--beta-start", "1",
+                       "--beta-count", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --m is required\n"
 
 
 def test_invalid_model_choice_exits_2():
@@ -623,12 +656,12 @@ def test_tensor_budget_maps_to_numeric_failure(tmp_path, capsys, monkeypatch,
                                                error):
     # any numeric failure below the sweep exits 1 and names the grid
     # point; it is injected into the cylinder's block solve
-    def failing(p, betas, m0, observables):
+    def failing(p, betas, m, observables):
         raise error("eigenvalue residual 3.000e-10", residual=3e-10)
 
     monkeypatch.setattr(CylinderParams, "block", failing)
     rc = cli.main(["free-energy", "--model", "cylinder", "--beta-start", "1",
-                   "--beta-count", "1", "--m0", "30", "--ly", "3",
+                   "--beta-count", "1", "--m", "30", "--ly", "3",
                    "--ax", "0.1", "--ay", "0.1", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     err = capsys.readouterr().err
@@ -636,12 +669,13 @@ def test_tensor_budget_maps_to_numeric_failure(tmp_path, capsys, monkeypatch,
 
 
 def test_bad_size_names_the_model_size_flag(tmp_path, capsys):
-    # the cylinder's quadrature size is --m0, and the error says so
+    # the cylinder's quadrature size is --m, as for every model, and the
+    # error says so
     rc = cli.main(["free-energy", "--model", "cylinder", "--beta-start", "1",
-                   "--beta-count", "1", "--m0", "0", "--ly", "2",
+                   "--beta-count", "1", "--m", "0", "--ly", "2",
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert "m0 must be a positive integer, got 0" in capsys.readouterr().err
+    assert "m must be a positive integer, got 0" in capsys.readouterr().err
 
 
 def test_dnls_rule_numeric_failure_names_beta(tmp_path, capsys, monkeypatch):
@@ -744,6 +778,24 @@ loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 f = dnls_free_energy(DnlsParams(g=1.0, mu_c=1.0), 1.0, 12)
 print(json.dumps({"scipy": loaded, "dnls_f": f}))
 """
+
+
+# every checked-in config and the subcommand it is run with
+_CONFIGS = {"chain_observables.cfg": "observables",
+            "dnls_observables.cfg": "observables",
+            "cylinder_free_energy.cfg": "free-energy"}
+
+
+def test_every_checked_in_config_runs(tmp_path):
+    configs = _ROOT / "scripts" / "configs"
+    assert sorted(p.name for p in configs.iterdir()) == sorted(_CONFIGS)
+    for cfg, sub in _CONFIGS.items():
+        out = tmp_path / (cfg + ".csv")
+        assert cli.main([sub, "--config", str(configs / cfg),
+                         "--out", str(out)]) == 0, cfg
+        rows = read_csv(out)[1]
+        count = parse_config_text((configs / cfg).read_text())["beta_count"]
+        assert len(rows) == count, cfg
 
 
 def test_chain_and_cylinder_configs_run_without_scipy(tmp_path):

@@ -19,7 +19,6 @@ _CASES = {
     "beta_count": ("11", 11, "1.5"),
     "log_beta": ("true", True, "maybe"),
     "m": ("20", 20, "2.5"),
-    "m0": ("6", 6, "six"),
     "ly": ("3", 3, "3.0"),
     "eta": ("0.5", 0.5, "x"),
     "mu3": ("0.2", 0.2, "x"),

@@ -292,18 +292,18 @@ def test_gamma0_chain_is_bit_identical_to_beta_eta_rule(eta, mu3, lam, beta, m):
     assert got == f_bare
 
 
-@pytest.mark.parametrize("ly,beta,m0", [(3, 1.0, 8), (4, 2.5, 5), (1, 0.7, 3)])
-def test_ax0_cylinder_is_bit_identical_to_beta_eta_rule(ly, beta, m0):
+@pytest.mark.parametrize("ly,beta,m", [(3, 1.0, 8), (4, 2.5, 5), (1, 0.7, 3)])
+def test_ax0_cylinder_is_bit_identical_to_beta_eta_rule(ly, beta, m):
     # every ring mode is a gamma = 0 harmonic chain, solved at beta = 1 on
     # the rule of precision eta_k; the modes combine as the route combines
     # them, beta F = F(1) + log beta
     p = CylinderParams(eta=1.0, ax=0.0, ay=0.2, ly=ly)
     etas, counts = np.unique(models._ring_spectrum(p), return_counts=True)
-    f1 = np.array([bare_weight_chain_solve(eta_k, 0.0, 0.0, 0.0, 1.0, m0)[0]
+    f1 = np.array([bare_weight_chain_solve(eta_k, 0.0, 0.0, 0.0, 1.0, m)[0]
                    for eta_k in etas])
     betas = np.array([beta])
     expect = (counts @ f1 / ly + np.log(betas)) / betas
-    assert cylinder_free_energy(p, beta, m0) == expect[0]
+    assert cylinder_free_energy(p, beta, m) == expect[0]
 
 
 # --- the factored chain stack T = d_i K0_ij d_j against log space ------------
@@ -680,7 +680,7 @@ def test_cylinder_ly1_reduces_to_harmonic_chain():
     cyl = CylinderParams(eta=1.3, ax=0.8, ay=5.0, ly=1)
     chain = ParticleChainParams(eta=1.3, gamma=0.8)
     for beta in (0.5, 2.0):
-        a = cylinder_free_energy(cyl, beta, m0=20)
+        a = cylinder_free_energy(cyl, beta, m=20)
         b = particle_chain_free_energy(chain, beta, m=20)
         assert a == pytest.approx(b, rel=1e-14)
 
@@ -688,12 +688,12 @@ def test_cylinder_ly1_reduces_to_harmonic_chain():
 def test_cylinder_ax0_against_ring_determinant():
     # decoupled columns: tensor Nystrom vs the closed form; the per-mode
     # Gauss weights absorb the whole ring potential, so the integrand
-    # is constant and every m0 gives the determinant to round-off
+    # is constant and every m gives the determinant to round-off
     p = CylinderParams(eta=1.0, ax=0.0, ay=0.2, ly=3)
     ref = reference_cylinder(p, 5.0)
-    for m0 in (1, 2, 8, 12):
-        err = abs(cylinder_free_energy(p, 5.0, m0) - ref) / abs(ref)
-        assert err <= 1e-13, f"m0={m0}: rel error {err:.3e}"
+    for m in (1, 2, 8, 12):
+        err = abs(cylinder_free_energy(p, 5.0, m) - ref) / abs(ref)
+        assert err <= 1e-13, f"m={m}: rel error {err:.3e}"
 
 
 @pytest.mark.parametrize("m0", [4, 6])
@@ -822,7 +822,7 @@ def test_cylinder_free_energy_rejects_bad_arguments():
     p = CylinderParams(eta=1.0, ax=0.1, ay=0.1, ly=2)
     with pytest.raises(DomainError):
         cylinder_free_energy(p, 0.0, 5)
-    with pytest.raises(DomainError, match="m0 must"):
+    with pytest.raises(DomainError, match="m must"):
         cylinder_free_energy(p, 1.0, 0)
 
 

@@ -358,7 +358,7 @@ def test_sweep_spec_rejects_a_bool_size():
     with pytest.raises(DomainError, match="m must be a positive integer, got True"):
         SweepSpec(params=p, beta_grid=[1.0, 2.0], m=True)
     cyl = CylinderParams(eta=1.0, ax=0.1, ay=0.1, ly=2)
-    with pytest.raises(DomainError, match="m0 must be a positive integer"):
+    with pytest.raises(DomainError, match="m must be a positive integer"):
         SweepSpec(params=cyl, beta_grid=[1.0], m=True)
 
 
@@ -452,7 +452,7 @@ def test_sweep_rerun_bit_identical():
 def test_sweep_error_names_grid_point(monkeypatch):
     # a numeric failure in the model's block solve keeps its type and
     # gains the first grid point that fails alone
-    def failing(p, betas, m0, observables):
+    def failing(p, betas, m, observables):
         raise ConvergenceError("eigenvalue residual 3.000e-10", residual=3e-10)
 
     monkeypatch.setattr(CylinderParams, "block", failing)
