@@ -10,7 +10,6 @@ accuracy figure for the operator pipeline.
 """
 
 import argparse
-import csv
 import pathlib
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from thermo_transfer import (ParticleChainParams, SweepSpec,
                              free_energy_sweep,
                              reference_particle_chain_gamma0)
+from thermo_transfer.cli import _write_csv
 
 GAMMAS = (0.0, 0.5, 1.0, 2.0)
 
@@ -38,13 +38,8 @@ def main():
         spec = SweepSpec(params=p, beta_grid=betas, m=args.m,
                          observables=True)
         res = free_energy_sweep(spec)
-        names, cols = res.columns()
         path = out_dir / f"chain_gamma{gamma:g}.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(names)
-            for row in zip(*cols):
-                w.writerow(["%.17g" % x for x in row])
+        _write_csv(path, *res.columns())
         print(f"wrote {path} ({len(betas)} rows)")
 
         if gamma == 0.0:

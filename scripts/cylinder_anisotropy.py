@@ -18,13 +18,13 @@ m is the number of points per ring mode (the paper's per-coordinate m0).
 """
 
 import argparse
-import csv
 import pathlib
 
 import numpy as np
 
 from thermo_transfer import (CylinderParams, SweepSpec, cylinder_free_energy,
                              free_energy_sweep, reference_cylinder)
+from thermo_transfer.cli import _write_csv
 
 
 def swap_run(out_dir, m):
@@ -37,12 +37,9 @@ def swap_run(out_dir, m):
                       for b in betas])
 
     path = out_dir / "cylinder_swap.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["beta", "free_energy_ax0.5_ay0.2",
-                    "free_energy_ax0.2_ay0.5", "abs_gap", "closed_form_gap"])
-        for b, x, y, e in zip(betas, fa, fb, exact):
-            w.writerow(["%.17g" % v for v in (b, x, y, abs(x - y), e)])
+    _write_csv(path, ["beta", "free_energy_ax0.5_ay0.2",
+                      "free_energy_ax0.2_ay0.5", "abs_gap", "closed_form_gap"],
+               [betas, fa, fb, np.abs(fa - fb), exact])
     print(f"wrote {path}; worst abs gap {np.max(np.abs(fa - fb)):.3e} "
           f"on an F range of {fa.max() - fa.min():.2f}; it differs from the "
           f"closed form's gap by at most "

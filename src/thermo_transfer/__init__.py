@@ -23,8 +23,8 @@ from .models import (CylinderParams, DnlsParams, ParticleChainParams,
                      dnls_free_energy, dnls_log_kernel,
                      particle_chain_free_energy, particle_chain_log_kernel,
                      reference_cylinder, reference_particle_chain_gamma0)
-from .nystrom import (DominantEig, LogKernel, NystromMatrix, assemble,
-                      dominant_eigenvalue, fredholm_det)
+from .nystrom import (DominantEig, LogKernel, assemble, dominant_eigenvalue,
+                      fredholm_det)
 from .quadrature import (QuadratureRule, RecurrenceCoefficients, TensorRule,
                          gauss_hermite_rescaled, golub_welsch,
                          stieltjes_recurrence, stieltjes_rule,
@@ -43,7 +43,7 @@ __all__ = [
     "dnls_free_energy", "dnls_log_kernel",
     "particle_chain_free_energy", "particle_chain_log_kernel",
     "reference_cylinder", "reference_particle_chain_gamma0",
-    "DominantEig", "LogKernel", "NystromMatrix",
+    "DominantEig", "LogKernel",
     "assemble", "dominant_eigenvalue", "fredholm_det",
     "QuadratureRule", "RecurrenceCoefficients", "TensorRule",
     "gauss_hermite_rescaled", "golub_welsch", "stieltjes_recurrence",

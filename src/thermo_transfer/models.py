@@ -84,7 +84,8 @@ solve (`_chain_solve`, `_dnls_solve`; the `_raw` routes give F alone).
 A sweep's block and every one-point route go through `_solve_block`,
 which names a failing beta and m by solving a failed block again one
 beta at a time; a point is a block of one, so it gives the same bits
-and errors alone as inside a sweep.
+and errors alone as inside a sweep.  An F that no double holds (beta F
+/ beta below about beta = 4e-306) is a NumericError too.
 `factorized(beta)` is the reference F of the factorized limit, or None
 away from it: the gamma=0 chain and the a_x=0 cylinder factorize into
 independent single-site (single-ring) problems with closed-form or
@@ -116,7 +117,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericError
-from .nystrom import (_LOG_MAX, LogKernel, NystromMatrix, _check_log_entries,
+from .nystrom import (_LOG_MAX, LogKernel, _check_log_entries,
                       dominant_eigenvalue)
 from .specfun import i0_scaled, i1_scaled, log_i0
 from .quadrature import (QuadratureRule, _check_m, _unit_hermite,
@@ -172,6 +173,18 @@ def _check_finite(p):
             raise DomainError(f"{f.name} must be a real number, got {value!r}")
         if not math.isfinite(value):
             raise DomainError(f"{f.name} must be finite, got {value!r}")
+
+
+def _per_site(beta_f, betas):
+    # F = beta F / beta at each beta; below about beta = 4e-306 a beta F
+    # of order one gives an F no double holds, which is a NumericError
+    with np.errstate(over="ignore"):
+        f = beta_f / betas
+    if not np.isfinite(f).all():
+        k = int(np.argmin(np.isfinite(f)))
+        raise NumericError(f"the free energy per site overflows a double "
+                           f"(beta F = {float(beta_f[k])!r})")
+    return f
 
 
 def _per_beta(solve, beta):
@@ -271,8 +284,8 @@ class ParticleChainParams:
         """F and {stretch_sq, energy} at each beta of a block, from one
         stacked solve: <(q - q')^2/2>_bond and 1/beta - <mu3 q^3/12 +
         lam q^4/24>_site; observables=False skips them."""
-        f, T, eig, (k0, d) = _chain_solve(self.eta, self.mu3, self.lam,
-                                          self.gamma, betas, m)
+        f, rule, eig, (k0, d) = _chain_solve(self.eta, self.mu3, self.lam,
+                                             self.gamma, betas, m)
         if not observables:
             return f, {}
         # <(q - q')^2/2>_bond = (v d).(K0 (x - x')^2)(v d) / (2 beta c lambda_1),
@@ -285,7 +298,7 @@ class ParticleChainParams:
         ku = np.matmul(k0 * (x[:, None] - x[None, :]) ** 2, u[:, :, None])
         stretch = (np.sum(ku[:, :, 0] * u, axis=-1)
                    / (2.0 * c * betas * eig.lambda1))
-        q = T.rule.nodes
+        q = rule.nodes
         q2 = q * q
         energy = 1.0 / betas - np.sum(eig.vector * eig.vector
                                       * (self.mu3 * (q2 * q) / 12.0
@@ -320,14 +333,14 @@ class DnlsParams:
         stacked solve: <rho + g rho^2/2>_site -
         <sqrt(rho rho') I1/I0(beta sqrt(rho rho'))>_bond and <rho>_site;
         observables=False skips them."""
-        f, T, eig, (k, x, d) = _dnls_solve(self.g, self.mu_c, betas, m)
+        f, rule, eig, (k, x, d) = _dnls_solve(self.g, self.mu_c, betas, m)
         if not observables:
             return f, {}
         # the bond term is a quadratic form, since T_ij I1/I0(x_ij) =
         # d_i k_ij e^{-x} I1(x_ij) d_j and sqrt(rho rho') = x / beta: one
         # matrix-vector product per beta, so that a row has the same bits
         # in any block
-        r, site, u = T.rule.nodes, eig.vector ** 2, eig.vector * d
+        r, site, u = rule.nodes, eig.vector ** 2, eig.vector * d
         hu = np.matmul(k * x * i1_scaled(x), u[:, :, None])[:, :, 0]
         energy = (np.sum(site * (r + 0.5 * self.g * r ** 2), axis=-1)
                   - np.sum(hu * u, axis=-1) / (betas * eig.lambda1))
@@ -368,7 +381,7 @@ class CylinderParams:
         rows = _block_rows(m)
         f1 = np.concatenate([_ring_modes(etas[i:i + rows], self.ax, m)
                              for i in range(0, etas.size, rows)])
-        return (counts @ f1 / self.ly + np.log(betas)) / betas, {}
+        return _per_site(counts @ f1 / self.ly + np.log(betas), betas), {}
 
     def factorized(self, beta):
         """The ax = 0 closed-form F, or None at ax != 0."""
@@ -400,9 +413,9 @@ def particle_chain_log_kernel(p, beta):
 
 
 def _chain_solve(eta, mu3, lam, gamma, betas, m):
-    """(F, T, its DominantEig, (K0, d)) of the m-point chain at each beta
+    """(F, rule, DominantEig, (K0, d)) of the m-point chain at each beta
     of a 1-D array: one (B, m, m) stack T = d_i K0_ij d_j and one stacked
-    eigensolve; T.rule has the (B, m) nodes, a Gauss-Hermite rule of
+    eigensolve; the rule has the (B, m) nodes, a Gauss-Hermite rule of
     precision beta c.  eta is a scalar, or an array with one entry per
     beta, and K0 has shape (m, m) or (B, m, m) to match."""
     # beta c is the precision of the harmonic chain's stationary site
@@ -424,25 +437,29 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
     col = np.shape(c) + (1,)
     logk0 = (-np.reshape(gamma / (2.0 * c), col + (1,))
              * (x[:, None] - x[None, :]) ** 2)
-    logd = (0.5 * np.log(w) + np.reshape((c - eta) / (4.0 * c), col) * (x * x)
-            + _anharmonic_site(mu3, lam, betas[:, None], rule.nodes))
-    # for gamma >= 0, K0 <= 1 with 1 on its diagonal, so the largest log
-    # entry is 2 max(log d): within the bound no product overflows, and
-    # beyond it a diagonal entry would, which the log entries then name
-    # (for gamma < 0, K0 >= 1 and d_i d_j <= T_ij)
-    if not (np.isfinite(logd).all() and np.isfinite(logk0).all()
-            and 2.0 * logd.max() + logk0.max() <= _LOG_MAX):
-        _check_log_entries(logk0 + (logd[..., :, None] + logd[..., None, :]),
-                           rule.nodes)
+    logd = np.empty(rule.nodes.shape)
+    logd[...] = 0.5 * np.log(w) + np.reshape((c - eta) / (4.0 * c), col) * (x * x)
+    # the harmonic chain (mu3 = lam = 0) has no site term; at tiny beta
+    # the anharmonic one overflows q^4 = x^4 / (beta c)^2, which the log
+    # entries then name.  For gamma >= 0, K0 <= 1 with 1 on its diagonal,
+    # so the largest log entry is 2 max(log d): within the bound no
+    # product overflows, and beyond it a diagonal entry would (for
+    # gamma < 0, K0 >= 1 and d_i d_j <= T_ij)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mu3 or lam:
+            logd += _anharmonic_site(mu3, lam, betas[:, None], rule.nodes)
+        if not (np.isfinite(logd).all() and np.isfinite(logk0).all()
+                and 2.0 * logd.max() + logk0.max() <= _LOG_MAX):
+            _check_log_entries(
+                logk0 + (logd[..., :, None] + logd[..., None, :]), rule.nodes)
     k0 = np.exp(logk0, out=logk0)
     d = np.exp(logd)
     entries = d[:, :, None] * d[:, None, :]
     entries *= k0
-    T = NystromMatrix(entries, rule)
-    eig = dominant_eigenvalue(T)
+    eig = dominant_eigenvalue(entries)
     mlogz = (_LOG_2PI - np.log(betas) - 0.5 * np.log(c)
              + np.log(eig.lambda1))
-    return -mlogz / betas, T, eig, (k0, d)
+    return _per_site(-mlogz, betas), rule, eig, (k0, d)
 
 
 def _chain_free_energy_raw(eta, mu3, lam, gamma, beta, m):
@@ -509,11 +526,11 @@ def dnls_log_kernel(beta):
 
 
 def _dnls_solve(g, mu_c, betas, m):
-    """(F, T, its DominantEig, (k, x, d)) of the m-point DNLS chain at each
+    """(F, rule, DominantEig, (k, x, d)) of the m-point DNLS chain at each
     beta of a 1-D array: T_ij = d_i k_ij e^{-x_ij} I0(x_ij) d_j, one
     (B, m, m) stack and one stacked eigensolve.  The Stieltjes rule is
     the cached unit rule of s = -mu sqrt(beta/g), one per beta, with its
-    nodes divided by sqrt(beta g); the rules are stacked as T.rule."""
+    nodes divided by sqrt(beta g), stacked as one (B, m) rule."""
     DnlsParams(g, mu_c)  # the domain check of the raw route
     # valid params and beta may still give an s, nodes or kernel values
     # a double cannot hold; each is named by the typed check below it
@@ -525,8 +542,8 @@ def _dnls_solve(g, mu_c, betas, m):
     weights = np.empty((betas.size, m))
     for i, b in enumerate(betas.tolist()):
         s[i] = s_i = -mu_c * math.sqrt(b / g)
-        rule = stieltjes_rule(s_i, m)
-        nodes[i], weights[i] = rule.nodes, rule.weights
+        unit = stieltjes_rule(s_i, m)
+        nodes[i], weights[i] = unit.nodes, unit.weights
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         nodes /= np.sqrt(betas * g)[:, None]
         # with u = sqrt(rho), beta (rho + rho')/2 = beta (u - u')^2/2 + x
@@ -539,11 +556,11 @@ def _dnls_solve(g, mu_c, betas, m):
         k = 2.0 * math.pi * np.exp(
             -0.5 * beta * (u[:, :, None] - u[:, None, :]) ** 2)
         entries = d[:, :, None] * d[:, None, :] * (k * i0_scaled(x))
-    T = NystromMatrix(entries, QuadratureRule(nodes, weights))
-    eig = dominant_eigenvalue(T)
+    rule = QuadratureRule(nodes, weights)
+    eig = dominant_eigenvalue(entries)
     mbf = (np.log(eig.lambda1) + 0.5 * np.minimum(s, 0.0) ** 2
            - 0.5 * np.log(betas * g))
-    return -mbf / betas, T, eig, (k, x, d)
+    return _per_site(-mbf, betas), rule, eig, (k, x, d)
 
 
 def _dnls_free_energy_raw(g, mu_c, beta, m):

@@ -5,9 +5,11 @@ discretized on a quadrature rule (z_i, w_i) as the symmetric matrix
 
     T[i, j] = k_beta(z_i, z_j) sqrt(w_i w_j).
 
-`assemble` builds it in log space from a `LogKernel` (symmetric pair
-terms plus optional per-node site terms, broadcast over the rule's
-nodes) and a `QuadratureRule` or `TensorRule`, which cannot be empty.
+A matrix is the numpy array of its entries: `assemble` returns it,
+built in log space from a `LogKernel` (symmetric pair terms plus
+optional per-node site terms, broadcast over the rule's nodes) and a
+`QuadratureRule` or `TensorRule`, which cannot be empty, and
+`dominant_eigenvalue` and `fredholm_det` take it.
 No production route goes through `assemble`: every model builds its
 stack as a bounded product d_i K_ij d_j (see `models`), and
 `assemble` with the `*_log_kernel` functions is the tests'
@@ -43,7 +45,7 @@ import numpy as np
 
 from .errors import AssemblyError, ConvergenceError
 
-__all__ = ["LogKernel", "NystromMatrix", "DominantEig",
+__all__ = ["LogKernel", "DominantEig",
            "assemble", "dominant_eigenvalue", "fredholm_det"]
 
 
@@ -69,19 +71,6 @@ class LogKernel:
         if self.site is None:
             return self.fn(z, zp)
         return self.site(z) + self.site(zp) + self.fn(z, zp)
-
-
-@dataclass(frozen=True)
-class NystromMatrix:
-    """Symmetric positive discretization matrix, or a stack (B, m, m) of
-    them, and the rule it was assembled on."""
-
-    entries: np.ndarray
-    rule: object
-
-    @property
-    def order(self):
-        return self.entries.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -162,7 +151,7 @@ def assemble(kernel, rule):
     logT = half + half.swapaxes(-1, -2) + logk
     logT = np.where(_upper(m), logT, logT.swapaxes(-1, -2))
     _check_log_entries(logT, nodes)
-    return NystromMatrix(np.exp(logT), rule)
+    return np.exp(logT)
 
 
 def _check_log_entries(logT, nodes):
@@ -180,8 +169,8 @@ def _check_log_entries(logT, nodes):
 
 
 def dominant_eigenvalue(T):
-    """Dominant eigenvalue and Perron eigenvector of an assembled matrix
-    or a (B, m, m) stack of them.
+    """Dominant eigenvalue and Perron eigenvector of a matrix, an (m, m)
+    array, or of each matrix of a (B, m, m) stack.
 
     lambda_1 is the top of the stack's eigenvalues (one
     `np.linalg.eigvalsh`); the vector is one step of inverse iteration,
@@ -197,8 +186,7 @@ def dominant_eigenvalue(T):
     of either step is a ConvergenceError too.  A single matrix gives
     scalar lambda1 and a vector of shape (m,).
     """
-    A = T.entries if isinstance(T, NystromMatrix) else np.asarray(T, dtype=float)
-    stack = A.reshape((-1,) + A.shape[-2:])
+    stack = T.reshape((-1,) + T.shape[-2:])
     B, m = stack.shape[0], stack.shape[-1]
     try:
         lam = np.linalg.eigvalsh(stack)[:, -1]
@@ -224,7 +212,7 @@ def dominant_eigenvalue(T):
         raise ConvergenceError(
             f"eigenvalue residual {res[k]:.3e} above tolerance {_TOL:.1e} "
             f"after the dense solve", residual=float(res[k]))
-    if A.ndim == 2:
+    if T.ndim == 2:
         return DominantEig(lambda1=float(lam[0]), vector=v[0],
                            residual=float(res[0]), iterations=1)
     return DominantEig(lambda1=lam, vector=v, residual=float(res.max()),
@@ -232,15 +220,14 @@ def dominant_eigenvalue(T):
 
 
 def fredholm_det(T, mu):
-    """det(I - mu T) via an LU factorization with partial pivoting.
+    """det(I - mu T) of an (m, m) array via an LU factorization with
+    partial pivoting.
 
     The determinant of the discretized operator approximates the
     Fredholm determinant of the integral operator; its zeros are the
     reciprocal eigenvalues, so mu = 1/lambda_1 must be a root.
     """
-    A = T.entries if isinstance(T, NystromMatrix) else np.asarray(T, dtype=float)
-    n = A.shape[0]
-    M = np.eye(n) - mu * A
+    M = np.eye(T.shape[0]) - mu * T
     d = float(np.linalg.det(M))
     if not np.isfinite(d):
         raise ConvergenceError(f"Fredholm determinant overflowed at mu={mu!r}")

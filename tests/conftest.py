@@ -2,7 +2,7 @@
 
 import pytest
 
-from thermo_transfer import thermo
+from thermo_transfer import models, thermo
 
 
 @pytest.fixture
@@ -18,3 +18,18 @@ def pools_entered(monkeypatch):
 
     monkeypatch.setattr(thermo, "ThreadPoolExecutor", CountingPool)
     return entered
+
+
+@pytest.fixture
+def solved_stacks(monkeypatch):
+    """A list that gets each matrix or (B, m, m) stack a model hands to
+    its eigensolve, the entries array itself."""
+    stacks = []
+    real = models.dominant_eigenvalue
+
+    def spy(T):
+        stacks.append(T)
+        return real(T)
+
+    monkeypatch.setattr(models, "dominant_eigenvalue", spy)
+    return stacks

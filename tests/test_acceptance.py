@@ -200,7 +200,7 @@ def test_criterion_6_perron_frobenius_suite():
             failures.append(f"{label}: eigenvector not strictly positive")
         worst_res = max(worst_res, eig.residual)
         if n <= 20:
-            vals = np.linalg.eigvalsh(mat.entries)
+            vals = np.linalg.eigvalsh(mat)
             # the second-largest magnitude can sit at either end
             second = max(abs(vals[0]), abs(vals[-2]))
             worst_gap = min(worst_gap, (eig.lambda1 - second) / eig.lambda1)
@@ -224,7 +224,7 @@ def test_criterion_7_fredholm_root():
         mat = assemble(particle_chain_log_kernel(p, beta), rule)
         lam1 = dominant_eigenvalue(mat).lambda1
         d = fredholm_det(mat, 1.0 / lam1)
-        tol = 1e-12 * max(1.0, float(np.linalg.norm(mat.entries, 2)))
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(mat, 2)))
         dets[m] = (d, tol)
         ok = ok and abs(d) <= tol
     detail = ", ".join(f"m={m}: det = {d:+.3e} (tol {t:.1e})"

@@ -166,10 +166,11 @@ def _dnls(betas, m):
     return _dnls_solve(DNLS.g, DNLS.mu_c, betas, m)
 
 
-def _t01(solve, m):
+def _t01(stacks, solve, m):
     # entry (0, 1) of grid row K's matrix solved alone, which keys a
     # fault on the matrix, never on a call count or a stack position
-    return solve(GRID[K:K + 1], m)[1].entries[0, 0, 1]
+    solve(GRID[K:K + 1], m)
+    return stacks[-1][0, 0, 1]
 
 
 def _assert_names_its_grid_point(monkeypatch, params, m, k, head):
@@ -197,11 +198,12 @@ def _assert_names_its_grid_point(monkeypatch, params, m, k, head):
 
 
 @pytest.mark.parametrize("model", ["chain", "dnls"])
-def test_eigensolve_failure_names_its_grid_point(monkeypatch, model):
+def test_eigensolve_failure_names_its_grid_point(monkeypatch, solved_stacks,
+                                                 model):
     # the Perron-vector step hands back all ones, not an eigenvector,
     # for row K's matrix, told by its (0, 1) entry negated
     params, m = CASES[model][:2]
-    marker = -_t01({"chain": _chain, "dnls": _dnls}[model], m)
+    marker = -_t01(solved_stacks, {"chain": _chain, "dnls": _dnls}[model], m)
     real = np.linalg.solve
 
     def solve(a, b):
@@ -216,10 +218,11 @@ def test_eigensolve_failure_names_its_grid_point(monkeypatch, model):
 
 
 @pytest.mark.parametrize("step", ["eigvalsh", "solve"])
-def test_lapack_failure_names_its_grid_point(monkeypatch, step):
+def test_lapack_failure_names_its_grid_point(monkeypatch, solved_stacks, step):
     # LAPACK fails on row K's chain matrix, told by its (0, 1) entry,
     # which the shifted solve sees negated
-    marker = (1.0 if step == "eigvalsh" else -1.0) * _t01(_chain, 12)
+    marker = ((1.0 if step == "eigvalsh" else -1.0)
+              * _t01(solved_stacks, _chain, 12))
     real = getattr(np.linalg, step)
 
     def fake(a, *args):
@@ -235,11 +238,11 @@ def test_lapack_failure_names_its_grid_point(monkeypatch, step):
     assert isinstance(error.__cause__.__cause__, np.linalg.LinAlgError)
 
 
-def test_eigensolve_failure_in_a_later_block(monkeypatch):
+def test_eigensolve_failure_in_a_later_block(monkeypatch, solved_stacks):
     # blocks of two rows; row K is the second matrix of the later block
     # [2, 3], and its Perron-vector step hands back all ones
     _blocks_of(monkeypatch, 2, 12)
-    marker = -_t01(_chain, 12)
+    marker = -_t01(solved_stacks, _chain, 12)
     real = np.linalg.solve
 
     def solve(a, b):
@@ -343,8 +346,10 @@ def test_one_point_failure_is_the_one_row_sweep_failure(monkeypatch, case):
 
 # valid params and beta whose solve computes a value outside the domain
 # of a function below the checks (a precision of inf or 0, s = -inf,
-# nodes that round together, an I0 argument of nan) or a DNLS grid whose
-# ends round to one double: (route, params, beta, m, the cause's text)
+# nodes that round together, an I0 argument of nan, the chain's site
+# term at tiny beta), a DNLS grid whose ends round to one double, or an
+# F = beta F / beta beyond the doubles at tiny beta: (route, params,
+# beta, m, the cause's text)
 COMPUTED_EDGES = {
     "chain-precision-inf": (particle_chain_free_energy,
                             ParticleChainParams(1e-8, 0.0, 1e-8, 1e300),
@@ -368,6 +373,16 @@ COMPUTED_EDGES = {
                        "grid at s=-1e\\+20 has no width"),
     "dnls-grid-g": (dnls_free_energy, DnlsParams(1e-300, 1.0), 1.0, 20,
                     "grid at s=-1e\\+150 has no width"),
+    "chain-site-term": (particle_chain_free_energy,
+                        ParticleChainParams(1.0, 0.2, 0.2, 1.0), 1e-160, 4,
+                        "non-finite kernel value at node pair \\(0, 0\\)"),
+    "chain-f-overflow": (particle_chain_free_energy, ParticleChainParams(1.0),
+                         1e-320, 4, "free energy per site overflows"),
+    "cylinder-f-overflow": (cylinder_free_energy,
+                            CylinderParams(1.0, 0.5, 0.2, 3), 1e-320, 8,
+                            "free energy per site overflows"),
+    "dnls-f-overflow": (dnls_free_energy, DnlsParams(1.0, 1.0), 1e-320, 8,
+                        "free energy per site overflows"),
 }
 
 
@@ -387,34 +402,37 @@ def test_a_failure_below_the_checks_is_named_by_its_grid_point(case):
 
 # --- the stacked layers ------------------------------------------------------
 
-def test_assembled_stacks_are_exactly_symmetric():
+def test_assembled_stacks_are_exactly_symmetric(solved_stacks):
     betas = np.array([0.5, 2.0, 9.0])
-    _, T, _, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 17)
-    assert T.entries.shape == (3, 17, 17)
-    assert np.array_equal(T.entries, T.entries.swapaxes(-1, -2))
-    _, T, _, _ = _dnls_solve(1.0, 1.0, betas, 11)
-    assert np.array_equal(T.entries, T.entries.swapaxes(-1, -2))
+    _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 17)
+    _dnls_solve(1.0, 1.0, betas, 11)
+    chain, dnls = solved_stacks
+    assert chain.shape == (3, 17, 17) and dnls.shape == (3, 11, 11)
+    assert np.array_equal(chain, chain.swapaxes(-1, -2))
+    assert np.array_equal(dnls, dnls.swapaxes(-1, -2))
     # a kernel whose two argument orders round differently
     kern = LogKernel(lambda z, zp: -0.1 * z ** 3 - 0.1 * zp ** 3 + 0.3 * z * zp,
                      site=lambda z: -0.7 * z * z)
-    E = assemble(kern, gauss_hermite_rescaled(20, betas)).entries
+    E = assemble(kern, gauss_hermite_rescaled(20, betas))
     assert np.array_equal(E, E.swapaxes(-1, -2))
 
 
-def test_stacked_solve_equals_each_beta_alone():
+def test_stacked_solve_equals_each_beta_alone(solved_stacks):
     betas = np.array([0.5, 2.0, 9.0])
-    f, T, eig, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 15)
+    f, rule, eig, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 15)
+    T = solved_stacks[-1]
     assert eig.lambda1.shape == (3,) and eig.vector.shape == (3, 15)
     assert isinstance(eig.residual, float) and eig.iterations == 1
-    assert T.order == 15 and len(T.rule) == 15
+    assert T.shape == (3, 15, 15) and rule.nodes.shape == (3, 15)
     for k in range(3):
-        f1, T1, eig1, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas[k:k + 1], 15)
+        f1, rule1, eig1, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas[k:k + 1], 15)
         assert f1[0] == f[k]
-        assert np.array_equal(T1.entries[0], T.entries[k])
+        assert np.array_equal(solved_stacks[-1][0], T[k])
+        assert np.array_equal(rule1.nodes[0], rule.nodes[k])
         assert eig1.lambda1[0] == eig.lambda1[k]
         assert np.array_equal(eig1.vector[0], eig.vector[k])
     assert eig.residual == max(
-        dominant_eigenvalue(T.entries[k]).residual for k in range(3))
+        dominant_eigenvalue(T[k]).residual for k in range(3))
 
 
 def test_single_matrix_gives_scalars():

@@ -378,9 +378,10 @@ for flags in json.loads(sys.argv[1]):
 
 
 def test_a_failure_below_the_checks_writes_one_stderr_line(tmp_path):
-    # valid settings whose s, nodes, kernel or precision a double cannot
-    # hold: each run's typed error is its one line on stderr, with no
-    # numpy warning (shown by default outside pytest) printed before it
+    # valid settings whose s, nodes, kernel, precision or F a double
+    # cannot hold: each run's typed error is its one line on stderr, with
+    # no numpy warning (shown by default outside pytest) printed before
+    # it, and no CSV
     runs = [
         ["--model", "chain", "--eta", "1e-8", "--lambda", "1e-8",
          "--gamma", "1e300", "--beta-start", "1e300", "--m", "30"],
@@ -392,13 +393,21 @@ def test_a_failure_below_the_checks_writes_one_stderr_line(tmp_path):
          "--beta-start", "1e20", "--m", "20"],
         ["--model", "dnls", "--g", "1e-300", "--mu", "-1e300",
          "--beta-start", "1e-300", "--m", "1"],
+        ["--model", "chain", "--mu3", "0.2", "--lambda", "0.2", "--gamma",
+         "1", "--beta-start", "1e-160", "--m", "4"],
+        ["--model", "chain", "--beta-start", "1e-320", "--m", "4"],
+        ["--model", "cylinder", "--ly", "3", "--ax", "0.5", "--ay", "0.2",
+         "--beta-start", "1e-320", "--m", "8"],
+        ["--model", "dnls", "--mu", "1", "--beta-start", "1e-320",
+         "--m", "8"],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _EDGE_RUNS, json.dumps(runs),
          str(tmp_path / "x.csv")],
         capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == [
+    lines = proc.stderr.splitlines()
+    assert lines[:5] == [
         "numeric failure: at beta=1e+300, m=30: precision parameter a "
         "must be positive, got array([inf])",
         "numeric failure: at beta=1.0, m=8: ring mode eta_k=100000000.0: "
@@ -409,6 +418,15 @@ def test_a_failure_below_the_checks_writes_one_stderr_line(tmp_path):
         "numeric failure: at beta=1e-300, m=1: i0_scaled expects finite "
         "arguments",
     ]
+    # the last four name a node pair or a beta F, whose digits are left
+    # to the kernel test and the library
+    heads = ["at beta=1e-160, m=4: non-finite kernel value at node pair (0, 0)"]
+    heads += [f"at beta=1e-320, m={m}: the free energy per site overflows "
+              f"a double (beta F = -" for m in (4, 8, 8)]
+    assert len(lines) == 9
+    for line, head in zip(lines[5:], heads):
+        assert line.startswith(f"numeric failure: {head}")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_convergence_rows_do_not_depend_on_the_m_list_order(tmp_path):
@@ -787,15 +805,28 @@ _CONFIGS = {"chain_observables.cfg": "observables",
 
 
 def test_every_checked_in_config_runs(tmp_path):
+    # every value against tests/data/, the CSV that scripts/make_data.py
+    # wrote for the config, within 1e-12 relative: not bit for bit,
+    # since another LAPACK or libm may round lambda_1 or a log a few ulps
+    # apart.  A random 2-ulp change of every matrix entry moves a value
+    # at most 1.8e-13 relative (the chain's F near its sign change, at
+    # beta = 3.9), so 1e-12 leaves room for about ten ulps
     configs = _ROOT / "scripts" / "configs"
     assert sorted(p.name for p in configs.iterdir()) == sorted(_CONFIGS)
     for cfg, sub in _CONFIGS.items():
         out = tmp_path / (cfg + ".csv")
         assert cli.main([sub, "--config", str(configs / cfg),
                          "--out", str(out)]) == 0, cfg
-        rows = read_csv(out)[1]
+        names, rows = read_csv(out)
         count = parse_config_text((configs / cfg).read_text())["beta_count"]
         assert len(rows) == count, cfg
+        expect_names, expect_rows = read_csv(
+            _ROOT / "tests" / "data" / cfg.replace(".cfg", ".csv"))
+        assert names == expect_names, cfg
+        got = np.array(rows, dtype=float)
+        expect = np.array(expect_rows, dtype=float)
+        assert got.shape == expect.shape, cfg
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect)), cfg
 
 
 def test_chain_and_cylinder_configs_run_without_scipy(tmp_path):

@@ -28,8 +28,10 @@ def test_every_exported_name_resolves(name):
     ("thermo_transfer.cli", "config_text"),
     ("thermo_transfer.cli", "run_selftest"),
     ("thermo_transfer.quadrature", "_lanczos_recurrence"),
+    ("thermo_transfer", "NystromMatrix"),
+    ("thermo_transfer.nystrom", "NystromMatrix"),
 ])
 def test_replaced_names_are_gone(module, attr):
-    # reference_cylinder covers every ax; the others had no caller but
-    # the old selftest suites
+    # reference_cylinder covers every ax; a Nystrom matrix is its entries
+    # array; the others had no caller but the old selftest suites
     assert not hasattr(importlib.import_module(module), attr)

@@ -279,13 +279,14 @@ def bare_weight_chain_solve(eta, mu3, lam, gamma, beta, m):
     (0.3, 0.0, 0.5, 2.0, 9),
     (1.7, 0.0, 0.0, 1.0, 6),
 ])
-def test_gamma0_chain_is_bit_identical_to_beta_eta_rule(eta, mu3, lam, beta, m):
+def test_gamma0_chain_is_bit_identical_to_beta_eta_rule(solved_stacks, eta, mu3,
+                                                       lam, beta, m):
     # at gamma = 0 the coupling-matched precision is sqrt(eta^2) = eta
     # exactly, the site shift (c - eta) x^2 / (4c) is 0 and K0 is 1;
     # accuracy against log-space assembly is checked below
-    f, T, _, _ = models._chain_solve(eta, mu3, lam, 0.0, np.array([beta]), m)
+    f = models._chain_solve(eta, mu3, lam, 0.0, np.array([beta]), m)[0]
     f_bare, entries = bare_weight_chain_solve(eta, mu3, lam, 0.0, beta, m)
-    assert np.array_equal(T.entries, entries)
+    assert np.array_equal(solved_stacks[-1], entries)
     assert f[0] == f_bare
     got = particle_chain_free_energy(
         ParticleChainParams(eta=eta, mu3=mu3, lam=lam), beta, m)
@@ -340,16 +341,17 @@ def _beta_f(p, beta, lambda1):
              + math.log(lambda1))
 
 
-def test_factored_chain_stack_matches_log_space_entries():
+def test_factored_chain_stack_matches_log_space_entries(solved_stacks):
     # over the shipped chain config's grid: every entry within
     # 4 eps max(1, |log T_ij|) relative of log-space assembly (measured
     # 3.2), the rounding of a log entry's size that either route carries
     p = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0)
     betas = np.linspace(0.5, 10.0, 96)
-    got = _chain_solve(p.eta, p.mu3, p.lam, p.gamma, betas, 30)[1].entries
+    _chain_solve(p.eta, p.mu3, p.lam, p.gamma, betas, 30)
+    got = solved_stacks[-1]
     eps = np.finfo(float).eps
     for k, beta in enumerate(betas):
-        expect = log_space_chain_matrix(p, beta, 30).entries
+        expect = log_space_chain_matrix(p, beta, 30)
         bound = 4.0 * eps * np.maximum(1.0, np.abs(np.log(expect))) * expect
         assert np.all(np.abs(got[k] - expect) <= bound)
 
@@ -398,15 +400,16 @@ def test_factored_chain_free_energy_at_round_off():
 @pytest.mark.parametrize("eta,mu,gamma,beta,m", [
     (1.0, 0.2, 1.0, 0.5, 30), (1.0, 0.2, 1.0, 10.0, 30),
     (0.1, 1.0, 1.0, 500.0, 80), (0.01, 0.2, 1.0, 3000.0, 80)])
-def test_stretch_quadratic_form_matches_the_pair_sum(eta, mu, gamma, beta, m):
+def test_stretch_quadratic_form_matches_the_pair_sum(solved_stacks, eta, mu,
+                                                     gamma, beta, m):
     # (v d).(K0 (x - x')^2)(v d) / (2 beta c lambda_1) against
     # sum_ij v_i T_ij v_j (q_i - q_j)^2 / (2 lambda_1) on the same solve
     # (measured within 3.3e-15 over the grid above)
     p = ParticleChainParams(eta=eta, mu3=mu, lam=mu, gamma=gamma)
     betas = np.array([beta])
-    _, T, eig, _ = _chain_solve(eta, mu, mu, gamma, betas, m)
-    q, v = T.rule.nodes[0], eig.vector[0]
-    pairs = np.sum(v[:, None] * T.entries[0] * v[None, :]
+    _, rule, eig, _ = _chain_solve(eta, mu, mu, gamma, betas, m)
+    q, v = rule.nodes[0], eig.vector[0]
+    pairs = np.sum(v[:, None] * solved_stacks[-1][0] * v[None, :]
                    * (q[:, None] - q[None, :]) ** 2) / (2.0 * eig.lambda1[0])
     got = p.block(betas, m)[1]["stretch_sq"][0]
     assert got == pytest.approx(pairs, rel=1e-14)
@@ -627,20 +630,21 @@ def test_dnls_deep_quench(mu_c, beta, expect, rel):
 
 
 @pytest.mark.parametrize("beta", [1.0, 30.0])
-def test_dnls_stack_entries_against_mpmath(beta):
+def test_dnls_stack_entries_against_mpmath(solved_stacks, beta):
     # each entry of the production stack against 2 pi I0(beta sqrt(r r'))
     # e^{-beta (r + r')/2} sqrt(w w') at 40 digits on the same rule: the
     # product form keeps full relative accuracy where the log-space route
     # cancels beta (r + r')/2 against beta sqrt(r r')
-    _, T, _, _ = models._dnls_solve(1.0, 1.0, np.array([beta]), 20)
-    r, w = T.rule.nodes[0], T.rule.weights[0]
+    rule = models._dnls_solve(1.0, 1.0, np.array([beta]), 20)[1]
+    T = solved_stacks[-1]
+    r, w = rule.nodes[0], rule.weights[0]
     with mpmath.workdps(40):
         def entry(i, j):
             ri, rj = mpmath.mpf(r[i]), mpmath.mpf(r[j])
             return (2 * mpmath.pi * mpmath.besseli(0, beta * mpmath.sqrt(ri * rj))
                     * mpmath.exp(-beta * (ri + rj) / 2)
                     * mpmath.sqrt(mpmath.mpf(w[i]) * mpmath.mpf(w[j])))
-        rel = max(float(abs(T.entries[0, i, j] - entry(i, j)) / entry(i, j))
+        rel = max(float(abs(T[0, i, j] - entry(i, j)) / entry(i, j))
                   for i in range(20) for j in range(i, 20))
     assert rel <= 1e-14
 
@@ -676,13 +680,16 @@ def test_dnls_free_energy_rejects_bad_arguments():
 # --- cylinder free energy --------------------------------------------------------------
 
 def test_cylinder_ly1_reduces_to_harmonic_chain():
-    # a single-site ring has no ring bonds; ax plays the role of gamma
+    # a single-site ring has no ring bonds; ax plays the role of gamma.
+    # At beta = 1e-200 the harmonic chain forms no site term (0 inf
+    # would be nan), and F is of order 1e202, still a double
     cyl = CylinderParams(eta=1.3, ax=0.8, ay=5.0, ly=1)
     chain = ParticleChainParams(eta=1.3, gamma=0.8)
-    for beta in (0.5, 2.0):
+    for beta in (0.5, 2.0, 1e-200):
         a = cylinder_free_energy(cyl, beta, m=20)
         b = particle_chain_free_energy(chain, beta, m=20)
         assert a == pytest.approx(b, rel=1e-14)
+        assert b == pytest.approx(reference_cylinder(cyl, beta), rel=1e-14)
 
 
 def test_cylinder_ax0_against_ring_determinant():
@@ -712,7 +719,7 @@ def test_cylinder_matches_kronecker_nystrom_solve(m0):
     shift = 0.25 * beta * (c_k - eta_k)
     axial = LogKernel(lambda y, yp: (-0.5 * beta * ax * np.sum((y - yp) ** 2, axis=-1)
                                      + np.sum(shift * (y * y + yp * yp), axis=-1)))
-    lam1 = np.linalg.eigvalsh(assemble(axial, rule).entries)[-1]
+    lam1 = np.linalg.eigvalsh(assemble(axial, rule))[-1]
     mbf = (math.log(2.0 * math.pi / beta) - 0.5 * np.mean(np.log(c_k))
            + math.log(lam1) / ly)
     got = cylinder_free_energy(CylinderParams(eta=eta, ax=ax, ay=ay, ly=ly), beta, m0)

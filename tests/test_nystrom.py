@@ -23,7 +23,6 @@ from thermo_transfer.models import (ParticleChainParams, _chain_solve,
 from thermo_transfer.nystrom import (
     DominantEig,
     LogKernel,
-    NystromMatrix,
     assemble,
     dominant_eigenvalue,
     fredholm_det,
@@ -44,22 +43,21 @@ def test_assembly_matches_direct_formula():
     z, w = rule.nodes, rule.weights
     expect = np.exp(-0.4 * (z[:, None] - z[None, :]) ** 2) * np.sqrt(
         w[:, None] * w[None, :])
-    assert np.allclose(mat.entries, expect, rtol=1e-14)
-    assert mat.order == 7
-    assert mat.rule is rule
+    assert type(mat) is np.ndarray and mat.shape == (7, 7)
+    assert np.allclose(mat, expect, rtol=1e-14)
 
 
 def test_assembly_exactly_symmetric():
     # mirrored upper triangle, so equality is exact, not just approximate
     rule = gauss_hermite_rescaled(20, 2.0)
     kern = LogKernel(lambda z, zp: -0.1 * (z ** 3 + zp ** 3) - 0.3 * (z - zp) ** 2)
-    T = assemble(kern, rule).entries
+    T = assemble(kern, rule)
     assert np.array_equal(T, T.T)
 
 
 def test_assembly_positive_entries():
     rule = gauss_hermite_rescaled(10, 1.0)
-    T = assemble(gaussian_coupling(2.0), rule).entries
+    T = assemble(gaussian_coupling(2.0), rule)
     assert np.all(T > 0.0)
 
 
@@ -70,7 +68,7 @@ def test_assembly_log_space_avoids_underflow():
     # in naive arithmetic except the diagonal region.
     rule = gauss_hermite_rescaled(15, 1.0)
     kern = LogKernel(lambda z, zp: -10.0 * (z - zp) ** 2 - 1e-3)
-    T = assemble(kern, rule).entries
+    T = assemble(kern, rule)
     assert np.all(np.isfinite(T))
     assert np.all(T >= 0.0)
     assert T[0, -1] == pytest.approx(
@@ -184,7 +182,7 @@ def test_eigenvalue_perron_vector_at_domain_edges(eta, mu3, lam, beta, m):
                    gauss_hermite_rescaled(m, beta * eta))
     eig = dominant_eigenvalue(mat)
     assert np.all(eig.vector >= 0.0)
-    expect = np.linalg.eigvalsh(mat.entries)[-1]
+    expect = np.linalg.eigvalsh(mat)[-1]
     assert eig.lambda1 == pytest.approx(expect, rel=1e-13)
     assert eig.residual <= 1e-14
 
@@ -197,7 +195,7 @@ def test_eigenvalue_of_huge_entries_converges():
     mat = _deep_well(500.0, 30)
     eig = dominant_eigenvalue(mat)
     assert eig.residual <= 1e-14
-    expect = np.linalg.eigvalsh(mat.entries)[-1]
+    expect = np.linalg.eigvalsh(mat)[-1]
     assert abs(eig.lambda1 - expect) <= 1e-13 * expect
 
 
@@ -248,8 +246,8 @@ def test_config_stack_matches_eigh():
     # the chain config's (96, 30, 30) stack: lambda_1 and the Perron
     # vector against the top eigenpair of a full eigendecomposition
     betas = np.linspace(0.5, 10.0, 96)
-    _, T, eig, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 30)
-    vals, vecs = np.linalg.eigh(T.entries)
+    _, _, eig, (k0, d) = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 30)
+    vals, vecs = np.linalg.eigh(d[:, :, None] * d[:, None, :] * k0)
     assert np.allclose(eig.lambda1, vals[:, -1], rtol=1e-13, atol=0.0)
     assert np.max(np.abs(eig.vector - np.abs(vecs[:, :, -1]))) <= 1e-13
 
@@ -260,7 +258,7 @@ def test_positive_stack_gives_positive_vectors():
     gammas = np.array([0.1, 0.5, 1.0])[:, None, None]
     rule = gauss_hermite_rescaled(20, np.ones(3))
     mat = assemble(LogKernel(lambda z, zp: -0.5 * gammas * (z - zp) ** 2), rule)
-    assert np.all(mat.entries > 0.0)
+    assert np.all(mat > 0.0)
     eig = dominant_eigenvalue(mat)
     assert eig.vector.shape == (3, 20)
     assert np.all(eig.vector > 0.0)
@@ -324,7 +322,7 @@ def test_fredholm_det_vanishes_at_reciprocal_eigenvalue():
     mat = assemble(gaussian_coupling(0.6), rule)
     lam = dominant_eigenvalue(mat).lambda1
     d = fredholm_det(mat, 1.0 / lam)
-    scale = max(1.0, float(np.linalg.norm(mat.entries, 2)))
+    scale = max(1.0, float(np.linalg.norm(mat, 2)))
     assert abs(d) <= 1e-12 * scale
 
 
@@ -337,7 +335,7 @@ def test_fredholm_det_sign_change_brackets_root():
     assert below * above < 0.0
 
 
-def test_fredholm_det_accepts_matrix_object_and_array():
-    rule = gauss_hermite_rescaled(6, 1.0)
-    mat = assemble(gaussian_coupling(0.5), rule)
-    assert fredholm_det(mat, 0.25) == fredholm_det(mat.entries, 0.25)
+def test_fredholm_det_of_an_assembled_matrix():
+    # assemble returns the entries array that fredholm_det takes
+    mat = assemble(gaussian_coupling(0.5), gauss_hermite_rescaled(6, 1.0))
+    assert fredholm_det(mat, 0.25) == float(np.linalg.det(np.eye(6) - 0.25 * mat))

@@ -196,7 +196,7 @@ def chain_spectral_observables(p, beta, m):
     eig = dominant_eigenvalue(T)
     v = eig.vector / np.linalg.norm(eig.vector)
     z = rule.nodes
-    bond = 0.5 * (z[:, None] - z[None, :]) ** 2 * T.entries
+    bond = 0.5 * (z[:, None] - z[None, :]) ** 2 * T
     stretch = float(v @ bond @ v) / eig.lambda1
     vloc = float(np.dot(v ** 2, p.v_loc(z)))
     energy = 1.0 / (2.0 * beta) + vloc + p.gamma * stretch
