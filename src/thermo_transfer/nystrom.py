@@ -16,25 +16,31 @@ stack as a bounded product d_i K_ij d_j (see `models`), and
 independent reference only.  The chain's log
 entries go through `assemble`'s check only when a bound says an entry
 may overflow.  Each model's matrix has m rows (for the cylinder, one
-m-row chain per ring Fourier mode), a few dozen in practice,
-so the dominant pair comes from two dense steps: lambda_1 is the top
-of the eigenvalues, and the Perron vector is one step of inverse
-iteration, a solve of (sigma I - T) x = T 1 with sigma 16 ulps above
-lambda_1.  The Perron-Frobenius theorem for elementwise
-positive matrices guarantees a simple positive lambda_1 with a
-strictly positive eigenvector, and for T >= 0 and sigma > lambda_1 the
-Neumann series x = sum_k T^(k+1) 1 / sigma^(k+1) is elementwise
-positive, so x is that vector up to rounding.
+m-row chain per ring Fourier mode), a few dozen in practice, and
+every entry is non-negative, so the dominant pair comes from repeated
+squaring, the power method in its squaring form (Golub and Van Loan,
+Matrix Computations, sec. 7.3), with no eigendecomposition and no
+linear solve.  By the Perron-Frobenius theorem lambda_1 of a positive
+matrix is simple, with a strictly positive eigenvector u, so
+T^(2^k) / lambda_1^(2^k) tends to u u^T and its row sums to a
+multiple of u.  Scaled by its largest entry, a symmetric non-negative
+matrix has lambda_1 in [1, m] (at least every entry, at most every row
+sum), which bounds how many squarings stay clear of overflow before
+the power must be divided by its trace.  A product of non-negative
+matrices sums non-negative terms, so it carries only componentwise
+rounding, with no cancellation and no pivoting to choose (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 3), and its row
+sums are a non-negative vector with no sign to fix.
 
 Both steps take a stack: a rule whose nodes and weights have shape
 (B, m), one rule per inverse temperature of a block, assembles to
-entries of shape (B, m, m), and `dominant_eigenvalue` solves the whole
-stack with one `np.linalg.eigvalsh` and one `np.linalg.solve` call,
-giving lambda_1 of shape (B,) and Perron vectors of shape (B, m).  A
-single matrix is a stack of one inside, so a matrix gives the same
-bits alone as inside any stack, and the same error: no error here
-says which matrix of a stack failed (`models._solve_block` finds it
-by solving the matrices alone).
+entries of shape (B, m, m), and `dominant_eigenvalue` squares the
+whole stack with one `np.matmul` per step, giving lambda_1 of shape
+(B,) and Perron vectors of shape (B, m).  Each matrix stops squaring
+at the first check its own residual passes, and only the rest go on,
+so a matrix gives the same bits alone as inside any stack, and the
+same error: no error here says which matrix of a stack failed
+(`models._solve_block` finds it by solving the matrices alone).
 """
 
 import functools
@@ -75,11 +81,13 @@ class LogKernel:
 
 @dataclass(frozen=True)
 class DominantEig:
-    """lambda_1, its unit Perron vector, the relative residual and the
-    number of solves (always 1: the eigenvalues and one shifted solve).
+    """lambda_1, its unit Perron vector, the relative residual
+    ||T v / lambda_1 - v|| and the number of squarings of T the vector
+    came from.
 
     For a stack, lambda1 has shape (B,), vector shape (B, m), and
-    residual is the largest over the stack.
+    residual and iterations are the largest over the stack; each
+    matrix stops squaring at its own count, which it gives alone.
     """
 
     lambda1: float
@@ -91,15 +99,19 @@ class DominantEig:
 # log of the largest double: exp of a log entry above it overflows
 _LOG_MAX = float(np.log(np.finfo(float).max))
 
-# the shift of the Perron-vector solve, sigma - lambda_1, in ulps of
-# lambda_1: above the few-ulp error of the computed lambda_1 (up to 6
-# at m = 150), so that sigma I - T is not singular in floating point;
-# at 2 ulps LU meets an exact zero pivot in about 1 of 100 small
-# random matrices
-_SHIFT_ULPS = 16.0
-
 # the largest accepted relative residual ||T v / lambda_1 - v||
 _TOL = 1e-14
+
+# squarings before the first residual check, then one check after
+# each: T^32 damps a ratio lambda_2 / lambda_1 of 0.38, the largest of
+# the chain config's matrices, below 1e-13, and every matrix of the
+# three checked-in configs passes there
+_FIRST_CHECK = 5
+
+# the most squarings: 2^60 times a relative gap must reach about 40,
+# and a gap below one ulp of lambda_1 is degenerate in floating point,
+# where the row sums of the power are an eigenvector anyway
+_MAX_SQUARINGS = 60
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,54 +181,73 @@ def _check_log_entries(logT, nodes):
 
 
 def dominant_eigenvalue(T):
-    """Dominant eigenvalue and Perron eigenvector of a matrix, an (m, m)
-    array, or of each matrix of a (B, m, m) stack.
+    """Dominant eigenvalue and Perron eigenvector of a symmetric
+    non-negative matrix, an (m, m) array, or of each matrix of a
+    (B, m, m) stack.
 
-    lambda_1 is the top of the stack's eigenvalues (one
-    `np.linalg.eigvalsh`); the vector is one step of inverse iteration,
-    |x| for (sigma I - T) x = T 1 with sigma 16 ulps above lambda_1
-    (one `np.linalg.solve`), scaled by its largest entry before its
-    2-norm so that no square overflows.  The right-hand side T 1, the
-    row sums, leans towards the Perron vector where that vector is
-    concentrated on a few nodes (deep quench), which keeps the residual
-    at a few 1e-15 despite the shift; its scale follows T's, so x
-    stays near 1 / (16 eps) at any lambda_1.  The residual is
-    ||T v / lambda_1 - v||, checked for every matrix; ConvergenceError
-    carries the first one above 1e-14, or not finite; a LAPACK failure
-    of either step is a ConvergenceError too.  A single matrix gives
-    scalar lambda1 and a vector of shape (m,).
+    P is T scaled by its largest entry, so that lambda_1(P) lies in
+    [1, m], and is squared, P <- P @ P, with a division by its trace
+    only as often as that bound needs to rule out overflow.  From the
+    fifth squaring on, each matrix is checked after every one: v is the
+    row sums P 1, non-negative with no sign to fix, scaled by its
+    largest entry and then by its 2-norm so that no square overflows;
+    lambda_1 is the Rayleigh quotient v^T T v on the original T; and the
+    residual is ||T v / lambda_1 - v||.  A matrix whose residual is at
+    most 1e-14 stops there, and only the others are squared again, so
+    each matrix gives the same bits and count alone as inside any
+    stack.  A residual that is not finite (a nan, inf or all-zero
+    matrix, which stays so under squaring), or one above 1e-14 after
+    60 squarings, raises ConvergenceError carrying that residual (of
+    several, a non-finite one, else the largest).  A single matrix gives
+    scalar lambda1 and iterations and a vector of shape (m,).
     """
     stack = T.reshape((-1,) + T.shape[-2:])
     B, m = stack.shape[0], stack.shape[-1]
-    try:
-        lam = np.linalg.eigvalsh(stack)[:, -1]
-        sigma = lam + _SHIFT_ULPS * np.spacing(lam)
-        shifted = np.negative(stack, order="C")
-        shifted.reshape(B, m * m)[:, ::m + 1] += sigma[:, None]
-        x = np.linalg.solve(shifted, np.matmul(stack, _ones(m)))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
-    # a non-finite or zero x leaves nan in v, without a warning, so its
-    # residual is nan and fails the test below
-    with np.errstate(invalid="ignore"):
-        v = np.abs(x[:, :, 0])
-        v /= v.max(axis=-1, keepdims=True)
-        v /= np.sqrt((v * v).sum(axis=-1, keepdims=True))
-    r = np.matmul(stack, v[:, :, None])[:, :, 0]
-    r /= lam[:, None]
-    r -= v
-    res = np.sqrt((r * r).sum(axis=-1))
-    ok = res <= _TOL
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise ConvergenceError(
-            f"eigenvalue residual {res[k]:.3e} above tolerance {_TOL:.1e} "
-            f"after the dense solve", residual=float(res[k]))
+    lam, v, res = np.empty(B), np.empty((B, m)), np.empty(B)
+    count = np.empty(B, dtype=int)
+    todo, A = np.arange(B), stack
+    # lambda_1 of the power lies in [1, m] after the scaling by the
+    # largest entry and in [1/m, 1] after one by the trace; k squarings
+    # raise either bound to its 2^k-th power, which stays within
+    # 2^(+-500) while 2^k log2(m) <= 500, so neither the power nor the
+    # tail of its row sums leaves the doubles' range (2^(+-1022))
+    rescale = int(np.log2(500.0 / np.log2(max(m, 2))))
+    # a nan, inf or all-zero matrix leaves nan in its residual, without
+    # a warning, and fails the check below
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        P = stack / stack.max(axis=(-2, -1), keepdims=True)
+        for k in range(1, _MAX_SQUARINGS + 1):
+            P = np.matmul(P, P)
+            if k % rescale == 0:
+                P /= np.trace(P, axis1=-2, axis2=-1)[:, None, None]
+            if k < _FIRST_CHECK:
+                continue
+            x = np.matmul(P, _ones(m))[:, :, 0]
+            x /= x.max(axis=-1, keepdims=True)
+            x /= np.sqrt((x * x).sum(axis=-1, keepdims=True))
+            tx = np.matmul(A, x[:, :, None])[:, :, 0]
+            rq = (x * tx).sum(axis=-1)
+            r = tx / rq[:, None]
+            r -= x
+            rn = np.sqrt((r * r).sum(axis=-1))
+            ok = rn <= _TOL
+            if not ok.all() and (k == _MAX_SQUARINGS
+                                 or not np.isfinite(rn).all()):
+                # nan sorts last: a non-finite residual, else the largest
+                worst = float(np.sort(rn[~ok])[-1])
+                raise ConvergenceError(
+                    f"eigenvalue residual {worst:.3e} above tolerance "
+                    f"{_TOL:.1e} after {k} squarings", residual=worst)
+            done = todo[ok]
+            lam[done], v[done], res[done], count[done] = rq[ok], x[ok], rn[ok], k
+            if ok.all():
+                break
+            todo, A, P = todo[~ok], A[~ok], P[~ok]
     if T.ndim == 2:
         return DominantEig(lambda1=float(lam[0]), vector=v[0],
-                           residual=float(res[0]), iterations=1)
+                           residual=float(res[0]), iterations=int(count[0]))
     return DominantEig(lambda1=lam, vector=v, residual=float(res.max()),
-                       iterations=1)
+                       iterations=int(count.max()))
 
 
 def fredholm_det(T, mu):

@@ -1,8 +1,9 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
-from thermo_transfer import models, thermo
+from thermo_transfer import models, nystrom, thermo
 
 
 @pytest.fixture
@@ -33,3 +34,26 @@ def solved_stacks(monkeypatch):
 
     monkeypatch.setattr(models, "dominant_eigenvalue", spy)
     return stacks
+
+
+@pytest.fixture
+def spoil_rayleigh_product(monkeypatch):
+    """spoil(entry): from then on, the product T v of the eigensolve's
+    residual check hands back all ones for each matrix whose (0, 1)
+    entry is `entry`, so that matrix never passes the check and fails
+    at the squaring cap with a finite residual, alone or in any stack.
+    The fault is keyed on the matrix, never on a call count or a stack
+    position; only that product sees T itself, the squarings see T
+    scaled by its largest entry."""
+    real = np.matmul
+
+    def spoil(entry):
+        def matmul(a, b, *args, **kwargs):
+            out = real(a, b, *args, **kwargs)
+            if np.ndim(a) == 3:
+                out[a[:, 0, 1] == entry] = 1.0
+            return out
+
+        monkeypatch.setattr(nystrom.np, "matmul", matmul)
+
+    return spoil

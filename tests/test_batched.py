@@ -13,7 +13,6 @@ import warnings
 import numpy as np
 import pytest
 
-import thermo_transfer.nystrom as nystrom
 from thermo_transfer import models, quadrature, thermo
 from thermo_transfer.errors import (AssemblyError, ConvergenceError,
                                     DomainError, NumericError)
@@ -75,6 +74,33 @@ def test_sweep_rows_equal_one_point_routes(monkeypatch, model, rows, threads):
                               observables(params, beta, m)))
             for name, value in expect.items():
                 assert res.observables[name][i] == value, (name, beta)
+
+
+@pytest.mark.parametrize("model", sorted(CASES))
+def test_no_route_calls_a_dense_eigensolver_or_solve(monkeypatch, model):
+    # the Perron pair comes from squaring alone: no sweep and no
+    # one-point route calls numpy's eigen or solve routines.  Each
+    # route runs once before the spy is installed, since numpy's
+    # Gauss-Hermite rule, built once per m and cached, takes its nodes
+    # from eigvalsh of its Jacobi matrix
+    params, m, obs, free_energy, observables = CASES[model]
+
+    def routes():
+        free_energy_sweep(SweepSpec(params=params, beta_grid=GRID, m=m,
+                                    observables=obs))
+        free_energy(params, GRID[1], m)
+        if observables is not None:
+            observables(params, GRID[1], m)
+
+    routes()
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, name=name, real=real, **kw:
+                            calls.append(name) or real(*a, **kw))
+    routes()
+    assert calls == []
 
 
 def _count_golub_welsch(monkeypatch):
@@ -198,59 +224,25 @@ def _assert_names_its_grid_point(monkeypatch, params, m, k, head):
 
 
 @pytest.mark.parametrize("model", ["chain", "dnls"])
-def test_eigensolve_failure_names_its_grid_point(monkeypatch, solved_stacks,
-                                                 model):
-    # the Perron-vector step hands back all ones, not an eigenvector,
-    # for row K's matrix, told by its (0, 1) entry negated
+def test_eigensolve_failure_names_its_grid_point(solved_stacks,
+                                                 spoil_rayleigh_product,
+                                                 monkeypatch, model):
+    # the residual check's product T v hands back all ones for row K's
+    # matrix, told by its (0, 1) entry
     params, m = CASES[model][:2]
-    marker = -_t01(solved_stacks, {"chain": _chain, "dnls": _dnls}[model], m)
-    real = np.linalg.solve
-
-    def solve(a, b):
-        x = real(a, b)
-        x[a[:, 0, 1] == marker] = 1.0
-        return x
-
-    monkeypatch.setattr(nystrom.np.linalg, "solve", solve)
+    spoil_rayleigh_product(
+        _t01(solved_stacks, {"chain": _chain, "dnls": _dnls}[model], m))
     error = _assert_names_its_grid_point(monkeypatch, params, m, K,
                                          "eigenvalue residual ")
     assert isinstance(error, ConvergenceError) and error.residual > 1e-14
 
 
-@pytest.mark.parametrize("step", ["eigvalsh", "solve"])
-def test_lapack_failure_names_its_grid_point(monkeypatch, solved_stacks, step):
-    # LAPACK fails on row K's chain matrix, told by its (0, 1) entry,
-    # which the shifted solve sees negated
-    marker = ((1.0 if step == "eigvalsh" else -1.0)
-              * _t01(solved_stacks, _chain, 12))
-    real = getattr(np.linalg, step)
-
-    def fake(a, *args):
-        if np.any(a[:, 0, 1] == marker):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a, *args)
-
-    monkeypatch.setattr(nystrom.np.linalg, step, fake)
-    error = _assert_names_its_grid_point(
-        monkeypatch, CHAIN, 12, K,
-        "dense eigensolve failed: Eigenvalues did not converge")
-    assert isinstance(error, ConvergenceError) and error.residual is None
-    assert isinstance(error.__cause__.__cause__, np.linalg.LinAlgError)
-
-
-def test_eigensolve_failure_in_a_later_block(monkeypatch, solved_stacks):
+def test_eigensolve_failure_in_a_later_block(monkeypatch, solved_stacks,
+                                             spoil_rayleigh_product):
     # blocks of two rows; row K is the second matrix of the later block
-    # [2, 3], and its Perron-vector step hands back all ones
+    # [2, 3], and its residual check's product T v hands back all ones
     _blocks_of(monkeypatch, 2, 12)
-    marker = -_t01(solved_stacks, _chain, 12)
-    real = np.linalg.solve
-
-    def solve(a, b):
-        x = real(a, b)
-        x[a[:, 0, 1] == marker] = 1.0
-        return x
-
-    monkeypatch.setattr(nystrom.np.linalg, "solve", solve)
+    spoil_rayleigh_product(_t01(solved_stacks, _chain, 12))
     with pytest.raises(ConvergenceError) as exc:
         free_energy_sweep(SweepSpec(params=CHAIN, beta_grid=GRID, m=12))
     assert str(exc.value).startswith(f"at beta={float(GRID[K])!r}, m=12: ")
@@ -287,14 +279,25 @@ def test_rule_failure_names_its_grid_point(monkeypatch):
     assert isinstance(error, ConvergenceError) and error.residual == 3e-13
 
 
-def test_cylinder_ring_mode_failure_names_the_first_beta_and_mode(monkeypatch):
-    # no injection: a ring mode above the eigen residual tolerance fails
-    # every beta, so the block's first beta is named, with the first
-    # mode that fails alone
-    cyl = CylinderParams(eta=1e-3, ax=50.0, ay=0.2, ly=64)
-    eta_k = float(np.unique(models._ring_spectrum(cyl))[4])
+# a cylinder of 33 distinct ring modes, whose fifth the tests spoil
+RING = CylinderParams(eta=1e-3, ax=50.0, ay=0.2, ly=64)
+
+
+def _ring_mode_t01(stacks, k, m):
+    # entry (0, 1) of the matrix of RING's distinct mode k, solved alone
+    eta_k = np.unique(models._ring_spectrum(RING))[k:k + 1]
+    _chain_solve(eta_k, 0.0, 0.0, RING.ax, np.ones(1), m)
+    return stacks[-1][0, 0, 1]
+
+
+def test_cylinder_ring_mode_failure_names_the_first_beta_and_mode(
+        monkeypatch, solved_stacks, spoil_rayleigh_product):
+    # a failing ring mode fails every beta, so the block's first beta
+    # is named, with the first mode that fails alone
+    eta_k = float(np.unique(models._ring_spectrum(RING))[4])
+    spoil_rayleigh_product(_ring_mode_t01(solved_stacks, 4, 30))
     error = _assert_names_its_grid_point(
-        monkeypatch, cyl, 30, 0,
+        monkeypatch, RING, 30, 0,
         f"ring mode eta_k={eta_k!r}: eigenvalue residual ")
     assert isinstance(error, ConvergenceError) and error.residual > 1e-14
 
@@ -308,29 +311,34 @@ def _failing_rule(s, m):
 
 
 # one-point failures at the edges of the domain: the chain's overflowing
-# double well at deep quench, a DNLS rule that does not stabilize
-# (injected), a cylinder ring mode above the eigen residual tolerance,
-# and the chain's nan Perron vector at beta = 638 (ROADMAP, Known
-# defects); the last entry is a rule builder to inject, or None
+# double well at deep quench, uncoupled (beta = 1000) and weakly coupled
+# (beta = 700, where K0 is not all ones), a DNLS rule that
+# does not stabilize (injected) and a cylinder ring mode above the eigen
+# residual tolerance (injected); the last entry is None or installs the
+# fault, given monkeypatch, the solved_stacks list and the spoil function
+# of spoil_rayleigh_product
 EDGE_POINTS = {
     "chain-overflow": (particle_chain_free_energy,
                        ParticleChainParams(0.01, 1.0, 1.0, 0.0), 1000.0, 30,
                        None),
+    "chain-overflow-coupled": (particle_chain_free_energy,
+                               ParticleChainParams(0.01, 1.0, 1.0, 1e-3),
+                               700.0, 30, None),
     "dnls-rule": (dnls_free_energy, DnlsParams(1.0, -3.0), 60.0, 20,
-                  _failing_rule),
-    "cylinder-mode": (cylinder_free_energy,
-                      CylinderParams(1e-3, 50.0, 0.2, 64), 2.0, 30, None),
-    "chain-nan-vector": (particle_chain_free_energy,
-                         ParticleChainParams(0.01, 1.0, 1.0, 0.0), 638.0, 30,
-                         None),
+                  lambda mp, stacks, spoil: mp.setattr(
+                      models, "stieltjes_rule", _failing_rule)),
+    "cylinder-mode": (cylinder_free_energy, RING, 2.0, 30,
+                      lambda mp, stacks, spoil: spoil(
+                          _ring_mode_t01(stacks, 4, 30))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_POINTS))
-def test_one_point_failure_is_the_one_row_sweep_failure(monkeypatch, case):
-    route, params, beta, m, rule = EDGE_POINTS[case]
-    if rule is not None:
-        monkeypatch.setattr(models, "stieltjes_rule", rule)
+def test_one_point_failure_is_the_one_row_sweep_failure(
+        monkeypatch, solved_stacks, spoil_rayleigh_product, case):
+    route, params, beta, m, inject = EDGE_POINTS[case]
+    if inject is not None:
+        inject(monkeypatch, solved_stacks, spoil_rayleigh_product)
     # a warning on the way (numpy's on a nan vector) fails the test
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -422,11 +430,11 @@ def test_stacked_solve_equals_each_beta_alone(solved_stacks):
     f, rule, eig, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 15)
     T = solved_stacks[-1]
     assert eig.lambda1.shape == (3,) and eig.vector.shape == (3, 15)
-    assert isinstance(eig.residual, float) and eig.iterations == 1
+    assert isinstance(eig.residual, float) and eig.iterations == 5
     assert T.shape == (3, 15, 15) and rule.nodes.shape == (3, 15)
     for k in range(3):
         f1, rule1, eig1, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas[k:k + 1], 15)
-        assert f1[0] == f[k]
+        assert f1[0] == f[k] and eig1.iterations == 5
         assert np.array_equal(solved_stacks[-1][0], T[k])
         assert np.array_equal(rule1.nodes[0], rule.nodes[k])
         assert eig1.lambda1[0] == eig.lambda1[k]

@@ -787,18 +787,22 @@ def test_cylinder_mode_chunks_give_the_same_bits(monkeypatch):
     assert sizes == [2, 2, 1]
 
 
-def test_failing_ring_mode_is_named_in_a_later_chunk(monkeypatch):
-    # the fifth distinct mode fails (matrix 4 of one stack); in chunks of
+def test_failing_ring_mode_is_named_in_a_later_chunk(monkeypatch, solved_stacks,
+                                                     spoil_rayleigh_product):
+    # the fifth distinct mode fails (matrix 4 of one stack), its residual
+    # check's product T v spoiled, told by its (0, 1) entry; in chunks of
     # four it is the first matrix of the second, and the error still
     # names its eta_k and residual
     cyl = CylinderParams(eta=1e-3, ax=50.0, ay=0.2, ly=64)
-    eta_k = float(np.unique(models._ring_spectrum(cyl))[4])
+    eta_k = np.unique(models._ring_spectrum(cyl))[4:5]
+    _chain_solve(eta_k, 0.0, 0.0, cyl.ax, np.ones(1), 30)
+    spoil_rayleigh_product(solved_stacks[-1][0, 0, 1])
     for rows in (None, 4):
         if rows:
             monkeypatch.setattr(models, "_BLOCK_ENTRIES", rows * 30 * 30)
         with pytest.raises(ConvergenceError) as exc:
             cyl.block(np.array([1.0]), 30)
-        assert str(exc.value).startswith(f"ring mode eta_k={eta_k!r}: ")
+        assert str(exc.value).startswith(f"ring mode eta_k={float(eta_k[0])!r}: ")
         assert exc.value.index is None and exc.value.residual > 1e-14
 
 

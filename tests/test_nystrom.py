@@ -1,12 +1,11 @@
 """Discretization-matrix and eigenvalue tests.
 
 Oracles: entrywise recomputation of the assembly formula in plain
-(non-log) arithmetic on small rules, np.linalg.eigh / eigvalsh as a
-second dense eigensolver (the library takes lambda_1 from eigvalsh and
-the Perron vector from one shifted solve, so eigh's eigenvectors are an
-independent check on that vector, and eigvalsh pins lambda_1 and the
-residual), Rayleigh quotients, and hand-diagonalizable 2x2 / rank-1
-matrices.
+(non-log) arithmetic on small rules, np.linalg.eigh / eigvalsh as an
+independent dense eigensolver (the library squares the matrix and calls
+no LAPACK routine, so eigh's eigenvectors check its Perron vector and
+eigvalsh its lambda_1), Rayleigh quotients, and hand-diagonalizable
+2x2 / rank-1 / diagonal matrices.
 """
 
 import math
@@ -189,9 +188,9 @@ def test_eigenvalue_perron_vector_at_domain_edges(eta, mu3, lam, beta, m):
 
 def test_eigenvalue_of_huge_entries_converges():
     # entries up to 8e230: the eigenvector decomposition once stopped
-    # with LAPACK's "did not converge"; eigenvalues plus a shifted solve
-    # handle it, and the residual is taken relative to lambda_1 so no
-    # square of an entry overflows
+    # with LAPACK's "did not converge"; squaring scales the matrix by
+    # its largest entry first, and the residual is taken relative to
+    # lambda_1 so no square of an entry overflows
     mat = _deep_well(500.0, 30)
     eig = dominant_eigenvalue(mat)
     assert eig.residual <= 1e-14
@@ -213,33 +212,21 @@ def test_perron_vector_normalization_is_scale_safe():
     assert eig.residual <= 1e-14
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_vector_fails_the_residual_gate(monkeypatch):
-    # a Perron-vector step that returns nan or zero must not pass as a
-    # converged vector of residual 0
-    real = np.linalg.solve
+    # a Perron-vector step (the row sums of the squared matrix) that
+    # returns nan, inf or zero must not pass as a converged vector of
+    # residual 0, nor warn on the way
+    real = np.matmul
     T = np.array([[2.0, 1.0], [1.0, 2.0]])
     for spoiled in (np.nan, np.inf, 0.0):
-        monkeypatch.setattr(nystrom.np.linalg, "solve",
-                            lambda a, b, x=spoiled: np.full_like(real(a, b), x))
-        with pytest.raises(ConvergenceError):
-            dominant_eigenvalue(T)
+        def matmul(a, b, x=spoiled):
+            out = real(a, b)
+            return np.full_like(out, x) if b is nystrom._ones(2) else out
 
-
-@pytest.mark.parametrize("step", ["eigvalsh", "solve"])
-def test_lapack_failure_is_a_convergence_error(monkeypatch, step):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(nystrom.np.linalg, step, fail)
-    # a stack and a single matrix give the same error, naming no matrix
-    for T in (np.stack([np.eye(3), 2.0 * np.eye(3)]), np.eye(3)):
+        monkeypatch.setattr(nystrom.np, "matmul", matmul)
         with pytest.raises(ConvergenceError) as exc:
             dominant_eigenvalue(T)
-        assert str(exc.value) == ("dense eigensolve failed: "
-                                  "Eigenvalues did not converge")
-        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
-        assert exc.value.index is None
+        assert math.isnan(exc.value.residual)
 
 
 def test_config_stack_matches_eigh():
@@ -266,19 +253,81 @@ def test_positive_stack_gives_positive_vectors():
 
 
 def test_eigenvalue_dense_fallback_on_degenerate_gap():
-    # lambda_1 = lambda_2 (a degenerate gap, where an iterative
-    # eigensolver stalls); the dense solve delivers the top eigenvalue
+    # lambda_1 = lambda_2, a degenerate gap: the row sums of the squared
+    # matrix are a top eigenvector anyway, once lambda_3's part has died
     T = np.diag([2.0, 2.0, 1.0])
     eig = dominant_eigenvalue(T)
     assert eig.lambda1 == pytest.approx(2.0, rel=1e-14)
     assert eig.residual <= 1e-14
+    assert eig.iterations == 6
 
 
 def test_eigenvalue_near_degenerate_gap_falls_back():
-    # a gap of 1e-13, as good as degenerate for an iterative solver
+    # a relative gap of 1e-13: the residual passes once lambda_2's part
+    # of the row sums has died, after 2^45 ~ 3.5e13 powers of T
     T = np.diag([1.0, 1.0 - 1e-13, 0.5])
     eig = dominant_eigenvalue(T)
     assert eig.lambda1 == pytest.approx(1.0, rel=1e-13)
+    assert eig.residual <= 1e-14
+    assert eig.iterations == 45
+
+
+# a positive 3x3 matrix whose top two eigenvalues are 8.9e-14 apart,
+# relative, with a third well below: its eigensolve needs 43 squarings
+SLOW = np.array([[1.0, 4e-14, 1e-20],
+                 [4e-14, 1.0 + 4e-14, 1e-20],
+                 [1e-20, 1e-20, 0.5]])
+
+
+def test_each_matrix_stops_squaring_at_its_own_check():
+    # a chain-config matrix that passes at the first check, after five
+    # squarings, and the slow one: each gives the same bits and count
+    # alone as inside a stack, in either order
+    betas = np.linspace(0.5, 10.0, 96)[40:41]
+    _, _, _, (k0, d) = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 3)
+    fast = d[0, :, None] * d[0, None, :] * k0
+    alone = [dominant_eigenvalue(fast), dominant_eigenvalue(SLOW)]
+    assert [eig.iterations for eig in alone] == [5, 43]
+    for eig, T in zip(alone, (fast, SLOW)):
+        assert eig.residual <= 1e-14
+        assert eig.lambda1 == pytest.approx(np.linalg.eigvalsh(T)[-1],
+                                            rel=1e-14)
+    for order in ([0, 1], [1, 0]):
+        both = dominant_eigenvalue(np.stack([(fast, SLOW)[k] for k in order]))
+        assert both.iterations == 43
+        assert both.residual == max(eig.residual for eig in alone)
+        for i, k in enumerate(order):
+            assert both.lambda1[i] == alone[k].lambda1
+            assert np.array_equal(both.vector[i], alone[k].vector)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_stack_with_a_non_finite_or_zero_matrix_fails(bad):
+    # no numpy warning on the way (pytest makes one an error): the
+    # matrix leaves nan in its residual, which stops the squaring at
+    # the first check
+    T = np.stack([np.eye(3), np.full((3, 3), bad), 2.0 * np.eye(3)])
+    with pytest.raises(ConvergenceError,
+                       match="^eigenvalue residual nan above tolerance "
+                             "1.0e-14 after 5 squarings$") as exc:
+        dominant_eigenvalue(T)
+    assert math.isnan(exc.value.residual) and exc.value.index is None
+
+
+def test_squaring_cap_raises_with_the_residual(monkeypatch):
+    # the slow matrix needs 43 squarings; capped at 20 it fails with its
+    # own residual, alone or in a stack whose other matrix passed
+    monkeypatch.setattr(nystrom, "_MAX_SQUARINGS", 20)
+    fast = np.array([[2.0, 1.0], [1.0, 2.0]])
+    errors = []
+    for T in (SLOW, np.stack([np.pad(fast, (0, 1)), SLOW])):
+        with pytest.raises(ConvergenceError) as exc:
+            dominant_eigenvalue(T)
+        assert str(exc.value).startswith("eigenvalue residual ")
+        assert str(exc.value).endswith(" above tolerance 1.0e-14 after "
+                                       "20 squarings")
+        errors.append(exc.value.residual)
+    assert errors[0] == errors[1] and 1e-14 < errors[0] < 1e-10
 
 
 def test_eigenvalue_result_fields():

@@ -466,11 +466,16 @@ def test_sweep_error_names_grid_point(monkeypatch):
 
 @pytest.mark.parametrize("grid", [[2.0], [0.5, 1.0, 2.0]],
                          ids=["one-beta", "three-beta"])
-def test_cylinder_ring_mode_failure_names_the_mode_not_a_row(grid):
-    # the cylinder's stack axis is its ring modes: a failing mode fails
-    # every beta of the block, so the error names the mode and the
-    # block's first beta, never a beta range over its rows
+def test_cylinder_ring_mode_failure_names_the_mode_not_a_row(
+        solved_stacks, spoil_rayleigh_product, grid):
+    # the cylinder's stack axis is its ring modes: a failing mode (the
+    # fifth, its residual check's product T v spoiled, told by its (0, 1)
+    # entry) fails every beta of the block, so the error names the mode
+    # and the block's first beta, never a beta range over its rows
     cyl = CylinderParams(eta=1e-3, ax=50.0, ay=0.2, ly=64)
+    eta_k = np.unique(models._ring_spectrum(cyl))[4:5]
+    models._chain_solve(eta_k, 0.0, 0.0, cyl.ax, np.ones(1), 30)
+    spoil_rayleigh_product(solved_stacks[-1][0, 0, 1])
     with pytest.raises(ConvergenceError) as exc:
         free_energy_sweep(SweepSpec(params=cyl, beta_grid=grid, m=30))
     assert exc.value.index == 0
