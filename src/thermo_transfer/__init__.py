@@ -9,8 +9,9 @@ governed by the dominant eigenvalue alone,
 
 This package discretizes the operator with Gauss quadrature tailored to
 each model's weight function (Nystrom method), extracts lambda_1 and
-its Perron vector with one dense symmetric eigensolve, and reads the
-observables off that vector's stationary marginals (Hellmann-Feynman).
+its Perron vector by repeated squaring of the positive matrix, with no
+eigendecomposition, and reads the observables off that vector's
+stationary marginals (Hellmann-Feynman).
 Implemented models: an anharmonic particle chain, the defocusing DNLS
 chain in polar coordinates, and a cylindrical lattice of coupled rings,
 solved as one harmonic chain per ring Fourier mode.

@@ -278,9 +278,12 @@ def _require_out(cfg):
 
 
 def _write_csv(path, names, cols):
-    # %.17g prints an integer column (m) as 4, 150, ...
+    # %.17g prints an integer column (m) as 4, 150, ...; a column's
+    # tolist() gives Python ints and floats, one format per row
+    row = ",".join(["%.17g"] * len(cols))
     lines = [",".join(names)]
-    lines += [",".join("%.17g" % v for v in row) for row in zip(*cols)]
+    lines += [row % values
+              for values in zip(*(np.asarray(c).tolist() for c in cols))]
     try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")

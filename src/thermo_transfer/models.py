@@ -117,8 +117,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericError
-from .nystrom import (_LOG_MAX, LogKernel, _check_log_entries,
-                      dominant_eigenvalue)
+from .nystrom import (_BLOCK_ENTRIES, _LOG_MAX, LogKernel,
+                      _check_log_entries, _held_stack, dominant_eigenvalue)
 from .specfun import i0_scaled, i1_scaled, log_i0
 from .quadrature import (QuadratureRule, _check_m, _unit_hermite,
                          gauss_hermite_rescaled, stieltjes_rule)
@@ -139,11 +139,6 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-# a stack of matrices holds at most about this many entries, so memory
-# grows neither with a sweep's grid nor with the cylinder's ly
-_BLOCK_ENTRIES = 2 ** 21
 
 
 def _block_rows(m):
@@ -454,7 +449,8 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
                 logk0 + (logd[..., :, None] + logd[..., None, :]), rule.nodes)
     k0 = np.exp(logk0, out=logk0)
     d = np.exp(logd)
-    entries = d[:, :, None] * d[:, None, :]
+    entries = _held_stack(d.shape + (m,))
+    np.multiply(d[:, :, None], d[:, None, :], out=entries)
     entries *= k0
     eig = dominant_eigenvalue(entries)
     mlogz = (_LOG_2PI - np.log(betas) - 0.5 * np.log(c)
@@ -531,7 +527,6 @@ def _dnls_solve(g, mu_c, betas, m):
     (B, m, m) stack and one stacked eigensolve.  The Stieltjes rule is
     the cached unit rule of s = -mu sqrt(beta/g), one per beta, with its
     nodes divided by sqrt(beta g), stacked as one (B, m) rule."""
-    DnlsParams(g, mu_c)  # the domain check of the raw route
     # valid params and beta may still give an s, nodes or kernel values
     # a double cannot hold; each is named by the typed check below it
     # (stieltjes_rule's, i0_scaled's or the rule's), with no numpy
@@ -555,7 +550,9 @@ def _dnls_solve(g, mu_c, betas, m):
         x = beta * (u[:, :, None] * u[:, None, :])
         k = 2.0 * math.pi * np.exp(
             -0.5 * beta * (u[:, :, None] - u[:, None, :]) ** 2)
-        entries = d[:, :, None] * d[:, None, :] * (k * i0_scaled(x))
+        entries = _held_stack(x.shape)
+        np.multiply(d[:, :, None], d[:, None, :], out=entries)
+        entries *= k * i0_scaled(x)
     rule = QuadratureRule(nodes, weights)
     eig = dominant_eigenvalue(entries)
     mbf = (np.log(eig.lambda1) + 0.5 * np.minimum(s, 0.0) ** 2
@@ -564,6 +561,7 @@ def _dnls_solve(g, mu_c, betas, m):
 
 
 def _dnls_free_energy_raw(g, mu_c, beta, m):
+    DnlsParams(g, mu_c)  # the domain check of the raw route
     return _per_beta(lambda b: _dnls_solve(g, mu_c, b, m)[0], beta)
 
 

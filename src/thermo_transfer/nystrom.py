@@ -41,9 +41,22 @@ at the first check its own residual passes, and only the rest go on,
 so a matrix gives the same bits alone as inside any stack, and the
 same error: no error here says which matrix of a stack failed
 (`models._solve_block` finds it by solving the matrices alone).
+
+Each thread holds one block of float memory for a block's stack
+arrays (`_held_stack`): the entries a model hands to the eigensolve
+and the two powers that `dominant_eigenvalue` squares between with
+`np.matmul(P, P, out=Q)`.  It grows to the largest stack the thread
+has solved, at most three stacks of `_BLOCK_ENTRIES` doubles (48 MiB),
+and is handed out as views, so a warm block allocates no (B, m, m)
+array and the allocator has no stack memory to trim and fault in
+again.  That helps repeated blocks in one process whose stacks are
+large (the chain config's (96, 30, 30) stacks are 675 KiB each); a
+stack above the bound gets fresh arrays.  No returned array shares
+this memory, so a thread pool of sweeps stays safe.
 """
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -112,6 +125,29 @@ _FIRST_CHECK = 5
 # and a gap below one ulp of lambda_1 is degenerate in floating point,
 # where the row sums of the power are an eigenvector anyway
 _MAX_SQUARINGS = 60
+
+
+# a stack of matrices holds at most about this many entries, so memory
+# grows neither with a sweep's grid nor with the cylinder's ly
+_BLOCK_ENTRIES = 2 ** 21
+
+# this thread's held stack memory, `buf`: one flat array of doubles
+_held = threading.local()
+
+
+def _held_stack(shape, slot=0):
+    """A view of shape (B, m, m) on slot 0, 1 or 2 of this thread's held
+    memory, which grows to three such stacks; a fresh array for a stack
+    above _BLOCK_ENTRIES entries.  Slot 0 holds a model's entries, 1 and
+    2 the powers of `dominant_eigenvalue`.  The view is scratch: the
+    next solve on this thread overwrites it."""
+    n = shape[0] * shape[1] * shape[2]
+    if n > _BLOCK_ENTRIES:
+        return np.empty(shape)
+    buf = getattr(_held, "buf", None)
+    if buf is None or buf.size < 3 * n:
+        buf = _held.buf = np.empty(3 * n)
+    return buf[slot * n:(slot + 1) * n].reshape(shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,21 +239,22 @@ def dominant_eigenvalue(T):
     """
     stack = T.reshape((-1,) + T.shape[-2:])
     B, m = stack.shape[0], stack.shape[-1]
-    lam, v, res = np.empty(B), np.empty((B, m)), np.empty(B)
-    count = np.empty(B, dtype=int)
-    todo, A = np.arange(B), stack
     # lambda_1 of the power lies in [1, m] after the scaling by the
     # largest entry and in [1/m, 1] after one by the trace; k squarings
     # raise either bound to its 2^k-th power, which stays within
     # 2^(+-500) while 2^k log2(m) <= 500, so neither the power nor the
     # tail of its row sums leaves the doubles' range (2^(+-1022))
     rescale = int(np.log2(500.0 / np.log2(max(m, 2))))
+    # todo: the stack rows still squaring, None while all of them are
+    todo, A = None, stack
+    P, Q = _held_stack(stack.shape, 1), _held_stack(stack.shape, 2)
     # a nan, inf or all-zero matrix leaves nan in its residual, without
     # a warning, and fails the check below
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        P = stack / stack.max(axis=(-2, -1), keepdims=True)
+        np.divide(stack, stack.max(axis=(-2, -1), keepdims=True), out=P)
         for k in range(1, _MAX_SQUARINGS + 1):
-            P = np.matmul(P, P)
+            np.matmul(P, P, out=Q)
+            P, Q = Q, P
             if k % rescale == 0:
                 P /= np.trace(P, axis1=-2, axis2=-1)[:, None, None]
             if k < _FIRST_CHECK:
@@ -231,6 +268,10 @@ def dominant_eigenvalue(T):
             r -= x
             rn = np.sqrt((r * r).sum(axis=-1))
             ok = rn <= _TOL
+            if todo is None and ok.all():
+                # every matrix passes at once: nothing to gather
+                lam, v, res = rq, x, rn
+                break
             if not ok.all() and (k == _MAX_SQUARINGS
                                  or not np.isfinite(rn).all()):
                 # nan sorts last: a non-finite residual, else the largest
@@ -238,16 +279,21 @@ def dominant_eigenvalue(T):
                 raise ConvergenceError(
                     f"eigenvalue residual {worst:.3e} above tolerance "
                     f"{_TOL:.1e} after {k} squarings", residual=worst)
+            if todo is None:
+                todo = np.arange(B)
+                lam, v, res = np.empty(B), np.empty((B, m)), np.empty(B)
             done = todo[ok]
-            lam[done], v[done], res[done], count[done] = rq[ok], x[ok], rn[ok], k
+            lam[done], v[done], res[done] = rq[ok], x[ok], rn[ok]
             if ok.all():
                 break
             todo, A, P = todo[~ok], A[~ok], P[~ok]
+            Q = np.empty_like(P)
+    # the last matrix to pass took the most squarings, k
     if T.ndim == 2:
         return DominantEig(lambda1=float(lam[0]), vector=v[0],
-                           residual=float(res[0]), iterations=int(count[0]))
+                           residual=float(res[0]), iterations=k)
     return DominantEig(lambda1=lam, vector=v, residual=float(res.max()),
-                       iterations=int(count.max()))
+                       iterations=k)
 
 
 def fredholm_det(T, mu):

@@ -132,7 +132,8 @@ def _sweep_row(spec, betas, start):
 def free_energy_sweep(spec, threads=None):
     """Evaluate the sweep one block of grid rows at a time, each block
     one stacked solve, on a thread pool over blocks when threads > 1
-    (LAPACK releases the GIL); threads is None or a positive integer."""
+    (BLAS `matmul` releases the GIL, and each thread squares in its own
+    held stack memory); threads is None or a positive integer."""
     if threads is not None:
         _check_m(threads, "threads")
     grid = spec.beta_grid

@@ -23,13 +23,14 @@ def pools_entered(monkeypatch):
 
 @pytest.fixture
 def solved_stacks(monkeypatch):
-    """A list that gets each matrix or (B, m, m) stack a model hands to
-    its eigensolve, the entries array itself."""
+    """A list that gets a copy of each matrix or (B, m, m) stack a model
+    hands to its eigensolve: the entries live in the thread's held
+    stack memory, which the next solve overwrites."""
     stacks = []
     real = models.dominant_eigenvalue
 
     def spy(T):
-        stacks.append(T)
+        stacks.append(T.copy())
         return real(T)
 
     monkeypatch.setattr(models, "dominant_eigenvalue", spy)

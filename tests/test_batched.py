@@ -8,12 +8,14 @@ on its matrix or its s, must name that beta, m and grid row in one
 block, in a later block and on two threads.
 """
 
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from thermo_transfer import models, quadrature, thermo
+from thermo_transfer import models, nystrom, quadrature, thermo
 from thermo_transfer.errors import (AssemblyError, ConvergenceError,
                                     DomainError, NumericError)
 from thermo_transfer.models import (
@@ -441,6 +443,66 @@ def test_stacked_solve_equals_each_beta_alone(solved_stacks):
         assert np.array_equal(eig1.vector[0], eig.vector[k])
     assert eig.residual == max(
         dominant_eigenvalue(T[k]).residual for k in range(3))
+
+
+# --- the thread's held stack memory -----------------------------------------
+
+def test_warm_chain_config_block_allocates_less_than_one_stack():
+    # the chain config's block, warm: its (96, 30, 30) entries and powers
+    # are views of the thread's held memory, so the block's peak of new
+    # memory stays below one such stack (675 KiB)
+    betas = np.linspace(0.5, 10.0, 96)
+    CHAIN.block(betas, 30)
+    tracemalloc.start()
+    try:
+        CHAIN.block(betas, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < betas.size * 30 * 30 * 8
+
+
+@pytest.mark.parametrize("model", ["chain", "dnls"])
+def test_a_block_keeps_its_arrays_through_later_solves(model):
+    # no returned array shares the held memory: later solves on this
+    # thread, of a smaller stack and of a larger one that regrows the
+    # memory, leave every array of the first block as it was
+    params, solve = {"chain": (CHAIN, _chain), "dnls": (DNLS, _dnls)}[model]
+    betas = np.linspace(0.5, 6.0, 8)
+    f, rule, eig, factors = solve(betas, 12)
+    values = params.block(betas, 12)[1]
+    held = nystrom._held.buf
+    arrays = [f, rule.nodes, rule.weights, eig.lambda1, eig.vector,
+              *factors, *values.values()]
+    kept = [a.copy() for a in arrays]
+    for other in [(betas[:3], 7), (np.linspace(0.5, 6.0, 40), 25)]:
+        _chain(*other)
+        _dnls(*other)
+    for a, b in zip(arrays, kept):
+        assert not np.shares_memory(a, held)
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("model", ["chain", "dnls"])
+def test_threads_keep_their_own_held_memory(monkeypatch, model):
+    # more threads than cores, switching often: a block that wrote its
+    # entries or powers into memory another thread was squaring in would
+    # change that thread's rows, which must equal the serial sweep's
+    params, m = {"chain": (CHAIN, 12), "dnls": (DNLS, 10)}[model]
+    spec = SweepSpec(params=params, beta_grid=np.linspace(0.5, 6.5, 64),
+                     m=m, observables=True)
+    _blocks_of(monkeypatch, 2, m)
+    serial = free_energy_sweep(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [free_energy_sweep(spec, threads=4) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for sweep in threaded:
+        assert np.array_equal(sweep.free_energy, serial.free_energy)
+        for name, values in serial.observables.items():
+            assert np.array_equal(sweep.observables[name], values)
 
 
 def test_single_matrix_gives_scalars():

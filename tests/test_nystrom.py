@@ -219,8 +219,9 @@ def test_non_finite_vector_fails_the_residual_gate(monkeypatch):
     real = np.matmul
     T = np.array([[2.0, 1.0], [1.0, 2.0]])
     for spoiled in (np.nan, np.inf, 0.0):
-        def matmul(a, b, x=spoiled):
-            out = real(a, b)
+        def matmul(a, b, *args, x=spoiled, **kwargs):
+            # the squarings pass out=, which goes on to the real matmul
+            out = real(a, b, *args, **kwargs)
             return np.full_like(out, x) if b is nystrom._ones(2) else out
 
         monkeypatch.setattr(nystrom.np, "matmul", matmul)
