@@ -24,6 +24,7 @@ Exit codes: 0 success, 1 numeric failure, 2 usage or config error.
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import selftest as _selftest
 from .errors import DomainError, NumericError
 from .thermo import MODELS, SweepSpec, free_energy_sweep
 
@@ -189,8 +189,11 @@ def _join_float_values(argv):
     return joined
 
 
+@functools.lru_cache(maxsize=None)
 def _parser():
-    # full spellings only, each of which _join_float_values knows
+    # built once per process: parse_args reads the parser and returns a
+    # fresh Namespace, so no value of one call reaches the next.  Full
+    # spellings only, each of which _join_float_values knows
     parser = argparse.ArgumentParser(
         prog="thermo-transfer",
         description="Transfer-operator free energies of quasi-1D chains",
@@ -363,7 +366,9 @@ def main(argv=None):
         return 2
     try:
         if cfg.subcommand == "selftest":
-            return 0 if _selftest.run() else 1
+            # imported here, so a sweep does not load the checks
+            from . import selftest
+            return 0 if selftest.run() else 1
         if cfg.subcommand == "convergence":
             rows = len(run_convergence(cfg))
         else:

@@ -1,23 +1,26 @@
 """Fixtures shared by the test modules."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
-from thermo_transfer import models, nystrom, thermo
+from thermo_transfer import models, nystrom
 
 
 @pytest.fixture
 def pools_entered(monkeypatch):
     """A list that gets one entry, the worker count, per thread pool a
-    sweep enters."""
+    sweep enters.  A threaded sweep imports its pool class from
+    `concurrent.futures` when it runs, so the counting class goes there."""
     entered = []
 
-    class CountingPool(thermo.ThreadPoolExecutor):
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
         def __enter__(self):
             entered.append(self._max_workers)
             return super().__enter__()
 
-    monkeypatch.setattr(thermo, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     return entered
 
 

@@ -2,9 +2,10 @@
 
 Everything runs in-process through cli.main/build_config except the
 tests that need a fresh interpreter: two smoke tests for the installed
-console script and the cold-start check of which modules a run loads.
+console script and the cold-start checks of which modules a run loads.
 """
 
+import argparse
 import dataclasses
 import json
 import math
@@ -107,6 +108,47 @@ def test_flag_overrides_config_file():
     assert cfg.model == "chain"  # file fills the rest
     assert cfg.out == "a.csv"
     assert cfg.eta == 1.0        # default
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    # building the parser costs several times what parsing with it
+    # does, so repeated calls in one process share one parser
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    flags = ["free-energy", "--model", "chain", "--beta-start", "1",
+             "--beta-count", "1", "--m", "6", "--out", str(tmp_path / "p.csv")]
+    for _ in range(3):
+        assert cli.main(flags) == 0
+    assert cli.main(flags[:-2]) == 2
+    assert build_config(flags).m == 6
+    assert len(built) <= 1
+
+
+def test_a_flag_does_not_reach_the_next_call(tmp_path):
+    # the parser is shared between calls: the second run, the config
+    # alone, reads the config's gamma = 1 and not the first run's flag
+    config = str(_ROOT / "scripts" / "configs" / "chain_observables.cfg")
+    outs = [tmp_path / "flag.csv", tmp_path / "config.csv"]
+    runs = [["--gamma", "2"], []]
+    for out, flags in zip(outs, runs):
+        argv = ["observables", "--config", config, *flags, "--out", str(out)]
+        assert cli.main(argv) == 0
+    assert [build_config(["observables", "--config", config, *flags]).gamma
+            for flags in runs] == [2.0, 1.0]
+    p = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0)
+    names, cols = thermo.free_energy_sweep(thermo.SweepSpec(
+        params=p, beta_grid=np.linspace(0.5, 10.0, 96), m=30,
+        observables=True)).columns()
+    got_names, rows = read_csv(outs[1])
+    assert got_names == names
+    assert np.array_equal(np.array(rows, dtype=float), np.column_stack(cols))
+    assert outs[0].read_bytes() != outs[1].read_bytes()
 
 
 # --- CSV output ------------------------------------------------------------------
@@ -841,6 +883,47 @@ def test_chain_and_cylinder_configs_run_without_scipy(tmp_path):
     assert report["scipy"] == []
     expect = dnls_free_energy(DnlsParams(g=1.0, mu_c=1.0), 1.0, 12)
     assert report["dnls_f"] == pytest.approx(expect, rel=1e-15)
+
+
+_LAZY_IMPORTS = """
+import json, sys
+from thermo_transfer import cli, models
+configs, out = sys.argv[1], sys.argv[2]
+lazy = ("concurrent.futures", "thermo_transfer.selftest")
+for sub, cfg in [("observables", "chain_observables.cfg"),
+                 ("free-energy", "cylinder_free_energy.cfg")]:
+    rc = cli.main([sub, "--config", configs + "/" + cfg, "--threads", "1",
+                   "--out", out])
+    assert rc == 0, cfg
+report = {"after_configs": [m for m in lazy if m in sys.modules],
+          "selftest": cli.main(["selftest"])}
+# blocks of two rows, so the 6-row grid is three blocks
+models._BLOCK_ENTRIES = 2 * 14 * 14
+csv = []
+for threads in ("1", "2"):
+    rc = cli.main(["free-energy", "--model", "chain", "--beta-start", "0.5",
+                   "--beta-stop", "5", "--beta-count", "6", "--m", "14",
+                   "--gamma", "0.7", "--threads", threads, "--out", out])
+    assert rc == 0, threads
+    csv.append(open(out).read())
+report["threads_agree"] = csv[0] == csv[1]
+report["after_all"] = [m for m in lazy if m in sys.modules]
+print(json.dumps(report))
+"""
+
+
+def test_one_thread_configs_load_neither_the_pool_nor_selftest(tmp_path):
+    # a --threads 1 run imports neither concurrent.futures nor the
+    # selftest checks; each is imported by the first call that needs it
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORTS, str(_ROOT / "scripts" / "configs"),
+         str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {"after_configs": [], "selftest": 0, "threads_agree": True,
+                      "after_all": ["concurrent.futures",
+                                    "thermo_transfer.selftest"]}
 
 
 @pytest.mark.skipif(shutil.which("thermo-transfer") is None,
