@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import selftest as _selftest
 from .errors import DomainError, NumericError
 from .thermo import MODELS, SweepSpec, free_energy_sweep
 
@@ -366,9 +367,7 @@ def main(argv=None):
         return 2
     try:
         if cfg.subcommand == "selftest":
-            # imported here, so a sweep does not load the checks
-            from . import selftest
-            return 0 if selftest.run() else 1
+            return 0 if _selftest.run() else 1
         if cfg.subcommand == "convergence":
             rows = len(run_convergence(cfg))
         else:

@@ -24,9 +24,7 @@ particle chain (anharmonic on-site potential, harmonic coupling):
                 matrix per block, at most 1 for gamma >= 0,
         d_i = sqrt(w_i) exp((c - eta) x_i^2 / (4c)
                             - beta (mu3 q_i^3/12 + lam q_i^4/48)),
-    and T = K0 o (d_i d_j) is exactly symmetric.  The harmonic chain
-    (mu3 = lam = 0) has no beta in d either, so its block is one
-    matrix, solved once and read at every beta.  Log entries are
+    and T = K0 o (d_i d_j) is exactly symmetric.  Log entries are
     formed only to name an entry that would overflow.  The bond
     observable is a quadratic form on the beta-free K0 o (x - x')^2:
         <(q - q')^2/2>_bond = (v o d).(K0 o (x - x')^2)(v o d)
@@ -114,7 +112,7 @@ observables, whose rule moves with mu and beta.
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -412,8 +410,7 @@ def particle_chain_log_kernel(p, beta):
 def _chain_solve(eta, mu3, lam, gamma, betas, m):
     """(F, rule, DominantEig, (K0, d)) of the m-point chain at each beta
     of a 1-D array: one (B, m, m) stack T = d_i K0_ij d_j and one stacked
-    eigensolve, of a (1, m, m) stack for the harmonic chain at a scalar
-    eta; the rule has the (B, m) nodes, a Gauss-Hermite rule of
+    eigensolve; the rule has the (B, m) nodes, a Gauss-Hermite rule of
     precision beta c.  eta is a scalar, or an array with one entry per
     beta, and K0 has shape (m, m) or (B, m, m) to match."""
     # beta c is the precision of the harmonic chain's stationary site
@@ -452,18 +449,10 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
                 logk0 + (logd[..., :, None] + logd[..., None, :]), rule.nodes)
     k0 = np.exp(logk0, out=logk0)
     d = np.exp(logd)
-    # with one eta and no site term neither d nor K0 has beta in it, so
-    # the block's matrices are one matrix: it is solved once, and its
-    # lambda_1 and vector are read at every beta
-    one = np.ndim(eta) == 0 and not (mu3 or lam)
-    dm = d[:1] if one else d
-    entries = _held_stack(dm.shape + (m,))
-    np.multiply(dm[:, :, None], dm[:, None, :], out=entries)
+    entries = _held_stack(d.shape + (m,))
+    np.multiply(d[:, :, None], d[:, None, :], out=entries)
     entries *= k0
     eig = dominant_eigenvalue(entries)
-    if one:
-        eig = replace(eig, lambda1=np.broadcast_to(eig.lambda1, betas.shape),
-                      vector=np.broadcast_to(eig.vector, d.shape))
     mlogz = (_LOG_2PI - np.log(betas) - 0.5 * np.log(c)
              + np.log(eig.lambda1))
     return _per_site(-mlogz, betas), rule, eig, (k0, d)

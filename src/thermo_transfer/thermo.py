@@ -14,6 +14,7 @@ and selftest.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,10 +133,7 @@ def free_energy_sweep(spec, threads=None):
     """Evaluate the sweep one block of grid rows at a time, each block
     one stacked solve, on a thread pool over blocks when threads > 1
     (BLAS `matmul` releases the GIL, and each thread squares in its own
-    held stack memory); threads is None or a positive integer.  The
-    pool's module, `concurrent.futures`, is imported by the first sweep
-    that runs more than one block on more than one thread, so a
-    one-thread run never loads it."""
+    held stack memory); threads is None or a positive integer."""
     if threads is not None:
         _check_m(threads, "threads")
     grid = spec.beta_grid
@@ -146,7 +144,6 @@ def free_energy_sweep(spec, threads=None):
     # and tracer) sees every block
     block = lambda i: _sweep_row(spec, grid[i:i + rows], i)
     if threads is not None and threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             solved = list(pool.map(block, starts))
     else:

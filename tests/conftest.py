@@ -1,26 +1,23 @@
 """Fixtures shared by the test modules."""
 
-import concurrent.futures
-
 import numpy as np
 import pytest
 
-from thermo_transfer import models, nystrom
+from thermo_transfer import models, nystrom, thermo
 
 
 @pytest.fixture
 def pools_entered(monkeypatch):
     """A list that gets one entry, the worker count, per thread pool a
-    sweep enters.  A threaded sweep imports its pool class from
-    `concurrent.futures` when it runs, so the counting class goes there."""
+    sweep enters."""
     entered = []
 
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+    class CountingPool(thermo.ThreadPoolExecutor):
         def __enter__(self):
             entered.append(self._max_workers)
             return super().__enter__()
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(thermo, "ThreadPoolExecutor", CountingPool)
     return entered
 
 

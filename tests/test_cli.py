@@ -2,7 +2,7 @@
 
 Everything runs in-process through cli.main/build_config except the
 tests that need a fresh interpreter: two smoke tests for the installed
-console script and the cold-start checks of which modules a run loads.
+console script and the cold-start check of which modules a run loads.
 """
 
 import argparse
@@ -883,47 +883,6 @@ def test_chain_and_cylinder_configs_run_without_scipy(tmp_path):
     assert report["scipy"] == []
     expect = dnls_free_energy(DnlsParams(g=1.0, mu_c=1.0), 1.0, 12)
     assert report["dnls_f"] == pytest.approx(expect, rel=1e-15)
-
-
-_LAZY_IMPORTS = """
-import json, sys
-from thermo_transfer import cli, models
-configs, out = sys.argv[1], sys.argv[2]
-lazy = ("concurrent.futures", "thermo_transfer.selftest")
-for sub, cfg in [("observables", "chain_observables.cfg"),
-                 ("free-energy", "cylinder_free_energy.cfg")]:
-    rc = cli.main([sub, "--config", configs + "/" + cfg, "--threads", "1",
-                   "--out", out])
-    assert rc == 0, cfg
-report = {"after_configs": [m for m in lazy if m in sys.modules],
-          "selftest": cli.main(["selftest"])}
-# blocks of two rows, so the 6-row grid is three blocks
-models._BLOCK_ENTRIES = 2 * 14 * 14
-csv = []
-for threads in ("1", "2"):
-    rc = cli.main(["free-energy", "--model", "chain", "--beta-start", "0.5",
-                   "--beta-stop", "5", "--beta-count", "6", "--m", "14",
-                   "--gamma", "0.7", "--threads", threads, "--out", out])
-    assert rc == 0, threads
-    csv.append(open(out).read())
-report["threads_agree"] = csv[0] == csv[1]
-report["after_all"] = [m for m in lazy if m in sys.modules]
-print(json.dumps(report))
-"""
-
-
-def test_one_thread_configs_load_neither_the_pool_nor_selftest(tmp_path):
-    # a --threads 1 run imports neither concurrent.futures nor the
-    # selftest checks; each is imported by the first call that needs it
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_IMPORTS, str(_ROOT / "scripts" / "configs"),
-         str(tmp_path / "out.csv")],
-        capture_output=True, text=True, env=_src_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report == {"after_configs": [], "selftest": 0, "threads_agree": True,
-                      "after_all": ["concurrent.futures",
-                                    "thermo_transfer.selftest"]}
 
 
 @pytest.mark.skipif(shutil.which("thermo-transfer") is None,

@@ -34,8 +34,7 @@ from hypothesis import strategies as st
 
 from thermo_transfer import models, quadrature
 from thermo_transfer.errors import (AssemblyError, ConvergenceError,
-                                    DomainError, NumericError,
-                                    ResourceLimitError)
+                                    DomainError, ResourceLimitError)
 from thermo_transfer.models import (
     CylinderParams,
     DnlsParams,
@@ -51,9 +50,7 @@ from thermo_transfer.models import (
     reference_cylinder,
     reference_particle_chain_gamma0,
 )
-from thermo_transfer.thermo import (SweepSpec, dnls_observables,
-                                    free_energy_sweep,
-                                    particle_chain_observables)
+from thermo_transfer.thermo import dnls_observables, particle_chain_observables
 from thermo_transfer.nystrom import LogKernel, assemble, dominant_eigenvalue
 from thermo_transfer.quadrature import (
     gauss_hermite_rescaled,
@@ -256,31 +253,6 @@ def test_coupling_matched_rule_harmonic_chain_at_m12(beta):
     # rule is 5.7e-6 and 4.6e-5 off at the same size
     got = particle_chain_free_energy(ParticleChainParams(eta=1.0, gamma=1.0), beta, 12)
     assert got == pytest.approx(harmonic_chain_oracle(1.0, 1.0, beta), rel=1e-13)
-
-
-def test_harmonic_chain_block_solves_one_matrix(solved_stacks):
-    # with mu3 = lam = 0 neither d nor K0 has beta in it, so a block of
-    # 96 betas squares one matrix; mu3 = lam = 1e-300 moves no entry by
-    # a bit but takes the site term, so that sweep squares all 96 and
-    # gives the rows the one matrix must reproduce
-    grid = np.linspace(0.5, 10.0, 96)
-    rows = []
-    for tiny in (0.0, 1e-300):
-        p = ParticleChainParams(eta=1.0, mu3=tiny, lam=tiny, gamma=1.0)
-        rows.append(free_energy_sweep(
-            SweepSpec(params=p, beta_grid=grid, m=30, observables=True)))
-    assert [s.shape for s in solved_stacks] == [(1, 30, 30), (96, 30, 30)]
-    assert np.all(solved_stacks[1] == solved_stacks[0])
-    one, full = rows
-    assert np.array_equal(one.free_energy, full.free_energy)
-    for name, column in full.observables.items():
-        assert np.array_equal(one.observables[name], column), name
-    # the rule is still built at every beta, so a precision beta c that
-    # overflows is named by its beta
-    p = ParticleChainParams(eta=10.0, gamma=1.0)
-    with pytest.raises(NumericError, match=r"^at beta=1e\+308, m=8: precision") as exc:
-        models._solve_block(p, np.array([1.0, 1e308]), 8, True)
-    assert exc.value.index == 1
 
 
 def bare_weight_chain_solve(eta, mu3, lam, gamma, beta, m):
