@@ -120,12 +120,13 @@ from .errors import ConvergenceError, DomainError, NumericError
 from .nystrom import (_BLOCK_ENTRIES, _LOG_MAX, LogKernel,
                       _check_log_entries, _held_stack, dominant_eigenvalue)
 from .specfun import i0_scaled, i1_scaled, log_i0
-from .quadrature import (QuadratureRule, _check_m, _unit_hermite,
-                         gauss_hermite_rescaled, stieltjes_rule)
+from .quadrature import _check_m, _unit_hermite, stieltjes_rule
 # unused here; kept because the benchmark tracer wraps models.assemble,
-# models.golub_welsch, models.stieltjes_recurrence, models.tensor_product
-# and models.truncated_gaussian_normalization
+# models.gauss_hermite_rescaled, models.golub_welsch,
+# models.stieltjes_recurrence, models.tensor_product and
+# models.truncated_gaussian_normalization
 from .nystrom import assemble  # noqa: F401
+from .quadrature import gauss_hermite_rescaled  # noqa: F401
 from .quadrature import golub_welsch, stieltjes_recurrence  # noqa: F401
 from .quadrature import tensor_product  # noqa: F401
 from .quadrature import truncated_gaussian_normalization  # noqa: F401
@@ -279,8 +280,8 @@ class ParticleChainParams:
         """F and {stretch_sq, energy} at each beta of a block, from one
         stacked solve: <(q - q')^2/2>_bond and 1/beta - <mu3 q^3/12 +
         lam q^4/24>_site; observables=False skips them."""
-        f, rule, eig, (k0, d) = _chain_solve(self.eta, self.mu3, self.lam,
-                                             self.gamma, betas, m)
+        f, q, eig, (k0, d) = _chain_solve(self.eta, self.mu3, self.lam,
+                                          self.gamma, betas, m)
         if not observables:
             return f, {}
         # <(q - q')^2/2>_bond = (v d).(K0 (x - x')^2)(v d) / (2 beta c lambda_1),
@@ -293,7 +294,6 @@ class ParticleChainParams:
         ku = np.matmul(k0 * (x[:, None] - x[None, :]) ** 2, u[:, :, None])
         stretch = (np.sum(ku[:, :, 0] * u, axis=-1)
                    / (2.0 * c * betas * eig.lambda1))
-        q = rule.nodes
         q2 = q * q
         energy = 1.0 / betas - np.sum(eig.vector * eig.vector
                                       * (self.mu3 * (q2 * q) / 12.0
@@ -328,14 +328,14 @@ class DnlsParams:
         stacked solve: <rho + g rho^2/2>_site -
         <sqrt(rho rho') I1/I0(beta sqrt(rho rho'))>_bond and <rho>_site;
         observables=False skips them."""
-        f, rule, eig, (k, x, d) = _dnls_solve(self.g, self.mu_c, betas, m)
+        f, r, eig, (k, x, d) = _dnls_solve(self.g, self.mu_c, betas, m)
         if not observables:
             return f, {}
         # the bond term is a quadratic form, since T_ij I1/I0(x_ij) =
         # d_i k_ij e^{-x} I1(x_ij) d_j and sqrt(rho rho') = x / beta: one
         # matrix-vector product per beta, so that a row has the same bits
         # in any block
-        r, site, u = rule.nodes, eig.vector ** 2, eig.vector * d
+        site, u = eig.vector ** 2, eig.vector * d
         hu = np.matmul(k * x * i1_scaled(x), u[:, :, None])[:, :, 0]
         energy = (np.sum(site * (r + 0.5 * self.g * r ** 2), axis=-1)
                   - np.sum(hu * u, axis=-1) / (betas * eig.lambda1))
@@ -408,11 +408,12 @@ def particle_chain_log_kernel(p, beta):
 
 
 def _chain_solve(eta, mu3, lam, gamma, betas, m):
-    """(F, rule, DominantEig, (K0, d)) of the m-point chain at each beta
+    """(F, nodes, DominantEig, (K0, d)) of the m-point chain at each beta
     of a 1-D array: one (B, m, m) stack T = d_i K0_ij d_j and one stacked
-    eigensolve; the rule has the (B, m) nodes, a Gauss-Hermite rule of
-    precision beta c.  eta is a scalar, or an array with one entry per
-    beta, and K0 has shape (m, m) or (B, m, m) to match."""
+    eigensolve; the (B, m) nodes are those of the Gauss-Hermite rule of
+    precision beta c, the unit nodes over sqrt(beta c).  eta is a
+    scalar, or an array with one entry per beta, and K0 has shape
+    (m, m) or (B, m, m) to match."""
     # beta c is the precision of the harmonic chain's stationary site
     # marginal; c = eta exactly at gamma = 0.  The raw route takes
     # gamma < 0, so the weight's domain is checked here
@@ -420,33 +421,36 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
         raise DomainError(
             f"the chain's Gauss weight needs eta + 4 gamma > 0, "
             f"got eta={eta!r}, gamma={gamma!r}")
-    with np.errstate(over="ignore"):
-        # a precision a double cannot hold is named by the rule's check
-        c = np.sqrt(eta * (eta + 4.0 * gamma))
-        prec = betas * c
-    rule = gauss_hermite_rescaled(m, prec)
     # in the unit nodes x = q sqrt(beta c) the coupling has no beta in it:
     # log K0 = -gamma (x - x')^2 / (2c); log d holds the half log-weight,
-    # the site shift (c - eta) x^2 / (4c) and the anharmonic terms
-    x, w = _unit_hermite(m)
-    col = np.shape(c) + (1,)
-    logk0 = (-np.reshape(gamma / (2.0 * c), col + (1,))
-             * (x[:, None] - x[None, :]) ** 2)
-    logd = np.empty(rule.nodes.shape)
-    logd[...] = 0.5 * np.log(w) + np.reshape((c - eta) / (4.0 * c), col) * (x * x)
-    # the harmonic chain (mu3 = lam = 0) has no site term; at tiny beta
-    # the anharmonic one overflows q^4 = x^4 / (beta c)^2, which the log
+    # the site shift (c - eta) x^2 / (4c) and the anharmonic terms.  The
+    # harmonic chain (mu3 = lam = 0) has no site term; at tiny beta the
+    # anharmonic one overflows q^4 = x^4 / (beta c)^2, which the log
     # entries then name.  For gamma >= 0, K0 <= 1 with 1 on its diagonal,
     # so the largest log entry is 2 max(log d): within the bound no
     # product overflows, and beyond it a diagonal entry would (for
     # gamma < 0, K0 >= 1 and d_i d_j <= T_ij)
+    x, w = _unit_hermite(m)
     with np.errstate(over="ignore", invalid="ignore"):
+        c = np.sqrt(eta * (eta + 4.0 * gamma))
+        prec = betas * c
+        # gauss_hermite_rescaled's check and nodes, bit for bit
+        if not ((prec > 0.0) & np.isfinite(prec)).all():
+            raise DomainError(
+                f"precision parameter a must be positive, got {prec!r}")
+        nodes = x / np.sqrt(prec)[:, None]
+        col = np.shape(c) + (1,)
+        logk0 = (-np.reshape(gamma / (2.0 * c), col + (1,))
+                 * (x[:, None] - x[None, :]) ** 2)
+        logd = np.empty(nodes.shape)
+        logd[...] = (0.5 * np.log(w)
+                     + np.reshape((c - eta) / (4.0 * c), col) * (x * x))
         if mu3 or lam:
-            logd += _anharmonic_site(mu3, lam, betas[:, None], rule.nodes)
+            logd += _anharmonic_site(mu3, lam, betas[:, None], nodes)
         if not (np.isfinite(logd).all() and np.isfinite(logk0).all()
                 and 2.0 * logd.max() + logk0.max() <= _LOG_MAX):
             _check_log_entries(
-                logk0 + (logd[..., :, None] + logd[..., None, :]), rule.nodes)
+                logk0 + (logd[..., :, None] + logd[..., None, :]), nodes)
     k0 = np.exp(logk0, out=logk0)
     d = np.exp(logd)
     entries = _held_stack(d.shape + (m,))
@@ -455,7 +459,7 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
     eig = dominant_eigenvalue(entries)
     mlogz = (_LOG_2PI - np.log(betas) - 0.5 * np.log(c)
              + np.log(eig.lambda1))
-    return _per_site(-mlogz, betas), rule, eig, (k0, d)
+    return _per_site(-mlogz, betas), nodes, eig, (k0, d)
 
 
 def _chain_free_energy_raw(eta, mu3, lam, gamma, beta, m):
@@ -522,15 +526,17 @@ def dnls_log_kernel(beta):
 
 
 def _dnls_solve(g, mu_c, betas, m):
-    """(F, rule, DominantEig, (k, x, d)) of the m-point DNLS chain at each
-    beta of a 1-D array: T_ij = d_i k_ij e^{-x_ij} I0(x_ij) d_j, one
+    """(F, nodes, DominantEig, (k, x, d)) of the m-point DNLS chain at
+    each beta of a 1-D array: T_ij = d_i k_ij e^{-x_ij} I0(x_ij) d_j, one
     (B, m, m) stack and one stacked eigensolve.  The Stieltjes rule is
     the cached unit rule of s = -mu sqrt(beta/g), one per beta, with its
-    nodes divided by sqrt(beta g), stacked as one (B, m) rule."""
+    nodes divided by sqrt(beta g), stacked as (B, m) nodes and weights."""
     # valid params and beta may still give an s, nodes or kernel values
     # a double cannot hold; each is named by the typed check below it
-    # (stieltjes_rule's, i0_scaled's or the rule's), with no numpy
-    # warning first: s is formed in Python floats, which do not warn
+    # (stieltjes_rule's, i0_scaled's or the nodes' order), with no numpy
+    # warning first: s is formed in Python floats, which do not warn.
+    # An infinite node meets i0_scaled's check, and the cached weights
+    # were checked when built, so order is the one rule check left
     g, mu_c = float(g), float(mu_c)
     s = np.empty(betas.size)
     nodes = np.empty((betas.size, m))
@@ -553,11 +559,12 @@ def _dnls_solve(g, mu_c, betas, m):
         entries = _held_stack(x.shape)
         np.multiply(d[:, :, None], d[:, None, :], out=entries)
         entries *= k * i0_scaled(x)
-    rule = QuadratureRule(nodes, weights)
+    if (nodes[:, 1:] <= nodes[:, :-1]).any():
+        raise DomainError("quadrature nodes must be strictly increasing")
     eig = dominant_eigenvalue(entries)
     mbf = (np.log(eig.lambda1) + 0.5 * np.minimum(s, 0.0) ** 2
            - 0.5 * np.log(betas * g))
-    return _per_site(-mbf, betas), rule, eig, (k, x, d)
+    return _per_site(-mbf, betas), nodes, eig, (k, x, d)
 
 
 def _dnls_free_energy_raw(g, mu_c, beta, m):

@@ -12,13 +12,14 @@
 
 The Hermite rule is numpy's `hermegauss` (Gauss rule for e^{-q^2/2}),
 built once per m and scaled to the precision a: nodes / sqrt(a),
-weights / sqrt(2 pi); an array of precisions gives the (B, m) stack of
-rules a block of inverse temperatures needs.  The Stieltjes rules come
-out of the Golub-Welsch construction: the nodes are the eigenvalues of
-the symmetric tridiagonal Jacobi matrix built from the three-term
-recurrence of the monic orthogonal polynomials, and
-w_i = beta_0 * (first eigenvector component)^2.  Only that construction needs SciPy, which it imports on
-first use, so the Hermite-only chain and cylinder run on numpy alone.
+weights / sqrt(2 pi); an array of precisions gives a (B, m) stack of
+rules (the chain's solve divides the unit nodes itself and builds no
+rule).  The Stieltjes rules come out of the Golub-Welsch construction:
+the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+matrix built from the three-term recurrence of the monic orthogonal
+polynomials, and w_i = beta_0 * (first eigenvector component)^2.  Only
+that construction needs SciPy, which it imports on first use, so the
+Hermite-only chain and cylinder run on numpy alone.
 
 A DNLS rule is a pure function of (s, m).  One `functools.lru_cache`,
 read by `stieltjes_recurrence` and `stieltjes_rule` after they check s

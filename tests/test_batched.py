@@ -429,16 +429,16 @@ def test_assembled_stacks_are_exactly_symmetric(solved_stacks):
 
 def test_stacked_solve_equals_each_beta_alone(solved_stacks):
     betas = np.array([0.5, 2.0, 9.0])
-    f, rule, eig, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 15)
+    f, nodes, eig, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas, 15)
     T = solved_stacks[-1]
     assert eig.lambda1.shape == (3,) and eig.vector.shape == (3, 15)
     assert isinstance(eig.residual, float) and eig.iterations == 5
-    assert T.shape == (3, 15, 15) and rule.nodes.shape == (3, 15)
+    assert T.shape == (3, 15, 15) and nodes.shape == (3, 15)
     for k in range(3):
-        f1, rule1, eig1, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas[k:k + 1], 15)
+        f1, nodes1, eig1, _ = _chain_solve(1.0, 0.2, 0.2, 1.0, betas[k:k + 1], 15)
         assert f1[0] == f[k] and eig1.iterations == 5
         assert np.array_equal(solved_stacks[-1][0], T[k])
-        assert np.array_equal(rule1.nodes[0], rule.nodes[k])
+        assert np.array_equal(nodes1[0], nodes[k])
         assert eig1.lambda1[0] == eig.lambda1[k]
         assert np.array_equal(eig1.vector[0], eig.vector[k])
     assert eig.residual == max(
@@ -469,10 +469,10 @@ def test_a_block_keeps_its_arrays_through_later_solves(model):
     # memory, leave every array of the first block as it was
     params, solve = {"chain": (CHAIN, _chain), "dnls": (DNLS, _dnls)}[model]
     betas = np.linspace(0.5, 6.0, 8)
-    f, rule, eig, factors = solve(betas, 12)
+    f, nodes, eig, factors = solve(betas, 12)
     values = params.block(betas, 12)[1]
     held = nystrom._held.buf
-    arrays = [f, rule.nodes, rule.weights, eig.lambda1, eig.vector,
+    arrays = [f, nodes, eig.lambda1, eig.vector,
               *factors, *values.values()]
     kept = [a.copy() for a in arrays]
     for other in [(betas[:3], 7), (np.linspace(0.5, 6.0, 40), 25)]:
