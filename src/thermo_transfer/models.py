@@ -24,7 +24,9 @@ particle chain (anharmonic on-site potential, harmonic coupling):
                 matrix per block, at most 1 for gamma >= 0,
         d_i = sqrt(w_i) exp((c - eta) x_i^2 / (4c)
                             - beta (mu3 q_i^3/12 + lam q_i^4/48)),
-    and T = K0 o (d_i d_j) is exactly symmetric.  Log entries are
+    and T = K0 o (d_i d_j) is exactly symmetric.  The beta-free
+    pieces log(w)/2, x^2 and (x - x')^2 are built once per m and
+    cached (`quadrature._hermite_pieces`).  Log entries are
     formed only to name an entry that would overflow.  The bond
     observable is a quadratic form on the beta-free K0 o (x - x')^2:
         <(q - q')^2/2>_bond = (v o d).(K0 o (x - x')^2)(v o d)
@@ -72,6 +74,9 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
     beta in it, so lambda_1(T_k) is a constant of beta: the modes are
     solved at beta = 1, one matrix per distinct eta_k, in stacks of at
     most `_BLOCK_ENTRIES` entries, and beta F(beta) = F(1) + log beta.
+    The distinct eta_k are those of the wave numbers 0..L_y // 2,
+    counted without a sort where their values strictly increase
+    (`_ring_tally`, the values, counts and order of np.unique).
 
 Each params class is its model.  Class attributes give its CLI
 `name`, its `observables` (a row's observable columns, in order) and
@@ -120,7 +125,7 @@ from .errors import ConvergenceError, DomainError, NumericError
 from .nystrom import (_BLOCK_ENTRIES, _LOG_MAX, LogKernel,
                       _check_log_entries, _held_stack, dominant_eigenvalue)
 from .specfun import i0_scaled, i1_scaled, log_i0
-from .quadrature import _check_m, _unit_hermite, stieltjes_rule
+from .quadrature import _check_m, _hermite_pieces, stieltjes_rule
 # unused here; kept because the benchmark tracer wraps models.assemble,
 # models.gauss_hermite_rescaled, models.golub_welsch,
 # models.stieltjes_recurrence, models.tensor_product and
@@ -288,10 +293,9 @@ class ParticleChainParams:
         # since (q - q')^2 = (x - x')^2 / (beta c): a quadratic form on
         # one beta-free (m, m) matrix, one matrix-vector product per
         # beta so that a row has the same bits in any block
-        x = _unit_hermite(m)[0]
         c = math.sqrt(self.eta * (self.eta + 4.0 * self.gamma))
         u = eig.vector * d
-        ku = np.matmul(k0 * (x[:, None] - x[None, :]) ** 2, u[:, :, None])
+        ku = np.matmul(k0 * _hermite_pieces(m)[3], u[:, :, None])
         stretch = (np.sum(ku[:, :, 0] * u, axis=-1)
                    / (2.0 * c * betas * eig.lambda1))
         q2 = q * q
@@ -372,7 +376,7 @@ class CylinderParams:
         """F at each beta of a block from one stacked solve at beta = 1:
         one harmonic chain per distinct eta_k, the stack axis, and
         beta F = F(1) + log beta; no observables."""
-        etas, counts = np.unique(_ring_spectrum(self), return_counts=True)
+        etas, counts = _ring_tally(self)
         rows = _block_rows(m)
         f1 = np.concatenate([_ring_modes(etas[i:i + rows], self.ax, m)
                              for i in range(0, etas.size, rows)])
@@ -416,8 +420,10 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
     (m, m) or (B, m, m) to match."""
     # beta c is the precision of the harmonic chain's stationary site
     # marginal; c = eta exactly at gamma = 0.  The raw route takes
-    # gamma < 0, so the weight's domain is checked here
-    if not np.all(eta + 4.0 * gamma > 0.0):
+    # gamma < 0, so the weight's domain is checked here, in Python for
+    # a float eta
+    if not (eta + 4.0 * gamma > 0.0 if isinstance(eta, float)
+            else np.all(eta + 4.0 * gamma > 0.0)):
         raise DomainError(
             f"the chain's Gauss weight needs eta + 4 gamma > 0, "
             f"got eta={eta!r}, gamma={gamma!r}")
@@ -430,7 +436,7 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
     # so the largest log entry is 2 max(log d): within the bound no
     # product overflows, and beyond it a diagonal entry would (for
     # gamma < 0, K0 >= 1 and d_i d_j <= T_ij)
-    x, w = _unit_hermite(m)
+    x, half_logw, x2, dx2 = _hermite_pieces(m)
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.sqrt(eta * (eta + 4.0 * gamma))
         prec = betas * c
@@ -440,11 +446,9 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
                 f"precision parameter a must be positive, got {prec!r}")
         nodes = x / np.sqrt(prec)[:, None]
         col = np.shape(c) + (1,)
-        logk0 = (-np.reshape(gamma / (2.0 * c), col + (1,))
-                 * (x[:, None] - x[None, :]) ** 2)
+        logk0 = -np.reshape(gamma / (2.0 * c), col + (1,)) * dx2
         logd = np.empty(nodes.shape)
-        logd[...] = (0.5 * np.log(w)
-                     + np.reshape((c - eta) / (4.0 * c), col) * (x * x))
+        logd[...] = half_logw + np.reshape((c - eta) / (4.0 * c), col) * x2
         if mu3 or lam:
             logd += _anharmonic_site(mu3, lam, betas[:, None], nodes)
         if not (np.isfinite(logd).all() and np.isfinite(logk0).all()
@@ -629,6 +633,24 @@ def _ring_spectrum(p):
     k = np.arange(p.ly)
     wave = np.minimum(k, p.ly - k)
     return p.eta + p.ay * (2.0 - 2.0 * np.cos(2.0 * math.pi * wave / p.ly))
+
+
+def _ring_tally(p):
+    """The distinct eta_k and their multiplicities, ascending, exactly as
+    np.unique(_ring_spectrum(p), return_counts=True) gives them.  Mode k
+    and L_y - k share a value, so the distinct ones are among the wave
+    numbers 0..L_y // 2, each counted twice but 0 and L_y / 2; when
+    those values strictly increase, as they do unless a_y Lambda_k
+    rounds away against eta, they are the answer with no sort."""
+    spectrum = _ring_spectrum(p)
+    etas = spectrum[:p.ly // 2 + 1]
+    if not (etas[1:] > etas[:-1]).all():
+        return np.unique(spectrum, return_counts=True)
+    counts = np.full(etas.size, 2)
+    counts[0] = 1
+    if p.ly % 2 == 0:
+        counts[-1] = 1
+    return etas, counts
 
 
 def cylinder_free_energy(p, beta, m):

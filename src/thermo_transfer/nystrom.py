@@ -166,6 +166,17 @@ def _ones(m):
     return ones
 
 
+@functools.lru_cache(maxsize=1024)
+def _rescale(m):
+    # squarings between two divisions by the trace for an (m, m) matrix:
+    # lambda_1 of the power lies in [1, m] after the scaling by the
+    # largest entry and in [1/m, 1] after one by the trace; k squarings
+    # raise either bound to its 2^k-th power, which stays within
+    # 2^(+-500) while 2^k log2(m) <= 500, so neither the power nor the
+    # tail of its row sums leaves the doubles' range (2^(+-1022))
+    return int(np.log2(500.0 / np.log2(max(m, 2))))
+
+
 def assemble(kernel, rule):
     """Assemble T[i,j] = exp(log k(z_i, z_j) + (log w_i + log w_j)/2).
 
@@ -231,7 +242,8 @@ def dominant_eigenvalue(T):
     residual is ||T v / lambda_1 - v||.  A matrix whose residual is at
     most 1e-14 stops there, and only the others are squared again, so
     each matrix gives the same bits and count alone as inside any
-    stack.  A residual that is not finite (a nan, inf or all-zero
+    stack; while no matrix has stopped, one test of the largest
+    residual (nan if any is) tells that all of them pass.  A residual that is not finite (a nan, inf or all-zero
     matrix, which stays so under squaring), or one above 1e-14 after
     60 squarings, raises ConvergenceError carrying that residual (of
     several, a non-finite one, else the largest).  A single matrix gives
@@ -239,19 +251,17 @@ def dominant_eigenvalue(T):
     """
     stack = T.reshape((-1,) + T.shape[-2:])
     B, m = stack.shape[0], stack.shape[-1]
-    # lambda_1 of the power lies in [1, m] after the scaling by the
-    # largest entry and in [1/m, 1] after one by the trace; k squarings
-    # raise either bound to its 2^k-th power, which stays within
-    # 2^(+-500) while 2^k log2(m) <= 500, so neither the power nor the
-    # tail of its row sums leaves the doubles' range (2^(+-1022))
-    rescale = int(np.log2(500.0 / np.log2(max(m, 2))))
+    rescale = _rescale(m)
     # todo: the stack rows still squaring, None while all of them are
     todo, A = None, stack
     P, Q = _held_stack(stack.shape, 1), _held_stack(stack.shape, 2)
     # a nan, inf or all-zero matrix leaves nan in its residual, without
-    # a warning, and fails the check below
+    # a warning, and fails the check below.  The reductions call the
+    # ufuncs, not the array methods, whose Python wrappers cost about as
+    # much as a reduction over a small stack
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        np.divide(stack, stack.max(axis=(-2, -1), keepdims=True), out=P)
+        np.divide(stack, np.maximum.reduce(stack, axis=(1, 2), keepdims=True),
+                  out=P)
         for k in range(1, _MAX_SQUARINGS + 1):
             np.matmul(P, P, out=Q)
             P, Q = Q, P
@@ -260,18 +270,19 @@ def dominant_eigenvalue(T):
             if k < _FIRST_CHECK:
                 continue
             x = np.matmul(P, _ones(m))[:, :, 0]
-            x /= x.max(axis=-1, keepdims=True)
-            x /= np.sqrt((x * x).sum(axis=-1, keepdims=True))
+            x /= np.maximum.reduce(x, axis=-1, keepdims=True)
+            x /= np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
             tx = np.matmul(A, x[:, :, None])[:, :, 0]
-            rq = (x * tx).sum(axis=-1)
+            rq = np.add.reduce(x * tx, axis=-1)
             r = tx / rq[:, None]
             r -= x
-            rn = np.sqrt((r * r).sum(axis=-1))
-            ok = rn <= _TOL
-            if todo is None and ok.all():
+            rn = np.sqrt(np.add.reduce(r * r, axis=-1))
+            # a nan residual makes the largest nan, which fails here
+            if todo is None and np.maximum.reduce(rn) <= _TOL:
                 # every matrix passes at once: nothing to gather
                 lam, v, res = rq, x, rn
                 break
+            ok = rn <= _TOL
             if not ok.all() and (k == _MAX_SQUARINGS
                                  or not np.isfinite(rn).all()):
                 # nan sorts last: a non-finite residual, else the largest
@@ -292,8 +303,8 @@ def dominant_eigenvalue(T):
     if T.ndim == 2:
         return DominantEig(lambda1=float(lam[0]), vector=v[0],
                            residual=float(res[0]), iterations=k)
-    return DominantEig(lambda1=lam, vector=v, residual=float(res.max()),
-                       iterations=k)
+    return DominantEig(lambda1=lam, vector=v,
+                       residual=float(np.maximum.reduce(res)), iterations=k)
 
 
 def fredholm_det(T, mu):

@@ -187,6 +187,19 @@ def _unit_hermite(m):
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=32)
+def _hermite_pieces(m):
+    # the beta-free pieces of a factored chain matrix on the unit rule:
+    # its nodes x, 0.5 log w, x^2 and the (m, m) (x_i - x_j)^2, built
+    # once per m and read-only like the rule.  At most 32 sizes are
+    # held, about 35 MB at the largest m a Hermite rule has (370)
+    x, w = _unit_hermite(m)
+    pieces = (0.5 * np.log(w), x * x, (x[:, None] - x[None, :]) ** 2)
+    for a in pieces:
+        a.flags.writeable = False
+    return (x,) + pieces
+
+
 def gauss_hermite_rescaled(m, a):
     """Gauss rule for the normalized Gaussian measure with precision a.
 

@@ -780,12 +780,14 @@ def test_selftest_catches_injected_fault(monkeypatch, capsys):
 
 def test_selftest_catches_a_drifted_factored_chain(monkeypatch, capsys):
     # the factored chain stack reads its weights one part in 1e12 off
-    # the rule's, which moves the harmonic chain off its closed form
+    # the rule's, which moves the harmonic chain off its closed form;
+    # the stack takes its half log-weights from the per-m pieces
     def drifted(m):
-        nodes, weights = quadrature._unit_hermite(m)
-        return nodes, weights * (1.0 + 1e-12)
+        nodes, _, x2, dx2 = quadrature._hermite_pieces(m)
+        weights = quadrature._unit_hermite(m)[1]
+        return nodes, 0.5 * np.log(weights * (1.0 + 1e-12)), x2, dx2
 
-    monkeypatch.setattr(models, "_unit_hermite", drifted)
+    monkeypatch.setattr(models, "_hermite_pieces", drifted)
     assert cli.main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "harmonic chain disagrees with its closed form" in out

@@ -247,6 +247,22 @@ def test_hermite_rule_arrays_are_read_only():
     assert np.allclose(r.nodes, 0.5 * unit.nodes, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 9, 30, 370])
+def test_hermite_pieces_are_read_only_and_fresh_bits(m):
+    # the chain's beta-free pieces, cached per m, are what a fresh
+    # computation from the unit rule gives, and no caller can write them
+    x, w = quadrature._unit_hermite(m)
+    pieces = quadrature._hermite_pieces(m)
+    fresh = (x, 0.5 * np.log(w), x * x, (x[:, None] - x[None, :]) ** 2)
+    assert len(pieces) == len(fresh)
+    for got, expect in zip(pieces, fresh):
+        assert got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+
+
 # --- truncated Gaussian normalization ----------------------------------------
 
 @pytest.mark.parametrize("a,b", [(1.0, 0.0), (2.0, 1.5), (0.5, -1.0), (15.0, 1.0)])
