@@ -37,8 +37,9 @@ Both steps take a stack: a rule whose nodes and weights have shape
 entries of shape (B, m, m), and `dominant_eigenvalue` squares the
 whole stack with one `np.matmul` per step, giving lambda_1 of shape
 (B,) and Perron vectors of shape (B, m).  Each matrix stops squaring
-at the first check its own residual passes, and only the rest go on,
-so a matrix gives the same bits alone as inside any stack, and the
+at the first check its own residual passes, and only the rest go on
+(one test of the largest residual settles a stack whose matrices all
+pass at the same check), so a matrix gives the same bits alone as inside any stack, and the
 same error: no error here says which matrix of a stack failed
 (`models._solve_block` finds it by solving the matrices alone).
 
@@ -243,8 +244,9 @@ def dominant_eigenvalue(T):
     most 1e-14 stops there, and only the others are squared again, so
     each matrix gives the same bits and count alone as inside any
     stack; while no matrix has stopped, one test of the largest
-    residual (nan if any is) tells that all of them pass.  A residual that is not finite (a nan, inf or all-zero
-    matrix, which stays so under squaring), or one above 1e-14 after
+    residual (nan if any is) tells that all of them pass.  A residual
+    that is not finite (a nan, inf or all-zero matrix, which stays so
+    under squaring), or one above 1e-14 after
     60 squarings, raises ConvergenceError carrying that residual (of
     several, a non-finite one, else the largest).  A single matrix gives
     scalar lambda1 and iterations and a vector of shape (m,).
