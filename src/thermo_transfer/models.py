@@ -25,9 +25,10 @@ particle chain (anharmonic on-site potential, harmonic coupling):
         d_i = sqrt(w_i) exp((c - eta) x_i^2 / (4c)
                             - beta (mu3 q_i^3/12 + lam q_i^4/48)),
     and T = K0 o (d_i d_j) is exactly symmetric.  The beta-free
-    pieces log(w)/2, x^2 and (x - x')^2 are built once per m and
-    cached (`quadrature._hermite_pieces`).  Log entries are
-    formed only to name an entry that would overflow.  The bond
+    pieces log(w)/2, x^2 and (x - x')^2 come from the unit rule's
+    per-m table (`quadrature._hermite_pieces`) and the nodes q from the
+    rule's check and scaling (`quadrature._hermite_nodes`).  Log entries
+    are formed only to name an entry that would overflow.  The bond
     observable is a quadratic form on the beta-free K0 o (x - x')^2:
         <(q - q')^2/2>_bond = (v o d).(K0 o (x - x')^2)(v o d)
                               / (2 beta c lambda_1).
@@ -88,7 +89,8 @@ F and {column: values} at each beta of a 1-D array from one stacked
 solve (`_chain_solve`, `_dnls_solve`; the `_raw` routes give F alone).
 A sweep's block and every one-point route go through `_solve_block`,
 which names a failing beta and m by solving a failed block again one
-beta at a time; a point is a block of one, so it gives the same bits
+beta at a time (`_raise_named`, which names a cylinder's failing ring
+mode the same way); a point is a block of one, so it gives the same bits
 and errors alone as inside a sweep.  An F that no double holds (beta F
 / beta below about beta = 4e-306) is a NumericError too.
 `factorized(beta)` is the reference F of the factorized limit, or None
@@ -125,7 +127,8 @@ from .errors import ConvergenceError, DomainError, NumericError
 from .nystrom import (_BLOCK_ENTRIES, _LOG_MAX, LogKernel,
                       _check_log_entries, _held_stack, dominant_eigenvalue)
 from .specfun import i0_scaled, i1_scaled, log_i0
-from .quadrature import _check_m, _hermite_pieces, stieltjes_rule
+from .quadrature import (_check_m, _hermite_nodes, _hermite_pieces,
+                         stieltjes_rule)
 # unused here; kept because the benchmark tracer wraps models.assemble,
 # models.gauss_hermite_rescaled, models.golub_welsch,
 # models.stieltjes_recurrence, models.tensor_product and
@@ -199,40 +202,38 @@ def _per_beta(solve, beta):
 _FAILURES = (NumericError, DomainError)
 
 
-def _first_failure(solve, values, exc):
-    """(k, error) of the first of `values` whose solve fails alone, after
-    `exc` failed the stack of them all; a stack of one is its own first
-    failure.  A value gives the same bits and errors alone as inside any
-    stack, so one of them fails alone."""
-    if len(values) == 1:
-        return 0, exc
-    for k in range(len(values)):
-        try:
-            solve(values[k:k + 1])
-        except _FAILURES as alone:
-            return k, alone
-    raise exc
-
-
-def _named(exc, where, index=None):
+def _raise_named(solve, values, exc, where, start=None):
+    """After `exc` failed solve(values), raise from the error of the first
+    value k that fails alone (of one value, exc) its type (a DomainError
+    becomes a NumericError) and residual, with where(value) before its
+    message and start + k as `index` (None without a start).  A value
+    fails alone as inside any stack; if none does, exc is raised again."""
+    k = 0
+    if len(values) > 1:
+        for k in range(len(values)):
+            try:
+                solve(values[k:k + 1])
+            except _FAILURES as alone:
+                exc = alone
+                break
+        else:
+            raise exc
     kind = type(exc) if isinstance(exc, NumericError) else NumericError
-    return kind(f"{where}: {exc}", residual=getattr(exc, "residual", None),
-                index=index)
+    raise kind(f"{where(float(values[k]))}: {exc}",
+               residual=getattr(exc, "residual", None),
+               index=None if start is None else start + k) from exc
 
 
 def _solve_block(p, betas, m, observables, start=0):
     """p.block on a block whose first row is grid row `start`.  A numeric
-    failure, and only that, solves the block again one beta at a time:
-    the first beta that fails alone is named, and its error keeps its
-    type (a DomainError becomes a NumericError) and residual and gains
-    that beta, m and its row in the whole grid as `index`."""
+    failure, and only that, is raised as the error of the first beta
+    that fails alone, named by that beta and m, with its row in the
+    whole grid as `index`."""
     try:
         return p.block(betas, m, observables)
     except _FAILURES as exc:
-        k, exc = _first_failure(lambda b: p.block(b, m, observables),
-                                betas, exc)
-        raise _named(exc, f"at beta={float(betas[k])!r}, m={m}",
-                     start + k) from exc
+        _raise_named(lambda b: p.block(b, m, observables), betas, exc,
+                     lambda beta: f"at beta={beta!r}, m={m}", start)
 
 
 def _point(p, beta, m, observables=False):
@@ -295,7 +296,7 @@ class ParticleChainParams:
         # beta so that a row has the same bits in any block
         c = math.sqrt(self.eta * (self.eta + 4.0 * self.gamma))
         u = eig.vector * d
-        ku = np.matmul(k0 * _hermite_pieces(m)[3], u[:, :, None])
+        ku = np.matmul(k0 * _hermite_pieces(m)[4], u[:, :, None])
         stretch = (np.sum(ku[:, :, 0] * u, axis=-1)
                    / (2.0 * c * betas * eig.lambda1))
         q2 = q * q
@@ -436,15 +437,11 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
     # so the largest log entry is 2 max(log d): within the bound no
     # product overflows, and beyond it a diagonal entry would (for
     # gamma < 0, K0 >= 1 and d_i d_j <= T_ij)
-    x, half_logw, x2, dx2 = _hermite_pieces(m)
+    _, _, half_logw, x2, dx2 = _hermite_pieces(m)
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.sqrt(eta * (eta + 4.0 * gamma))
         prec = betas * c
-        # gauss_hermite_rescaled's check and nodes, bit for bit
-        if not ((prec > 0.0) & np.isfinite(prec)).all():
-            raise DomainError(
-                f"precision parameter a must be positive, got {prec!r}")
-        nodes = x / np.sqrt(prec)[:, None]
+        nodes = _hermite_nodes(m, prec, prec)
         col = np.shape(c) + (1,)
         logk0 = -np.reshape(gamma / (2.0 * c), col + (1,)) * dx2
         logd = np.empty(nodes.shape)
@@ -616,15 +613,14 @@ def cylinder_log_kernel(p, beta):
 
 def _ring_modes(etas, ax, m):
     """F at beta = 1 of the harmonic chain of each ring mode eta_k, as
-    one stack.  A numeric failure solves the modes again one at a time
-    and names the first that fails alone; it holds at every beta of the
-    block, so `_solve_block` names the block's first beta."""
+    one stack.  A numeric failure is raised as the error of the first
+    mode that fails alone, named by its eta_k; it holds at every beta of
+    the block, so `_solve_block` names the block's first beta."""
     solve = lambda e: _chain_solve(e, 0.0, 0.0, ax, np.ones(e.size), m)[0]
     try:
         return solve(etas)
     except _FAILURES as exc:
-        k, exc = _first_failure(solve, etas, exc)
-        raise _named(exc, f"ring mode eta_k={float(etas[k])!r}") from exc
+        _raise_named(solve, etas, exc, lambda e: f"ring mode eta_k={e!r}")
 
 
 def _ring_spectrum(p):

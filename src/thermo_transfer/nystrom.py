@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssemblyError, ConvergenceError
+from .errors import AssemblyError, ConvergenceError, DomainError
 
 __all__ = ["LogKernel", "DominantEig",
            "assemble", "dominant_eigenvalue", "fredholm_det"]
@@ -151,31 +151,19 @@ def _held_stack(shape, slot=0):
     return buf[slot * n:(slot + 1) * n].reshape(shape)
 
 
-@functools.lru_cache(maxsize=None)
-def _upper(m):
-    # (m, m) mask of the upper triangle, diagonal included
-    mask = np.triu(np.ones((m, m), dtype=bool))
-    mask.flags.writeable = False
-    return mask
-
-
-@functools.lru_cache(maxsize=None)
-def _ones(m):
-    # (m, 1) column of ones: T @ _ones(m) is the stack's row sums
+@functools.lru_cache(maxsize=1024)
+def _squaring_table(m):
+    # (ones, rescale) for an (m, m) matrix.  ones is the read-only (m, 1)
+    # column of ones: P @ ones is the stack's row sums.  rescale is the
+    # number of squarings between two divisions by the trace: lambda_1
+    # of the power lies in [1, m] after the scaling by the largest entry
+    # and in [1/m, 1] after one by the trace; k squarings raise either
+    # bound to its 2^k-th power, which stays within 2^(+-500) while
+    # 2^k log2(m) <= 500, so neither the power nor the tail of its row
+    # sums leaves the doubles' range (2^(+-1022))
     ones = np.ones((m, 1))
     ones.flags.writeable = False
-    return ones
-
-
-@functools.lru_cache(maxsize=1024)
-def _rescale(m):
-    # squarings between two divisions by the trace for an (m, m) matrix:
-    # lambda_1 of the power lies in [1, m] after the scaling by the
-    # largest entry and in [1/m, 1] after one by the trace; k squarings
-    # raise either bound to its 2^k-th power, which stays within
-    # 2^(+-500) while 2^k log2(m) <= 500, so neither the power nor the
-    # tail of its row sums leaves the doubles' range (2^(+-1022))
-    return int(np.log2(500.0 / np.log2(max(m, 2))))
+    return ones, int(np.log2(500.0 / np.log2(max(m, 2))))
 
 
 def assemble(kernel, rule):
@@ -209,7 +197,8 @@ def assemble(kernel, rule):
     if kernel.site is not None:
         half = half + kernel.site(zi)
     logT = half + half.swapaxes(-1, -2) + logk
-    logT = np.where(_upper(m), logT, logT.swapaxes(-1, -2))
+    lower = np.tril_indices(m, -1)
+    logT[..., lower[0], lower[1]] = logT[..., lower[1], lower[0]]
     _check_log_entries(logT, nodes)
     return np.exp(logT)
 
@@ -249,11 +238,18 @@ def dominant_eigenvalue(T):
     under squaring), or one above 1e-14 after
     60 squarings, raises ConvergenceError carrying that residual (of
     several, a non-finite one, else the largest).  A single matrix gives
-    scalar lambda1 and iterations and a vector of shape (m,).
+    scalar lambda1 and iterations and a vector of shape (m,).  Any other
+    shape, or an empty one, is a DomainError naming it.
     """
-    stack = T.reshape((-1,) + T.shape[-2:])
+    # the shape tuple alone, no numpy call: every solve pays for this
+    shape = T.shape
+    if len(shape) not in (2, 3) or shape[-1] != shape[-2] or 0 in shape:
+        raise DomainError(f"dominant_eigenvalue takes an (m, m) matrix or "
+                          f"a (B, m, m) stack with m, B >= 1, got shape "
+                          f"{shape}")
+    stack = T.reshape((-1,) + shape[-2:])
     B, m = stack.shape[0], stack.shape[-1]
-    rescale = _rescale(m)
+    ones, rescale = _squaring_table(m)
     # todo: the stack rows still squaring, None while all of them are
     todo, A = None, stack
     P, Q = _held_stack(stack.shape, 1), _held_stack(stack.shape, 2)
@@ -271,7 +267,7 @@ def dominant_eigenvalue(T):
                 P /= np.trace(P, axis1=-2, axis2=-1)[:, None, None]
             if k < _FIRST_CHECK:
                 continue
-            x = np.matmul(P, _ones(m))[:, :, 0]
+            x = np.matmul(P, ones)[:, :, 0]
             x /= np.maximum.reduce(x, axis=-1, keepdims=True)
             x /= np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
             tx = np.matmul(A, x[:, :, None])[:, :, 0]

@@ -11,10 +11,12 @@
   ring-of-sites measure.
 
 The Hermite rule is numpy's `hermegauss` (Gauss rule for e^{-q^2/2}),
-built once per m and scaled to the precision a: nodes / sqrt(a),
-weights / sqrt(2 pi); an array of precisions gives a (B, m) stack of
-rules (the chain's solve divides the unit nodes itself and builds no
-rule).  The Stieltjes rules come out of the Golub-Welsch construction:
+built once per m into one read-only table with the chain's beta-free
+pieces (`_hermite_pieces`) and scaled to the precision a: nodes /
+sqrt(a), weights / sqrt(2 pi); an array of precisions gives a (B, m)
+stack of rules.  The chain's solve reads the table and scales its
+nodes through the same check (`_hermite_nodes`), building no rule.
+The Stieltjes rules come out of the Golub-Welsch construction:
 the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
 matrix built from the three-term recurrence of the monic orthogonal
 polynomials, and w_i = beta_0 * (first eigenvector component)^2.  Only
@@ -171,33 +173,34 @@ def _check_m(m, name="m"):
         raise DomainError(f"{name} must be a positive integer, got {m!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_hermite(m):
-    # the m-point rule of the standard normal measure (precision 1),
-    # read-only because every caller of this m shares the arrays
+@functools.lru_cache(maxsize=32)
+def _hermite_pieces(m):
+    # the m-point rule of the standard normal measure (precision 1) and
+    # the beta-free pieces of a factored chain matrix on it: its nodes x,
+    # weights w, 0.5 log w, x^2 and the (m, m) (x_i - x_j)^2, built once
+    # per m and read-only because every caller of this m shares them.
+    # At most 32 sizes are held, about 35 MB at the largest m a Hermite
+    # rule has (370)
     with np.errstate(all="ignore"):
-        nodes, weights = hermegauss(m)
-    weights /= math.sqrt(2.0 * math.pi)
-    if not (np.isfinite(weights) & (weights > 0.0)).all():
+        x, w = hermegauss(m)
+    w /= math.sqrt(2.0 * math.pi)
+    if not (np.isfinite(w) & (w > 0.0)).all():
         raise ResourceLimitError(
             f"no {m}-point Hermite rule: numpy's hermegauss overflows its "
             f"weight normalization from m = 371")
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-@functools.lru_cache(maxsize=32)
-def _hermite_pieces(m):
-    # the beta-free pieces of a factored chain matrix on the unit rule:
-    # its nodes x, 0.5 log w, x^2 and the (m, m) (x_i - x_j)^2, built
-    # once per m and read-only like the rule.  At most 32 sizes are
-    # held, about 35 MB at the largest m a Hermite rule has (370)
-    x, w = _unit_hermite(m)
-    pieces = (0.5 * np.log(w), x * x, (x[:, None] - x[None, :]) ** 2)
-    for a in pieces:
+    table = (x, w, 0.5 * np.log(w), x * x, (x[:, None] - x[None, :]) ** 2)
+    for a in table:
         a.flags.writeable = False
-    return (x,) + pieces
+    return table
+
+
+def _hermite_nodes(m, prec, a):
+    # the unit nodes over sqrt(prec), shape prec.shape + (m,), for the
+    # float precisions prec of shape () or (B,), checked before the table
+    # is read; the DomainError shows a, the precision the caller was given
+    if prec.ndim > 1 or not ((prec > 0.0) & np.isfinite(prec)).all():
+        raise DomainError(f"precision parameter a must be positive, got {a!r}")
+    return _hermite_pieces(m)[0] / np.sqrt(prec)[..., None]
 
 
 def gauss_hermite_rescaled(m, a):
@@ -211,13 +214,10 @@ def gauss_hermite_rescaled(m, a):
     a.shape + (m,).
     """
     _check_m(m)
-    prec = np.asarray(a, dtype=float)
-    if prec.ndim > 1 or not ((prec > 0.0) & np.isfinite(prec)).all():
-        raise DomainError(f"precision parameter a must be positive, got {a!r}")
-    unit_nodes, unit_weights = _unit_hermite(int(m))
-    nodes = unit_nodes / np.sqrt(prec)[..., None]
+    nodes = _hermite_nodes(int(m), np.asarray(a, dtype=float), a)
     nodes.flags.writeable = False
-    return QuadratureRule(nodes, np.broadcast_to(unit_weights, nodes.shape))
+    return QuadratureRule(
+        nodes, np.broadcast_to(_hermite_pieces(int(m))[1], nodes.shape))
 
 
 def golub_welsch(rc):

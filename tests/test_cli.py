@@ -781,11 +781,11 @@ def test_selftest_catches_injected_fault(monkeypatch, capsys):
 def test_selftest_catches_a_drifted_factored_chain(monkeypatch, capsys):
     # the factored chain stack reads its weights one part in 1e12 off
     # the rule's, which moves the harmonic chain off its closed form;
-    # the stack takes its half log-weights from the per-m pieces
+    # the stack takes its half log-weights from the per-m Hermite table
     def drifted(m):
-        nodes, _, x2, dx2 = quadrature._hermite_pieces(m)
-        weights = quadrature._unit_hermite(m)[1]
-        return nodes, 0.5 * np.log(weights * (1.0 + 1e-12)), x2, dx2
+        nodes, weights, _, x2, dx2 = quadrature._hermite_pieces(m)
+        return (nodes, weights, 0.5 * np.log(weights * (1.0 + 1e-12)),
+                x2, dx2)
 
     monkeypatch.setattr(models, "_hermite_pieces", drifted)
     assert cli.main(["selftest"]) == 1

@@ -30,8 +30,16 @@ def test_every_exported_name_resolves(name):
     ("thermo_transfer.quadrature", "_lanczos_recurrence"),
     ("thermo_transfer", "NystromMatrix"),
     ("thermo_transfer.nystrom", "NystromMatrix"),
+    ("thermo_transfer.quadrature", "_unit_hermite"),
+    ("thermo_transfer.nystrom", "_ones"),
+    ("thermo_transfer.nystrom", "_rescale"),
+    ("thermo_transfer.nystrom", "_upper"),
+    ("thermo_transfer.models", "_first_failure"),
+    ("thermo_transfer.models", "_named"),
 ])
 def test_replaced_names_are_gone(module, attr):
     # reference_cylinder covers every ax; a Nystrom matrix is its entries
-    # array; the others had no caller but the old selftest suites
+    # array; the per-m caches are `_hermite_pieces` and `_squaring_table`
+    # (assembly mirrors by index), a failure is named by `_raise_named`;
+    # the others had no caller but the old selftest suites
     assert not hasattr(importlib.import_module(module), attr)

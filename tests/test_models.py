@@ -372,19 +372,20 @@ def test_a_warm_cylinder_point_calls_no_unique(monkeypatch):
 
 
 def test_a_warm_chain_point_builds_its_pieces_once_per_m(monkeypatch):
-    # the beta-free Hermite pieces are built from the unit rule once per
-    # m, by F and by the observables alike; the rule is read nowhere else
+    # the per-m Hermite table (the unit rule and the beta-free pieces)
+    # is built from numpy's hermegauss once per m, for F and for the
+    # observables alike; no other route builds the rule
     p = ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0)
     betas = np.array([0.5, 5.0])
     quadrature._hermite_pieces.cache_clear()
     read = []
-    real = quadrature._unit_hermite
+    real = quadrature.hermegauss
 
     def spy(m):
         read.append(m)
         return real(m)
 
-    monkeypatch.setattr(quadrature, "_unit_hermite", spy)
+    monkeypatch.setattr(quadrature, "hermegauss", spy)
     for m in (4, 5, 4, 5, 4):
         particle_chain_free_energy(p, 5.0, m)
         p.block(betas, m)
@@ -422,7 +423,7 @@ def extended_chain_matrix(p, beta, m):
     """The chain's matrix with every log entry and its exp in long double,
     from the double unit Hermite rule, rounded to double at the end."""
     x, w = (np.asarray(a, dtype=np.longdouble)
-            for a in quadrature._unit_hermite(m))
+            for a in quadrature._hermite_pieces(m)[:2])
     eta, gamma = np.longdouble(p.eta), np.longdouble(p.gamma)
     c = np.sqrt(eta * (eta + 4 * gamma))
     q = x / np.sqrt(np.longdouble(beta) * c)

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 
 from thermo_transfer import quadrature
 from thermo_transfer.errors import (ConvergenceError, DomainError,
@@ -249,11 +250,14 @@ def test_hermite_rule_arrays_are_read_only():
 
 @pytest.mark.parametrize("m", [1, 2, 9, 30, 370])
 def test_hermite_pieces_are_read_only_and_fresh_bits(m):
-    # the chain's beta-free pieces, cached per m, are what a fresh
-    # computation from the unit rule gives, and no caller can write them
-    x, w = quadrature._unit_hermite(m)
+    # the unit Hermite rule and the chain's beta-free pieces, one table
+    # cached per m, are what a fresh computation from numpy's hermegauss
+    # gives, and no caller can write them
+    with np.errstate(all="ignore"):
+        x, w = hermegauss(m)
+    w = w / math.sqrt(2.0 * math.pi)
     pieces = quadrature._hermite_pieces(m)
-    fresh = (x, 0.5 * np.log(w), x * x, (x[:, None] - x[None, :]) ** 2)
+    fresh = (x, w, 0.5 * np.log(w), x * x, (x[:, None] - x[None, :]) ** 2)
     assert len(pieces) == len(fresh)
     for got, expect in zip(pieces, fresh):
         assert got.shape == expect.shape
