@@ -18,15 +18,24 @@ and ignores those it does not read; explicit flags win over file
 entries.  --m is every model's quadrature size: m points per matrix,
 per ring mode for the cylinder (the paper's per-coordinate m0).
 Output is CSV with a header row, numbers printed as %.17g so
-identical configs give byte-identical files.
+identical configs give byte-identical files.  --out is opened once,
+before any solve, with nothing truncated: a run that fails leaves a
+file that was there as it was and removes one it created, and a run
+that succeeds overwrites the file in place, then cuts a regular file
+to the new length.  The overwrite is not atomic: a reader, or a crash,
+mid-write may see new bytes over old ones.  Nothing is fsynced, and an
+in-place overwrite does not get the ordering ext4 gives a rewrite of a
+truncated file (its replace-via-truncate flush on close).
 Exit codes: 0 success, 1 numeric failure, 2 usage or config error.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -263,51 +272,92 @@ def _params(cfg, model):
                     for f in dataclasses.fields(model)})
 
 
-def _require_out(cfg):
+# --out is opened for writing, with nothing truncated, in binary mode
+# where the platform has one
+_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _require_out(path):
     """--out is given and can be written, checked before any solve.
 
-    The file is opened for appending, which truncates nothing, so a
-    solve that fails later leaves an existing file as it was; a file
-    the check created is removed again."""
-    if not cfg.out:
+    Opens the file for writing without truncating it, so a solve that
+    fails later leaves an existing file as it was, and returns
+    (descriptor, whether the check created the file)."""
+    if not path:
         raise UsageError("--out is required")
-    existed = os.path.lexists(cfg.out)
+    created = not os.path.lexists(path)
     try:
-        with open(cfg.out, "a"):
-            pass
+        return os.open(path, _OUT_FLAGS, 0o666), created
     except OSError as exc:
         raise UsageError(f"cannot write output file: {exc}")
-    if not existed:
-        os.remove(cfg.out)
 
 
-def _write_csv(path, names, cols):
+def _csv_bytes(names, cols):
     # %.17g prints an integer column (m) as 4, 150, ...; a column's
     # tolist() gives Python ints and floats, one format per row
     row = ",".join(["%.17g"] * len(cols))
     lines = [",".join(names)]
     lines += [row % values
               for values in zip(*(np.asarray(c).tolist() for c in cols))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _write_all(fd, data):
+    # write from the descriptor's start (where the check's open left it),
+    # then cut a regular file to the bytes written: on success the old
+    # tail goes, on a failed write no old byte follows the new ones
+    done = 0
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, done)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.ftruncate(fd, done)
         raise UsageError(f"cannot write output file: {exc}")
+
+
+def _into_out(path, solve):
+    """Check `path`, run solve() -> (names, cols, value), write the CSV
+    through the check's descriptor and return value.
+
+    The file is overwritten in place.  If the solve or the write fails,
+    a file the check created is removed."""
+    fd, created = _require_out(path)
+    try:
+        try:
+            names, cols, value = solve()
+            _write_all(fd, _csv_bytes(names, cols))
+        finally:
+            os.close(fd)
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return value
+
+
+def _write_csv(path, names, cols):
+    """Write a CSV with a header row to path, as --out is written."""
+    _into_out(path, lambda: (names, cols, None))
 
 
 def _run_sweep(cfg, observables):
     """beta sweep -> CSV `beta,free_energy`, then the model's observable
     columns if asked for."""
-    _require_out(cfg)
-    model = _model(cfg)
-    if cfg.m is None:
-        raise UsageError("--m is required")
-    spec = SweepSpec(params=_params(cfg, model), beta_grid=_beta_grid(cfg),
-                     m=cfg.m, observables=observables)
-    result = free_energy_sweep(spec, threads=cfg.threads)
-    names, cols = result.columns()
-    _write_csv(cfg.out, names, cols)
-    return result
+    def solve():
+        model = _model(cfg)
+        if cfg.m is None:
+            raise UsageError("--m is required")
+        spec = SweepSpec(params=_params(cfg, model),
+                         beta_grid=_beta_grid(cfg), m=cfg.m,
+                         observables=observables)
+        result = free_energy_sweep(spec, threads=cfg.threads)
+        return (*result.columns(), result)
+
+    return _into_out(cfg.out, solve)
 
 
 def _factorized_reference(cfg, params, beta, ms):
@@ -332,7 +382,11 @@ def run_convergence(cfg):
     only once.  Against the largest-m reference, the largest m's own
     row (exactly 0) is left out.
     """
-    _require_out(cfg)
+    return _into_out(cfg.out, lambda: _convergence_rows(cfg))
+
+
+def _convergence_rows(cfg):
+    # (names, columns, rows) of `run_convergence`'s CSV
     if cfg.beta_count not in (None, 1):
         raise UsageError("convergence runs at a single beta (--beta-count 1)")
     if cfg.beta_start is None:
@@ -355,8 +409,7 @@ def run_convergence(cfg):
         f_ref = values[ms.index(m_skip)]
     rows = [(m, abs(f - f_ref) / abs(f_ref))
             for m, f in zip(ms, values) if m != m_skip]
-    _write_csv(cfg.out, ["m", "rel_error"], list(zip(*rows)))
-    return rows
+    return ["m", "rel_error"], list(zip(*rows)), rows
 
 
 def main(argv=None):

@@ -125,7 +125,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericError
 from .nystrom import (_BLOCK_ENTRIES, _LOG_MAX, LogKernel,
-                      _check_log_entries, _held_stack, dominant_eigenvalue)
+                      _check_log_entries, _held_stack, _outer,
+                      dominant_eigenvalue)
 from .specfun import i0_scaled, i1_scaled, log_i0
 from .quadrature import (_check_m, _hermite_nodes, _hermite_pieces,
                          stieltjes_rule)
@@ -455,7 +456,7 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
     k0 = np.exp(logk0, out=logk0)
     d = np.exp(logd)
     entries = _held_stack(d.shape + (m,))
-    np.multiply(d[:, :, None], d[:, None, :], out=entries)
+    _outer(d, entries)
     entries *= k0
     eig = dominant_eigenvalue(entries)
     mlogz = (_LOG_2PI - np.log(betas) - 0.5 * np.log(c)
@@ -558,7 +559,7 @@ def _dnls_solve(g, mu_c, betas, m):
         k = 2.0 * math.pi * np.exp(
             -0.5 * beta * (u[:, :, None] - u[:, None, :]) ** 2)
         entries = _held_stack(x.shape)
-        np.multiply(d[:, :, None], d[:, None, :], out=entries)
+        _outer(d, entries)
         entries *= k * i0_scaled(x)
     if (nodes[:, 1:] <= nodes[:, :-1]).any():
         raise DomainError("quadrature nodes must be strictly increasing")

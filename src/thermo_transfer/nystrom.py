@@ -13,7 +13,10 @@ optional per-node site terms, broadcast over the rule's nodes) and a
 No production route goes through `assemble`: every model builds its
 stack as a bounded product d_i K_ij d_j (see `models`), and
 `assemble` with the `*_log_kernel` functions is the tests'
-independent reference only.  The chain's log
+independent reference only.  The models fill a stack's d_i d_j with
+`_outer`: by einsum's single loop for a stack of at least 4,096
+entries, by a broadcast multiply below that, with the same products,
+so the same bits, either way.  The chain's log
 entries go through `assemble`'s check only when a bound says an entry
 may overflow.  Each model's matrix has m rows (for the cylinder, one
 m-row chain per ring Fourier mode), a few dozen in practice, and
@@ -151,6 +154,23 @@ def _held_stack(shape, slot=0):
     return buf[slot * n:(slot + 1) * n].reshape(shape)
 
 
+# from this many entries on, a stack's d_i d_j comes from einsum's one
+# loop, about twice as fast as a broadcast multiply at (96, 30, 30);
+# below it, einsum's set-up costs more than it saves
+_EINSUM_ENTRIES = 4096
+
+
+def _outer(d, out):
+    """out[b, i, j] = d[b, i] d[b, j] for a (B, m) array d, by einsum for
+    a stack of at least _EINSUM_ENTRIES entries and by a broadcast
+    multiply below that.  Each entry is the one product either way, so
+    a row gives the same bits in any stack."""
+    B, m = d.shape
+    if B * m * m >= _EINSUM_ENTRIES:
+        return np.einsum("bi,bj->bij", d, d, out=out)
+    return np.multiply(d[:, :, None], d[:, None, :], out=out)
+
+
 @functools.lru_cache(maxsize=1024)
 def _squaring_table(m):
     # (ones, rescale) for an (m, m) matrix.  ones is the read-only (m, 1)
@@ -238,10 +258,21 @@ def dominant_eigenvalue(T):
     under squaring), or one above 1e-14 after
     60 squarings, raises ConvergenceError carrying that residual (of
     several, a non-finite one, else the largest).  A single matrix gives
-    scalar lambda1 and iterations and a vector of shape (m,).  Any other
-    shape, or an empty one, is a DomainError naming it.
+    scalar lambda1 and iterations and a vector of shape (m,).  Anything
+    but a numpy array of bools, integers or reals is a DomainError naming
+    its type or dtype, and so is any other shape, or an empty one.
     """
-    # the shape tuple alone, no numpy call: every solve pays for this
+    # attribute reads and the shape tuple alone, no numpy call: every
+    # solve pays for these
+    if not isinstance(T, np.ndarray) or T.dtype.kind not in "biuf":
+        what = (f"dtype {T.dtype}" if isinstance(T, np.ndarray)
+                else f"type {type(T).__name__}")
+        raise DomainError(f"dominant_eigenvalue takes a real numpy array, "
+                          f"got {what}")
+    if T.dtype.char in "ef":
+        # half and single floats would scale in their own precision, off
+        # T's direction by more than the residual's tolerance
+        T = T.astype(float)
     shape = T.shape
     if len(shape) not in (2, 3) or shape[-1] != shape[-2] or 0 in shape:
         raise DomainError(f"dominant_eigenvalue takes an (m, m) matrix or "

@@ -445,6 +445,27 @@ def test_stacked_solve_equals_each_beta_alone(solved_stacks):
         dominant_eigenvalue(T[k]).residual for k in range(3))
 
 
+@pytest.mark.parametrize("solve, betas, m", [
+    (lambda b, m: _chain_solve(1.0, 0.2, 0.2, 1.0, b, m),
+     np.linspace(0.5, 10.0, 96), 30),
+    (lambda b, m: _dnls_solve(1.0, 1.0, b, m), np.linspace(0.5, 8.0, 64), 20),
+], ids=["chain-96x30", "dnls-64x20"])
+def test_an_einsum_stack_equals_each_beta_alone(solved_stacks, solve, betas,
+                                                m):
+    # the configs' blocks fill d_i d_j by einsum, a block of one by a
+    # broadcast multiply: each row's stack, F and Perron pair are the
+    # same bits either way
+    assert betas.size * m * m >= nystrom._EINSUM_ENTRIES > m * m
+    f, nodes, eig, _ = solve(betas, m)
+    T = solved_stacks[-1]
+    for k in range(betas.size):
+        f1, nodes1, eig1, _ = solve(betas[k:k + 1], m)
+        assert np.array_equal(solved_stacks[-1][0], T[k])
+        assert f1[0] == f[k] and np.array_equal(nodes1[0], nodes[k])
+        assert eig1.lambda1[0] == eig.lambda1[k]
+        assert np.array_equal(eig1.vector[0], eig.vector[k])
+
+
 # --- the thread's held stack memory -----------------------------------------
 
 def test_warm_chain_config_block_allocates_less_than_one_stack():

@@ -7,6 +7,7 @@ console script and the cold-start check of which modules a run loads.
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -689,6 +690,97 @@ def test_failed_solve_leaves_the_output_path_as_it_was(
         assert out.read_text() == "beta,free_energy\n1,2\n"
     else:
         assert not out.exists()
+
+
+# --- the output file, overwritten in place ---------------------------------
+
+SMALL_SWEEP = ["free-energy", "--model", "chain", "--beta-start", "1",
+               "--beta-stop", "2", "--beta-count", "3", "--m", "5"]
+
+
+def _fresh_bytes(tmp_path):
+    # what the run writes into a path that did not exist
+    new = tmp_path / "fresh.csv"
+    assert cli.main([*SMALL_SWEEP, "--out", str(new)]) == 0
+    return new.read_bytes()
+
+
+@pytest.mark.parametrize("old", [lambda new: new + b"9,9\n" * 50,
+                                 lambda new: new[:7]],
+                         ids=["longer", "shorter"])
+def test_an_existing_file_ends_as_exactly_the_new_bytes(tmp_path, old):
+    new = _fresh_bytes(tmp_path)
+    out = tmp_path / "x.csv"
+    out.write_bytes(old(new))
+    assert cli.main([*SMALL_SWEEP, "--out", str(out)]) == 0
+    assert out.read_bytes() == new
+
+
+def test_out_to_the_null_device_exits_0(capsys):
+    # a character device is written and not cut to length
+    assert cli.main([*SMALL_SWEEP, "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == f"wrote {os.devnull} (3 rows)\n"
+
+
+def _fail_the_second_write(monkeypatch, first=40):
+    # os.write takes the first `first` bytes, then reports a full disk
+    real, calls = os.write, []
+
+    def write(fd, data):
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(fd, data[:first])
+
+    monkeypatch.setattr(os, "write", write)
+
+
+@pytest.mark.parametrize("exists", [True, False])
+def test_a_failed_write_leaves_no_stale_tail(tmp_path, capsys, monkeypatch,
+                                             exists):
+    new = _fresh_bytes(tmp_path)
+    out = tmp_path / "x.csv"
+    if exists:
+        out.write_bytes(b"stale\n" * len(new))
+    with monkeypatch.context() as patch:
+        _fail_the_second_write(patch)
+        rc = cli.main([*SMALL_SWEEP, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output file: [Errno {errno.ENOSPC}] "
+        f"{os.strerror(errno.ENOSPC)}\n")
+    if exists:
+        # cut to the bytes written: new ones, and no old byte after them
+        assert out.read_bytes() == new[:40]
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd")
+def test_a_run_leaves_no_descriptor_open(tmp_path, monkeypatch):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    def failing(*args):
+        raise ConvergenceError("eigenvalue residual 3.000e-10",
+                               residual=3e-10)
+
+    out = str(tmp_path / "x.csv")
+    before = open_fds()
+    assert cli.main([*SMALL_SWEEP, "--out", out]) == 0
+    assert open_fds() == before
+    # a usage error after the check, a failed solve, a failed write
+    assert cli.main([*SMALL_SWEEP[:-2], "--out", out]) == 2
+    assert open_fds() == before
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "_chain_solve", failing)
+        assert cli.main([*SMALL_SWEEP, "--out", out]) == 1
+    assert open_fds() == before
+    with monkeypatch.context() as patch:
+        _fail_the_second_write(patch)
+        assert cli.main([*SMALL_SWEEP, "--out", out]) == 2
+    assert open_fds() == before
 
 
 def test_non_finite_model_field_is_usage_error(tmp_path, capsys):

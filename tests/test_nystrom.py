@@ -345,6 +345,30 @@ def test_a_malformed_matrix_is_a_domain_error_naming_its_shape(shape):
         dominant_eigenvalue(np.ones(shape))
 
 
+@pytest.mark.parametrize("T, named", [
+    ([[2.0, 1.0], [1.0, 2.0]], "type list"),
+    (((2.0, 1.0), (1.0, 2.0)), "type tuple"),
+    (None, "type NoneType"),
+    (np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex), "dtype complex128"),
+    (np.array([[2.0, 1.0], [1.0, 2.0]], dtype=object), "dtype object"),
+    (np.array([["2", "1"], ["1", "2"]]), "dtype <U1"),
+], ids=["list", "tuple", "none", "complex", "object", "str"])
+def test_a_matrix_of_the_wrong_type_is_a_domain_error_naming_it(T, named):
+    # a list once failed on its missing .shape, a complex or object array
+    # in the scaling divide, each with Python's or numpy's own error
+    with pytest.raises(DomainError, match=f"got {re.escape(named)}$"):
+        dominant_eigenvalue(T)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.uint8, np.float16,
+                                   np.float32])
+def test_a_bool_integer_or_narrow_float_matrix_solves_as_float64(dtype):
+    T = np.array([[2, 1], [1, 3]]).astype(dtype)
+    got, want = dominant_eigenvalue(T), dominant_eigenvalue(T.astype(float))
+    assert got.lambda1 == want.lambda1
+    assert np.array_equal(got.vector, want.vector)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "known defect (ROADMAP Known defects, the Perron vector is unchecked "
     "at near-degenerate spectra): the residual passes at 9.5e-16 after 5 "
