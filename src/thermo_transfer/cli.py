@@ -20,7 +20,8 @@ per ring mode for the cylinder (the paper's per-coordinate m0).
 Output is CSV with a header row, numbers printed as %.17g so
 identical configs give byte-identical files.  --out is opened once,
 before any solve, with nothing truncated: a run that fails leaves a
-file that was there as it was and removes one it created, and a run
+file that was there as it was and removes one it created (through a
+dangling symlink, the link's target), and a run
 that succeeds overwrites the file in place, then cuts a regular file
 to the new length.  The overwrite is not atomic: a reader, or a crash,
 mid-write may see new bytes over old ones.  Nothing is fsynced, and an
@@ -282,10 +283,11 @@ def _require_out(path):
 
     Opens the file for writing without truncating it, so a solve that
     fails later leaves an existing file as it was, and returns
-    (descriptor, whether the check created the file)."""
+    (descriptor, the resolved path of the file if the check created it,
+    else None): through a dangling symlink, that is the link's target."""
     if not path:
         raise UsageError("--out is required")
-    created = not os.path.lexists(path)
+    created = None if os.path.exists(path) else os.path.realpath(path)
     try:
         return os.open(path, _OUT_FLAGS, 0o666), created
     except OSError as exc:
@@ -334,7 +336,7 @@ def _into_out(path, solve):
     except BaseException:
         if created:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                os.remove(created)
         raise
     return value
 

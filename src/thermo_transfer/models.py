@@ -73,8 +73,8 @@ cylinder (L_y-site rings, periodic in y, infinite in x):
     c_k = sqrt(eta_k (eta_k + 4 a_x)), the mean of L_y harmonic-chain
     free energies.  A harmonic mode's kernel in the scaled nodes has no
     beta in it, so lambda_1(T_k) is a constant of beta: the modes are
-    solved at beta = 1, one matrix per distinct eta_k, in stacks of at
-    most `_BLOCK_ENTRIES` entries, and beta F(beta) = F(1) + log beta.
+    solved at beta = 1, one matrix per distinct eta_k, in stacks of
+    `nystrom._block_rows(m)` matrices, and beta F(beta) = F(1) + log beta.
     The distinct eta_k are those of the wave numbers 0..L_y // 2,
     counted without a sort where their values strictly increase
     (`_ring_tally`, the values, counts and order of np.unique).
@@ -123,10 +123,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import nystrom
 from .errors import ConvergenceError, DomainError, NumericError
-from .nystrom import (_BLOCK_ENTRIES, _LOG_MAX, LogKernel,
-                      _check_log_entries, _held_stack, _outer,
-                      dominant_eigenvalue)
+from .nystrom import (_LOG_MAX, LogKernel, _bond_form, _check_log_entries,
+                      _product_stack, dominant_eigenvalue)
 from .specfun import i0_scaled, i1_scaled, log_i0
 from .quadrature import (_check_m, _hermite_nodes, _hermite_pieces,
                          stieltjes_rule)
@@ -149,11 +149,6 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _block_rows(m):
-    # how many (m, m) matrices one stack holds
-    return max(1, _BLOCK_ENTRIES // m ** 2)
 
 
 def _check_beta(beta):
@@ -293,12 +288,9 @@ class ParticleChainParams:
             return f, {}
         # <(q - q')^2/2>_bond = (v d).(K0 (x - x')^2)(v d) / (2 beta c lambda_1),
         # since (q - q')^2 = (x - x')^2 / (beta c): a quadratic form on
-        # one beta-free (m, m) matrix, one matrix-vector product per
-        # beta so that a row has the same bits in any block
+        # one beta-free (m, m) matrix
         c = math.sqrt(self.eta * (self.eta + 4.0 * self.gamma))
-        u = eig.vector * d
-        ku = np.matmul(k0 * _hermite_pieces(m)[4], u[:, :, None])
-        stretch = (np.sum(ku[:, :, 0] * u, axis=-1)
+        stretch = (_bond_form(eig.vector, d, k0 * _hermite_pieces(m)[4])
                    / (2.0 * c * betas * eig.lambda1))
         q2 = q * q
         energy = 1.0 / betas - np.sum(eig.vector * eig.vector
@@ -338,13 +330,11 @@ class DnlsParams:
         if not observables:
             return f, {}
         # the bond term is a quadratic form, since T_ij I1/I0(x_ij) =
-        # d_i k_ij e^{-x} I1(x_ij) d_j and sqrt(rho rho') = x / beta: one
-        # matrix-vector product per beta, so that a row has the same bits
-        # in any block
-        site, u = eig.vector ** 2, eig.vector * d
-        hu = np.matmul(k * x * i1_scaled(x), u[:, :, None])[:, :, 0]
+        # d_i k_ij e^{-x} I1(x_ij) d_j and sqrt(rho rho') = x / beta
+        site = eig.vector ** 2
         energy = (np.sum(site * (r + 0.5 * self.g * r ** 2), axis=-1)
-                  - np.sum(hu * u, axis=-1) / (betas * eig.lambda1))
+                  - _bond_form(eig.vector, d, k * x * i1_scaled(x))
+                  / (betas * eig.lambda1))
         return f, {"energy": energy, "density": np.sum(site * r, axis=-1)}
 
     def factorized(self, beta):
@@ -379,7 +369,7 @@ class CylinderParams:
         one harmonic chain per distinct eta_k, the stack axis, and
         beta F = F(1) + log beta; no observables."""
         etas, counts = _ring_tally(self)
-        rows = _block_rows(m)
+        rows = nystrom._block_rows(m)
         f1 = np.concatenate([_ring_modes(etas[i:i + rows], self.ax, m)
                              for i in range(0, etas.size, rows)])
         return _per_site(counts @ f1 / self.ly + np.log(betas), betas), {}
@@ -421,15 +411,8 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
     scalar, or an array with one entry per beta, and K0 has shape
     (m, m) or (B, m, m) to match."""
     # beta c is the precision of the harmonic chain's stationary site
-    # marginal; c = eta exactly at gamma = 0.  The raw route takes
-    # gamma < 0, so the weight's domain is checked here, in Python for
-    # a float eta (np.all of a Python bool costs a few microseconds)
-    if not (eta + 4.0 * gamma > 0.0 if isinstance(eta, float)
-            else np.all(eta + 4.0 * gamma > 0.0)):
-        raise DomainError(
-            f"the chain's Gauss weight needs eta + 4 gamma > 0, "
-            f"got eta={eta!r}, gamma={gamma!r}")
-    # in the unit nodes x = q sqrt(beta c) the coupling has no beta in it:
+    # marginal; c = eta exactly at gamma = 0.  In the unit nodes
+    # x = q sqrt(beta c) the coupling has no beta in it:
     # log K0 = -gamma (x - x')^2 / (2c); log d holds the half log-weight,
     # the site shift (c - eta) x^2 / (4c) and the anharmonic terms.  The
     # harmonic chain (mu3 = lam = 0) has no site term; at tiny beta the
@@ -437,7 +420,8 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
     # entries then name.  For gamma >= 0, K0 <= 1 with 1 on its diagonal,
     # so the largest log entry is 2 max(log d): within the bound no
     # product overflows, and beyond it a diagonal entry would (for
-    # gamma < 0, K0 >= 1 and d_i d_j <= T_ij)
+    # gamma < 0, which only the raw route takes, K0 >= 1 and
+    # d_i d_j <= T_ij)
     _, _, half_logw, x2, dx2 = _hermite_pieces(m)
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.sqrt(eta * (eta + 4.0 * gamma))
@@ -455,16 +439,19 @@ def _chain_solve(eta, mu3, lam, gamma, betas, m):
                 logk0 + (logd[..., :, None] + logd[..., None, :]), nodes)
     k0 = np.exp(logk0, out=logk0)
     d = np.exp(logd)
-    entries = _held_stack(d.shape + (m,))
-    _outer(d, entries)
-    entries *= k0
-    eig = dominant_eigenvalue(entries)
+    eig = dominant_eigenvalue(_product_stack(d, k0))
     mlogz = (_LOG_2PI - np.log(betas) - 0.5 * np.log(c)
              + np.log(eig.lambda1))
     return _per_site(-mlogz, betas), nodes, eig, (k0, d)
 
 
 def _chain_free_energy_raw(eta, mu3, lam, gamma, beta, m):
+    # this route takes gamma < 0, so it checks the Gauss weight's domain,
+    # which every params class and ring mode meets
+    if not (eta + 4.0 * gamma > 0.0):
+        raise DomainError(
+            f"the chain's Gauss weight needs eta + 4 gamma > 0, "
+            f"got eta={eta!r}, gamma={gamma!r}")
     return _per_beta(lambda b: _chain_solve(eta, mu3, lam, gamma, b, m)[0],
                      beta)
 
@@ -558,9 +545,7 @@ def _dnls_solve(g, mu_c, betas, m):
         x = beta * (u[:, :, None] * u[:, None, :])
         k = 2.0 * math.pi * np.exp(
             -0.5 * beta * (u[:, :, None] - u[:, None, :]) ** 2)
-        entries = _held_stack(x.shape)
-        _outer(d, entries)
-        entries *= k * i0_scaled(x)
+        entries = _product_stack(d, k * i0_scaled(x))
     if (nodes[:, 1:] <= nodes[:, :-1]).any():
         raise DomainError("quadrature nodes must be strictly increasing")
     eig = dominant_eigenvalue(entries)

@@ -10,13 +10,14 @@ built in log space from a `LogKernel` (symmetric pair terms plus
 optional per-node site terms, broadcast over the rule's nodes) and a
 `QuadratureRule` or `TensorRule`, which cannot be empty, and
 `dominant_eigenvalue` and `fredholm_det` take it.
-No production route goes through `assemble`: every model builds its
-stack as a bounded product d_i K_ij d_j (see `models`), and
-`assemble` with the `*_log_kernel` functions is the tests'
-independent reference only.  The models fill a stack's d_i d_j with
-`_outer`: by einsum's single loop for a stack of at least 4,096
-entries, by a broadcast multiply below that, with the same products,
-so the same bits, either way.  The chain's log
+No production route goes through `assemble`: every model hands its
+factors d and K to `_product_stack`, which builds the bounded product
+d_i K_ij d_j, and reads its bond observable as the quadratic form
+`_bond_form` (see `models`); `assemble` with the `*_log_kernel`
+functions is the tests' independent reference only.  The product's
+d_i d_j comes from einsum's single loop for a stack of at least 4,096
+entries and from a broadcast multiply below that, with the same
+products, so the same bits, either way.  The chain's log
 entries go through `assemble`'s check only when a bound says an entry
 may overflow.  Each model's matrix has m rows (for the cylinder, one
 m-row chain per ring Fourier mode), a few dozen in practice, and
@@ -47,16 +48,19 @@ same error: no error here says which matrix of a stack failed
 (`models._solve_block` finds it by solving the matrices alone).
 
 Each thread holds one block of float memory for a block's stack
-arrays (`_held_stack`): the entries a model hands to the eigensolve
-and the two powers that `dominant_eigenvalue` squares between with
+arrays (`_held_stack`): the product `_product_stack` builds and the
+two powers that `dominant_eigenvalue` squares between with
 `np.matmul(P, P, out=Q)`.  It grows to the largest stack the thread
 has solved, at most three stacks of `_BLOCK_ENTRIES` doubles (48 MiB),
 and is handed out as views, so a warm block allocates no (B, m, m)
 array and the allocator has no stack memory to trim and fault in
 again.  That helps repeated blocks in one process whose stacks are
 large (the chain config's (96, 30, 30) stacks are 675 KiB each); a
-stack above the bound gets fresh arrays.  No returned array shares
-this memory, so a thread pool of sweeps stays safe.
+stack above the bound gets fresh arrays.  The bound also sets how many
+(m, m) matrices one stack holds (`_block_rows`), for a sweep's blocks
+and the cylinder's ring modes alike.  The product goes only to the
+eigensolve, and no array a solve returns shares this memory, so a
+thread pool of sweeps stays safe.
 """
 
 import functools
@@ -139,12 +143,17 @@ _BLOCK_ENTRIES = 2 ** 21
 _held = threading.local()
 
 
+def _block_rows(m):
+    # how many (m, m) matrices one stack holds
+    return max(1, _BLOCK_ENTRIES // m ** 2)
+
+
 def _held_stack(shape, slot=0):
     """A view of shape (B, m, m) on slot 0, 1 or 2 of this thread's held
     memory, which grows to three such stacks; a fresh array for a stack
-    above _BLOCK_ENTRIES entries.  Slot 0 holds a model's entries, 1 and
-    2 the powers of `dominant_eigenvalue`.  The view is scratch: the
-    next solve on this thread overwrites it."""
+    above _BLOCK_ENTRIES entries.  Slot 0 holds `_product_stack`'s
+    product, 1 and 2 the powers of `dominant_eigenvalue`.  The view is
+    scratch: the next solve on this thread overwrites it."""
     n = shape[0] * shape[1] * shape[2]
     if n > _BLOCK_ENTRIES:
         return np.empty(shape)
@@ -160,15 +169,28 @@ def _held_stack(shape, slot=0):
 _EINSUM_ENTRIES = 4096
 
 
-def _outer(d, out):
-    """out[b, i, j] = d[b, i] d[b, j] for a (B, m) array d, by einsum for
-    a stack of at least _EINSUM_ENTRIES entries and by a broadcast
-    multiply below that.  Each entry is the one product either way, so
-    a row gives the same bits in any stack."""
+def _product_stack(d, k):
+    """d_i k_ij d_j for a (B, m) array d and k of shape (m, m) or
+    (B, m, m), in this thread's held memory: d_i d_j by einsum for a
+    stack of at least _EINSUM_ENTRIES entries and by a broadcast
+    multiply below that, then times k.  Each entry is the same products
+    either way, so a row gives the same bits in any stack."""
     B, m = d.shape
+    out = _held_stack((B, m, m))
     if B * m * m >= _EINSUM_ENTRIES:
-        return np.einsum("bi,bj->bij", d, d, out=out)
-    return np.multiply(d[:, :, None], d[:, None, :], out=out)
+        np.einsum("bi,bj->bij", d, d, out=out)
+    else:
+        np.multiply(d[:, :, None], d[:, None, :], out=out)
+    out *= k
+    return out
+
+
+def _bond_form(v, d, kx):
+    """(v o d).kx(v o d) for each row of (B, m) arrays v and d, against
+    kx of shape (m, m) or (B, m, m): one matrix-vector product per row,
+    so a row has the same bits in any stack."""
+    u = v * d
+    return np.sum(np.matmul(kx, u[:, :, None])[:, :, 0] * u, axis=-1)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -289,10 +289,8 @@ def _legendre_panel(n):
 
 def _composite_legendre(lo, hi, panels, pts):
     x0, w0 = _legendre_panel(pts)
-    # np.linspace's own arithmetic, bit for bit, without its overhead;
     # scaling a cached unit grid instead rounds the nodes differently
-    edges = np.arange(panels + 1) * ((hi - lo) / panels) + lo
-    edges[-1] = hi
+    edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[:-1] + edges[1:])
     x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DomainError
 from .models import (CylinderParams, DnlsParams, ParticleChainParams,
-                     _block_rows, _point, _solve_block)
+                     _point, _solve_block)
+from .nystrom import _block_rows
 from .quadrature import _check_m
 # not called here: the benchmark tracer wraps these names on this module
 from .models import (_chain_free_energy_raw, _dnls_free_energy_raw,  # noqa: F401

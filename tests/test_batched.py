@@ -54,7 +54,7 @@ GRID = np.linspace(0.5, 6.5, 7)
 
 
 def _blocks_of(monkeypatch, rows, m):
-    monkeypatch.setattr(models, "_BLOCK_ENTRIES", rows * m * m)
+    monkeypatch.setattr(nystrom, "_BLOCK_ENTRIES", rows * m * m)
 
 
 @pytest.mark.parametrize("model", sorted(CASES))
@@ -210,9 +210,9 @@ def _assert_names_its_grid_point(monkeypatch, params, m, k, head):
     obs = bool(params.observables)
     with pytest.raises(NumericError) as point:
         models._point(params, GRID[k], m, obs)
-    one_block = models._BLOCK_ENTRIES
+    one_block = nystrom._BLOCK_ENTRIES
     for rows, threads in [(None, None), (2, None), (2, 2)]:
-        monkeypatch.setattr(models, "_BLOCK_ENTRIES",
+        monkeypatch.setattr(nystrom, "_BLOCK_ENTRIES",
                             one_block if rows is None else rows * m * m)
         with pytest.raises(NumericError) as exc:
             free_energy_sweep(SweepSpec(params=params, beta_grid=GRID, m=m,

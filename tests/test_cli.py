@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermo_transfer import cli, models, quadrature, selftest, thermo
+from thermo_transfer import cli, models, nystrom, quadrature, selftest, thermo
 from thermo_transfer.cli import (
     RunConfig,
     UsageError,
@@ -266,7 +266,7 @@ def test_config_file_reproduces_flag_run_byte_identical(tmp_path):
 def test_threads_flag_deterministic(tmp_path, monkeypatch, pools_entered):
     # blocks of two rows, so the 6-row grid is three blocks and
     # --threads 4 takes the pool
-    monkeypatch.setattr(models, "_BLOCK_ENTRIES", 2 * 14 * 14)
+    monkeypatch.setattr(nystrom, "_BLOCK_ENTRIES", 2 * 14 * 14)
     outs = []
     for i, threads in enumerate(("1", "4")):
         out = tmp_path / f"t{i}.csv"
@@ -690,6 +690,23 @@ def test_failed_solve_leaves_the_output_path_as_it_was(
         assert out.read_text() == "beta,free_energy\n1,2\n"
     else:
         assert not out.exists()
+
+
+def test_failed_run_through_a_dangling_symlink_removes_its_target(
+        tmp_path, capsys):
+    # the check creates the link's target, so a failed run removes that
+    # target and keeps the link as it was
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    try:
+        link.symlink_to(target.name)
+    except (OSError, NotImplementedError):
+        pytest.skip("symlinks are not available here")
+    rc = cli.main(["free-energy", "--model", "chain", "--beta-start", "1",
+                   "--beta-count", "1", "--out", str(link)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --m is required\n"
+    assert not target.exists() and link.is_symlink()
+    assert os.readlink(link) == target.name
 
 
 # --- the output file, overwritten in place ---------------------------------

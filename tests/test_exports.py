@@ -36,10 +36,16 @@ def test_every_exported_name_resolves(name):
     ("thermo_transfer.nystrom", "_upper"),
     ("thermo_transfer.models", "_first_failure"),
     ("thermo_transfer.models", "_named"),
+    ("thermo_transfer.nystrom", "_outer"),
+    ("thermo_transfer.models", "_block_rows"),
+    ("thermo_transfer.models", "_BLOCK_ENTRIES"),
+    ("thermo_transfer.models", "_held_stack"),
 ])
 def test_replaced_names_are_gone(module, attr):
     # reference_cylinder covers every ax; a Nystrom matrix is its entries
     # array; the per-m caches are `_hermite_pieces` and `_squaring_table`
-    # (assembly mirrors by index), a failure is named by `_raise_named`;
-    # the others had no caller but the old selftest suites
+    # (assembly mirrors by index), a failure is named by `_raise_named`,
+    # and `nystrom` alone builds, holds and bounds the product stack
+    # (`_product_stack`, `_block_rows`); the others had no caller but
+    # the old selftest suites
     assert not hasattr(importlib.import_module(module), attr)

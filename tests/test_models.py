@@ -32,7 +32,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermo_transfer import models, quadrature
+from thermo_transfer import models, nystrom, quadrature
 from thermo_transfer.errors import (AssemblyError, ConvergenceError,
                                     DomainError, NumericError,
                                     ResourceLimitError)
@@ -935,7 +935,7 @@ def test_cylinder_mode_chunks_give_the_same_bits(monkeypatch):
         sizes.append(eta.size)
         return _chain_solve(eta, *args)
 
-    monkeypatch.setattr(models, "_BLOCK_ENTRIES", 2 * 6 * 6)
+    monkeypatch.setattr(nystrom, "_BLOCK_ENTRIES", 2 * 6 * 6)
     monkeypatch.setattr(models, "_chain_solve", counting)
     assert np.array_equal(p.block(betas, 6)[0], whole)
     assert sizes == [2, 2, 1]
@@ -953,7 +953,7 @@ def test_failing_ring_mode_is_named_in_a_later_chunk(monkeypatch, solved_stacks,
     spoil_rayleigh_product(solved_stacks[-1][0, 0, 1])
     for rows in (None, 4):
         if rows:
-            monkeypatch.setattr(models, "_BLOCK_ENTRIES", rows * 30 * 30)
+            monkeypatch.setattr(nystrom, "_BLOCK_ENTRIES", rows * 30 * 30)
         with pytest.raises(ConvergenceError) as exc:
             cyl.block(np.array([1.0]), 30)
         assert str(exc.value).startswith(f"ring mode eta_k={float(eta_k[0])!r}: ")

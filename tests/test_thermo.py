@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermo_transfer import models, thermo
+from thermo_transfer import models, nystrom, thermo
 from thermo_transfer.errors import ConvergenceError, DomainError
 from thermo_transfer.models import (
     CylinderParams,
@@ -387,7 +387,7 @@ def test_sweep_spec_observable_names_per_model():
 def test_sweep_spec_canonicalizes_column_order(monkeypatch):
     # the model's `observables` tuple is the one column order: a sweep
     # cut into one-row blocks and the one-point route both keep it
-    monkeypatch.setattr(models, "_BLOCK_ENTRIES", 5 * 5)
+    monkeypatch.setattr(nystrom, "_BLOCK_ENTRIES", 5 * 5)
     for p in (ParticleChainParams(eta=1.0, mu3=0.2, lam=0.2, gamma=1.0),
               DnlsParams(g=1.0, mu_c=0.5)):
         spec = SweepSpec(params=p, beta_grid=[1.0, 2.0, 3.0], m=5,
@@ -427,7 +427,7 @@ def test_sweep_matches_point_evaluations():
 def test_sweep_threaded_is_deterministic(monkeypatch, pools_entered):
     # blocks of two rows, so the 6-row grid is three blocks and threads=4
     # takes the pool
-    monkeypatch.setattr(models, "_BLOCK_ENTRIES", 2 * 12 * 12)
+    monkeypatch.setattr(nystrom, "_BLOCK_ENTRIES", 2 * 12 * 12)
     p = DnlsParams(g=1.0, mu_c=1.0)
     grid = np.linspace(0.5, 4.0, 6)
     spec = SweepSpec(params=p, beta_grid=grid, m=12, observables=True)
