@@ -86,13 +86,16 @@ model's quadrature size is m: m points per matrix, per ring mode for
 the cylinder (the paper's per-coordinate m0, whose m0^L_y-point
 tensor grid is never built).  `block(betas, m, observables=True)` returns
 F and {column: values} at each beta of a 1-D array from one stacked
-solve (`_chain_solve`, `_dnls_solve`; the `_raw` routes give F alone).
+solve (`_chain_solve`, `_dnls_solve`).  The `_raw` routes give F alone
+at one beta, each a block of one: the DNLS one is `dnls_free_energy`
+on its params, and the chain's, which takes gamma < 0, solves its own.
 A sweep's block and every one-point route go through `_solve_block`,
 which names a failing beta and m by solving a failed block again one
 beta at a time (`_raise_named`, which names a cylinder's failing ring
 mode the same way); a point is a block of one, so it gives the same bits
 and errors alone as inside a sweep.  An F that no double holds (beta F
-/ beta below about beta = 4e-306) is a NumericError too.
+/ beta below about beta = 4e-306) is a NumericError too, from a solve
+and from a closed-form reference alike: `_per_site` alone divides.
 `factorized(beta)` is the reference F of the factorized limit, or None
 away from it: the gamma=0 chain and the a_x=0 cylinder factorize into
 independent single-site (single-ring) problems with closed-form or
@@ -176,21 +179,16 @@ def _check_finite(p):
 
 
 def _per_site(beta_f, betas):
-    # F = beta F / beta at each beta; below about beta = 4e-306 a beta F
-    # of order one gives an F no double holds, which is a NumericError
+    # F = beta F / beta at each beta of an array, or at one scalar beta;
+    # below about beta = 4e-306 a beta F of order one gives an F no
+    # double holds, which is a NumericError
     with np.errstate(over="ignore"):
         f = beta_f / betas
     if not np.isfinite(f).all():
         k = int(np.argmin(np.isfinite(f)))
         raise NumericError(f"the free energy per site overflows a double "
-                           f"(beta F = {float(beta_f[k])!r})")
+                           f"(beta F = {float(np.ravel(beta_f)[k])!r})")
     return f
-
-
-def _per_beta(solve, beta):
-    # solve(1-D betas) -> F per beta; a scalar beta is a block of one
-    f = solve(np.asarray(beta, dtype=float).reshape(-1))
-    return f if np.ndim(beta) else float(f[0])
 
 
 # every input is checked before a block is solved, so a DomainError
@@ -452,8 +450,8 @@ def _chain_free_energy_raw(eta, mu3, lam, gamma, beta, m):
         raise DomainError(
             f"the chain's Gauss weight needs eta + 4 gamma > 0, "
             f"got eta={eta!r}, gamma={gamma!r}")
-    return _per_beta(lambda b: _chain_solve(eta, mu3, lam, gamma, b, m)[0],
-                     beta)
+    return float(_chain_solve(eta, mu3, lam, gamma,
+                              np.array([beta], dtype=float), m)[0][0])
 
 
 def particle_chain_free_energy(p, beta, m):
@@ -493,7 +491,7 @@ def reference_particle_chain_gamma0(p, beta):
             f"adaptive reference integral unreliable (value {val!r}, "
             f"error estimate {err!r})", residual=err)
     mlogz = 0.5 * (_LOG_2PI - math.log(beta)) + math.log(val) - beta * v_min
-    return -mlogz / beta
+    return _per_site(-mlogz, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +553,7 @@ def _dnls_solve(g, mu_c, betas, m):
 
 
 def _dnls_free_energy_raw(g, mu_c, beta, m):
-    DnlsParams(g, mu_c)  # the domain check of the raw route
-    return _per_beta(lambda b: _dnls_solve(g, mu_c, b, m)[0], beta)
+    return dnls_free_energy(DnlsParams(g, mu_c), beta, m)
 
 
 def dnls_free_energy(p, beta, m):
@@ -671,4 +668,4 @@ def reference_cylinder(p, beta):
     c = np.sqrt(eta * (eta + 4.0 * p.ax))
     mbf = (_LOG_2PI - math.log(beta)
            - 0.5 * float(np.mean(np.log(0.5 * (eta + 2.0 * p.ax + c)))))
-    return -mbf / beta
+    return _per_site(-mbf, beta)

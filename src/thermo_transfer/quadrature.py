@@ -338,10 +338,13 @@ def _lanczos(x, w, m):
     return alpha, beta
 
 
-def _level(s, pts, m):
-    # the first m coefficients of one refinement level: the unit DNLS
-    # weight of parameter s on its composite grid of pts Legendre points
-    # per panel (see stieltjes_recurrence).
+@functools.lru_cache(maxsize=_RULE_CACHE)
+def _stieltjes(s, m):
+    # (recurrence, Gauss rule) of the refinement of stieltjes_recurrence
+    # on checked (float s, int m); both hold read-only arrays.  Each
+    # level is the first m coefficients of the unit DNLS weight of
+    # parameter s on a composite grid of pts Legendre points per panel,
+    # over one support and panel count.
     # -y^2/2 - s y - sigma(s) = -(y + t)^2/2 - (s - t) y with t = min(s, 0);
     # the support end -s + sqrt(r^2 + 144), r = max(s, 0), is written
     # without cancellation, and for s < -12 the grid starts 12 below
@@ -354,17 +357,11 @@ def _level(s, pts, m):
             f"Stieltjes grid at s={s!r} has no width: "
             f"-s - 12 and -s + 12 round to one double")
     panels = math.ceil((hi - lo) * max(s, 1.0))
-    y, wleg = _composite_legendre(lo, hi, panels, pts)
-    return _lanczos(y, wleg * np.exp(-0.5 * (y + t) ** 2 - (s - t) * y), m)
-
-
-@functools.lru_cache(maxsize=_RULE_CACHE)
-def _stieltjes(s, m):
-    # (recurrence, Gauss rule) of the refinement of stieltjes_recurrence
-    # on checked (float s, int m); both hold read-only arrays
     prev = None
     for pts in [n for n in _PANEL_POINTS if n >= min(m, 32)]:
-        alpha, beta = _level(s, pts, m)
+        y, wleg = _composite_legendre(lo, hi, panels, pts)
+        alpha, beta = _lanczos(
+            y, wleg * np.exp(-0.5 * (y + t) ** 2 - (s - t) * y), m)
         if prev is not None:
             resid = max(abs(alpha - prev[0]).max(),
                         abs(beta - prev[1]).max())

@@ -902,6 +902,14 @@ def test_selftest_catches_a_drifted_factored_chain(monkeypatch, capsys):
     assert "harmonic chain disagrees with its closed form" in out
 
 
+def test_selftest_keeps_the_rules_cached_before_it():
+    # the selftest checks a cached DNLS rule against one built past the
+    # cache, so a rule a session cached before it is still a hit after it
+    rule = quadrature.stieltjes_rule(-1.0, 12)
+    assert selftest.run(report=lambda line: None)
+    assert quadrature.stieltjes_rule(-1.0, 12) is rule
+
+
 def test_selftest_reports_all_suites(capsys):
     ok = selftest.run()
     out = capsys.readouterr().out

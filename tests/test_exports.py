@@ -40,12 +40,15 @@ def test_every_exported_name_resolves(name):
     ("thermo_transfer.models", "_block_rows"),
     ("thermo_transfer.models", "_BLOCK_ENTRIES"),
     ("thermo_transfer.models", "_held_stack"),
+    ("thermo_transfer.models", "_per_beta"),
+    ("thermo_transfer.quadrature", "_level"),
 ])
 def test_replaced_names_are_gone(module, attr):
     # reference_cylinder covers every ax; a Nystrom matrix is its entries
     # array; the per-m caches are `_hermite_pieces` and `_squaring_table`
     # (assembly mirrors by index), a failure is named by `_raise_named`,
     # and `nystrom` alone builds, holds and bounds the product stack
-    # (`_product_stack`, `_block_rows`); the others had no caller but
-    # the old selftest suites
+    # (`_product_stack`, `_block_rows`); a raw route is a block of one
+    # with no helper of its own, and `_stieltjes` decides its grid once
+    # per rule; the others had no caller but the old selftest suites
     assert not hasattr(importlib.import_module(module), attr)

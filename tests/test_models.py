@@ -540,6 +540,42 @@ def test_raw_chain_route_names_eta_and_gamma_outside_the_weight_domain():
         _chain_free_energy_raw(0.5, 0.0, 0.0, -1.0, np.array([1.0, 2.0]), 5)
 
 
+def test_raw_dnls_route_is_the_public_route_bit_for_bit():
+    for g, mu, beta, m in [(1.0, 1.0, 1.0, 8), (0.5, -0.7, 3.0, 12),
+                           (2.0, 0.3, 0.25, 6), (1.3, -2.0, 10.0, 16)]:
+        assert (models._dnls_free_energy_raw(g, mu, beta, m)
+                == dnls_free_energy(DnlsParams(g, mu), beta, m))
+
+
+def test_raw_dnls_route_names_beta_and_m_of_a_failing_point():
+    # a point of the raw route is a block of one, checked and named as
+    # every one-point route
+    with pytest.raises(NumericError, match=r"^at beta=1e-320, m=8: the free "
+                       r"energy per site overflows a double \(beta F = -"):
+        models._dnls_free_energy_raw(1.0, 1.0, 1e-320, 8)
+    with pytest.raises(DomainError, match="beta must be a positive"):
+        models._dnls_free_energy_raw(1.0, 0.0, -1.0, 8)
+
+
+@pytest.mark.parametrize("reference", [
+    lambda b: reference_cylinder(CylinderParams(1.0, 0.0, 0.3, 4), b),
+    lambda b: reference_cylinder(CylinderParams(1.3, 0.5, 0.2, 3), b),
+    lambda b: reference_particle_chain_gamma0(ParticleChainParams(1.0), b),
+    lambda b: reference_particle_chain_gamma0(
+        ParticleChainParams(1.0, 0.2, 0.4), b),
+    lambda b: CylinderParams(1.0, 0.0, 0.3, 4).factorized(b),
+    lambda b: ParticleChainParams(1.0, 0.2, 0.4).factorized(b),
+], ids=["cylinder_ax0", "cylinder", "harmonic_chain", "anharmonic_chain",
+        "cylinder_factorized", "chain_factorized"])
+def test_references_raise_the_solves_tiny_beta_error(reference):
+    # below about beta = 4e-306 no double holds F = beta F / beta, for a
+    # closed form as for a solve
+    with pytest.raises(NumericError, match=r"^the free energy per site "
+                       r"overflows a double \(beta F = -"):
+        reference(1e-310)
+    assert math.isfinite(reference(1e-300))
+
+
 def test_anharmonic_gamma0_chain_against_adaptive_reference():
     # low beta widens the measure, so the rank-1 quadrature sum needs
     # more points there; tolerances are the measured convergence levels
